@@ -7,7 +7,6 @@ stationary policy, the phased online strategy with sublinear regret, and
 a reproducible graph target-tracking experiment harness.
 """
 
-from ._accel import NUMBA_ENABLED
 from .chains import (
     CostFunction,
     Distribution,

@@ -1,35 +1,27 @@
-"""Hot numeric kernels with optional numba compilation.
+"""Hot numeric kernels: the certified power iteration and chain simulation.
 
-Two inner loops dominate the runtime of the experiment harness: the
-log-domain power iteration behind the eigenproblem solver and the
-step-by-step simulation of Markov chains for policy evaluation. Both are
-provided in a pure-numpy flavour and, when numba is importable, in a
-compiled flavour. Setting the environment variable ``KLWALK_NO_NUMBA=1``
-before import forces the numpy fallback; ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+``mpe_power_iteration`` finds the Perron eigenpair of A = e^{-f} P with
+one certified loop, ``_collatz_loop``, that can hold its iterate in two
+representations. By default the iterate is V itself and A V is a BLAS
+matrix-vector product. When e^{-f}, the start or an iterate has an entry
+that is zero, subnormal or not finite in float64 (costs spanning more
+than about 700), the run starts again from the same start with the
+iterate held as log V and A V taken as a row-wise log-sum-exp. Both
+representations produce the same iterates up to rounding.
 
-The selected implementations are exported as ``mpe_power_iteration`` and
-``markov_path``; the numpy versions stay importable under ``*_numpy`` so
-the two backends can be compared directly.
+``markov_path`` walks a chain from per-row CDFs and pre-drawn uniforms.
+Callers reach both functions through this module's attributes
+(``_accel.markov_path``), so a wrapper set on an attribute sees every call.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("KLWALK_NO_NUMBA", "").strip().lower()
-_NUMBA_DISABLED = _FLAG in ("1", "true", "yes")
-
-if not _NUMBA_DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _NUMBA_DISABLED = True
-
-NUMBA_ENABLED = not _NUMBA_DISABLED
+_TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
 
 
 def log_rows(rows: np.ndarray) -> np.ndarray:
@@ -50,42 +42,101 @@ def log_matvec(log_rows_: np.ndarray, w: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(b - mx[:, np.newaxis]).sum(axis=1))
 
 
-def mpe_power_iteration_numpy(log_passive, f, pin, tol, max_iter):
-    """Power iteration on A = e^{-f} P in log space with certified bounds.
+def _collatz_loop(matvec, ratio, to_linear, floor, ceil, x, pin, tol, max_iter):
+    """Power iteration with a running Collatz bracket, in one representation.
 
-    Maintains w = log V normalized so w[pin] = 0 and the running
-    Collatz bracket [lo, hi] on the dominant eigenvalue of A (linear
-    domain). Each raw Collatz bound is valid for any positive iterate, so
-    the running max/min is a certificate at every iteration.
+    ``matvec`` applies A to an iterate and ``ratio`` compares two
+    representatives entrywise (``np.divide`` for V, ``np.subtract`` for
+    log V); ``to_linear`` maps a ratio back to the linear domain. Each
+    iterate is normalized by its pin entry, so V(pin) = 1 in either
+    representation. Every raw Collatz bound min/max (AV)(x)/V(x) is valid
+    for any positive iterate, so the running max/min [lo, hi] certifies
+    the dominant eigenvalue of A at every iteration.
 
-    Returns (w, lo, hi, iterations, converged).
+    Raises FloatingPointError as soon as A x or the normalized iterate has
+    an entry outside [floor, ceil] (or NaN). Returns
+    (x, lo, hi, iterations, converged).
     """
-    n = log_passive.shape[0]
-    w = np.zeros(n)
     lo_cert = 0.0
     hi_cert = math.inf
     it = 0
     while it < max_iter:
-        y = log_matvec(log_passive, w) - f  # log(A V)
-        d = y - w
-        lo_cert = max(lo_cert, math.exp(d.min()))
-        hi_cert = min(hi_cert, math.exp(d.max()))
-        w = y - y[pin]
+        y = matvec(x)
+        top = y[pin]
+        y_lo = y.min()
+        y_hi = y.max()
+        # ratio is monotone, so the new iterate spans [ratio(y_lo, top), ratio(y_hi, top)]
+        if not (
+            floor <= y_lo and y_hi <= ceil
+            and floor <= ratio(y_lo, top) and ratio(y_hi, top) <= ceil
+        ):
+            raise FloatingPointError(
+                f"power iterate left [{floor:.3e}, {ceil:.3e}] at iteration {it + 1}"
+            )
+        d = ratio(y, x)
+        lo_cert = max(lo_cert, to_linear(d.min()))
+        hi_cert = min(hi_cert, to_linear(d.max()))
+        x = ratio(y, top)
         it += 1
         if hi_cert - lo_cert <= tol:
-            return w, lo_cert, hi_cert, it, True
-    return w, lo_cert, hi_cert, it, False
+            return x, lo_cert, hi_cert, it, True
+    return x, lo_cert, hi_cert, it, False
 
 
-def _bisect_right_py(cdf, u):
-    # smallest j with cdf[j] > u (numpy scalar-friendly bisect)
-    return int(np.searchsorted(cdf, u, side="right"))
+def linear_power_iteration(rows, f_shifted, pin, tol, max_iter, w0):
+    """Certified power iteration on V, with A V = e^{-f} * (P @ V).
+
+    Starts from V = e^{w0}. Raises FloatingPointError when e^{-f}, the
+    start or an iterate has an entry outside the normal float64 range.
+    Returns (log V, lo, hi, iterations, converged).
+    """
+    with np.errstate(all="ignore"):
+        scale = np.exp(-f_shifted)
+        v0 = np.exp(w0)
+        for name, arr in (("e^{-f}", scale), ("e^{w0}", v0)):
+            if not (_TINY <= arr.min() and arr.max() <= _HUGE):
+                raise FloatingPointError(f"{name} is not normal in float64")
+        v, lo, hi, it, ok = _collatz_loop(
+            lambda v: scale * (rows @ v), np.divide, float, _TINY, _HUGE,
+            v0, pin, tol, max_iter,
+        )
+    return np.log(v), lo, hi, it, ok
 
 
-def pick_from_cdf_numpy(cdf: np.ndarray, u: float) -> int:
+def log_power_iteration(rows, f_shifted, pin, tol, max_iter, w0):
+    """Certified power iteration on w = log V, with log(A V) a row-wise
+    log-sum-exp. Starts from w = w0. Returns (w, lo, hi, iterations, converged).
+    """
+    log_p = log_rows(rows)
+    return _collatz_loop(
+        lambda w: log_matvec(log_p, w) - f_shifted, np.subtract, math.exp, -_HUGE, _HUGE,
+        np.asarray(w0, dtype=np.float64), pin, tol, max_iter,
+    )
+
+
+def mpe_power_iteration(rows, f_shifted, pin, tol, max_iter, w0=None):
+    """Certified power iteration on A = e^{-f} P for a nonnegative shifted cost.
+
+    ``rows`` is the passive kernel, ``f_shifted`` the cost minus its
+    minimum (so e^{-f} lies in (0, 1]) and ``w0`` the log of a positive
+    start vector (all ones by default). Runs in the linear domain and
+    reruns from ``w0`` in log space when the linear domain cannot hold an
+    iterate. The iterate is normalized to V(pin) = 1 at every step.
+
+    Returns (w, lo, hi, iterations, converged) with w = log V and [lo, hi]
+    the certified bracket on the dominant eigenvalue of A.
+    """
+    w0 = np.zeros(rows.shape[0]) if w0 is None else w0
+    try:
+        return linear_power_iteration(rows, f_shifted, pin, tol, max_iter, w0)
+    except FloatingPointError:
+        return log_power_iteration(rows, f_shifted, pin, tol, max_iter, w0)
+
+
+def pick_from_cdf(cdf: np.ndarray, u: float) -> int:
     """Inverse-CDF draw; always lands on an index with positive mass."""
     n = cdf.shape[0]
-    j = _bisect_right_py(cdf, u)
+    j = int(np.searchsorted(cdf, u, side="right"))  # smallest j with cdf[j] > u
     if j >= n:  # u fell in the rounding gap above cdf[-1]
         j = n - 1
         while j > 0 and cdf[j] <= cdf[j - 1]:
@@ -93,7 +144,7 @@ def pick_from_cdf_numpy(cdf: np.ndarray, u: float) -> int:
     return j
 
 
-def markov_path_numpy(cdf_rows, start, uniforms):
+def markov_path(cdf_rows, start, uniforms):
     """Walk a chain given per-row CDFs and pre-drawn uniforms.
 
     Returns the visited states as int64, length ``len(uniforms) + 1``,
@@ -104,99 +155,6 @@ def markov_path_numpy(cdf_rows, start, uniforms):
     x = int(start)
     states[0] = x
     for t in range(t_steps):
-        x = pick_from_cdf_numpy(cdf_rows[x], uniforms[t])
+        x = pick_from_cdf(cdf_rows[x], uniforms[t])
         states[t + 1] = x
     return states
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _mpe_power_nb(log_passive, f, pin, tol, max_iter):  # pragma: no cover
-        n = log_passive.shape[0]
-        w = np.zeros(n)
-        y = np.empty(n)
-        lo_cert = 0.0
-        hi_cert = math.inf
-        it = 0
-        while it < max_iter:
-            for x in range(n):
-                mx = -math.inf
-                for z in range(n):
-                    v = log_passive[x, z] + w[z]
-                    if v > mx:
-                        mx = v
-                acc = 0.0
-                for z in range(n):
-                    v = log_passive[x, z]
-                    if v > -math.inf:
-                        acc += math.exp(v + w[z] - mx)
-                y[x] = mx + math.log(acc) - f[x]
-            lo = math.inf
-            hi = -math.inf
-            for x in range(n):
-                d = y[x] - w[x]
-                if d < lo:
-                    lo = d
-                if d > hi:
-                    hi = d
-            lo_lin = math.exp(lo)
-            hi_lin = math.exp(hi)
-            if lo_lin > lo_cert:
-                lo_cert = lo_lin
-            if hi_lin < hi_cert:
-                hi_cert = hi_lin
-            piv = y[pin]
-            for x in range(n):
-                w[x] = y[x] - piv
-            it += 1
-            if hi_cert - lo_cert <= tol:
-                return w, lo_cert, hi_cert, it, True
-        return w, lo_cert, hi_cert, it, False
-
-    @njit(cache=True)
-    def _markov_path_nb(cdf_rows, start, uniforms):  # pragma: no cover
-        t_steps = uniforms.shape[0]
-        n = cdf_rows.shape[1]
-        states = np.empty(t_steps + 1, dtype=np.int64)
-        x = start
-        states[0] = x
-        for t in range(t_steps):
-            u = uniforms[t]
-            lo = 0
-            hi = n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if u < cdf_rows[x, mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            j = lo
-            if j >= n:
-                j = n - 1
-                while j > 0 and cdf_rows[x, j] <= cdf_rows[x, j - 1]:
-                    j -= 1
-            x = j
-            states[t + 1] = x
-        return states
-
-    def mpe_power_iteration(log_passive, f, pin, tol, max_iter):
-        w, lo, hi, it, ok = _mpe_power_nb(
-            np.ascontiguousarray(log_passive, dtype=np.float64),
-            np.ascontiguousarray(f, dtype=np.float64),
-            int(pin),
-            float(tol),
-            int(max_iter),
-        )
-        return w, lo, hi, it, bool(ok)
-
-    def markov_path(cdf_rows, start, uniforms):
-        return _markov_path_nb(
-            np.ascontiguousarray(cdf_rows, dtype=np.float64),
-            int(start),
-            np.ascontiguousarray(uniforms, dtype=np.float64),
-        )
-
-else:
-    mpe_power_iteration = mpe_power_iteration_numpy
-    markov_path = markov_path_numpy

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._accel import pick_from_cdf_numpy
+from ._accel import pick_from_cdf
 from .errors import DimensionMismatchError, NotUnichainError
 
 ROW_SUM_TOL = 1e-9
@@ -191,7 +191,8 @@ def kl_divergence(mu, nu) -> float:
     mask = p > 0
     if np.any(q[mask] == 0):
         return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    kl = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    return max(kl, 0.0)  # Gibbs: negative only by rounding, for nearly equal laws
 
 
 def span_seminorm(f) -> float:
@@ -284,13 +285,15 @@ def _ergodicity_report_uncached(P: StochasticMatrix) -> ErgodicityReport:
         return ErgodicityReport(irreducible, aperiodic, alpha)
 
     wielandt = n * n - 2 * n + 2
-    reach = pattern.astype(np.uint8)
-    step = pattern.astype(np.uint8)
+    # 0/1 float64 products go through BLAS; their path counts are at most
+    # n before thresholding, so they are exact (a uint8 product wraps at 256)
+    step = pattern.astype(np.float64)
+    reach = step
     nbar = 1
     while not reach.all():
         if nbar >= wielandt:
             return ErgodicityReport(irreducible, aperiodic, alpha)
-        reach = ((reach @ step) > 0).astype(np.uint8)
+        reach = ((reach @ step) > 0).astype(np.float64)
         nbar += 1
     theta = float(np.linalg.matrix_power(rows, nbar).min())
     return ErgodicityReport(irreducible, aperiodic, alpha, nbar=nbar, theta=theta)
@@ -329,4 +332,4 @@ def sample_next(P: StochasticMatrix, x: int, rng: np.random.Generator) -> int:
     if not 0 <= x < P.n:
         raise IndexError(f"state index {x} out of range for n={P.n}")
     cdf = np.cumsum(P.rows[x])
-    return pick_from_cdf_numpy(cdf, rng.random())
+    return pick_from_cdf(cdf, rng.random())

@@ -32,7 +32,7 @@ from .errors import (
     NotUnichainError,
     ParseError,
 )
-from .evaluate import ExperimentSpec, run_experiment, summarize
+from .evaluate import ExperimentSpec, MonteCarloSummary, run_experiment, summarize
 from .policy import twisted_kernel
 from .spectral import SolverSettings, acoe_residual, solve_mpe
 from .world import Graph, grid_graph, load_graph
@@ -357,21 +357,17 @@ def cmd_track(args) -> int:
     else:
         # single run: the mean is the run itself, the spread is undefined
         nan = np.full(config.horizon, math.nan)
-        hindsight = _DegenerateSummary(result.hindsight_regret[0], nan)
+        hindsight = MonteCarloSummary(
+            runs=1, mean=result.hindsight_regret[0], stddev=nan, seeds=result.seeds
+        )
         pool = (
-            _DegenerateSummary(result.pool_regret[0], nan)
+            MonteCarloSummary(runs=1, mean=result.pool_regret[0], stddev=nan, seeds=result.seeds)
             if result.pool_regret is not None
             else None
         )
     _write_summary_csv(out_dir / "summary.csv", config.horizon, hindsight, pool)
     print(f"wrote {config.runs} trace file(s) and summary.csv to {out_dir}")
     return 0
-
-
-class _DegenerateSummary:
-    def __init__(self, mean, stddev):
-        self.mean = mean
-        self.stddev = stddev
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,10 @@ def start_strategy(
         current_state=start,
         phase_step=0,
     )
-    return begin_phase(shell, passive, shell.settings)
+    return begin_phase(shell)
 
 
-def begin_phase(
-    state: StrategyState, passive: StochasticMatrix, settings: SolverSettings
-) -> StrategyState:
+def begin_phase(state: StrategyState) -> StrategyState:
     """Close the current phase and solve for the next policy.
 
     Merges the phase buffer into the completed-phase totals, averages them
@@ -182,11 +180,12 @@ def begin_phase(
             )
     cost_sum = state.cost_sum + state.phase_cost_sum
     steps_seen = state.steps_seen + state.phase_step
+    passive = state.passive
     if steps_seen > 0:
         f_hat = CostFunction(cost_sum / steps_seen)
     else:
         f_hat = CostFunction(np.zeros(passive.n))
-    new_policy = optimal_policy(passive, f_hat, settings)
+    new_policy = optimal_policy(passive, f_hat, state.settings)
     return replace(
         state,
         current_phase=state.current_phase + 1,
@@ -229,7 +228,7 @@ def step(
         phase_cost_sum=state.phase_cost_sum + f_t.values,
     )
     if state.phase_step == state.schedule.phase_length(state.current_phase):
-        state = begin_phase(state, state.passive, state.settings)
+        state = begin_phase(state)
     return state, record
 
 

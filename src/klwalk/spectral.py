@@ -6,13 +6,18 @@ nonnegative irreducible matrix A = e^{-f} P:
 
     e^{-f} P V = e^{-lambda} V,      h = -log V,  h(pin) = 0.
 
-``solve_mpe`` runs a power iteration in log space with per-iteration
-normalization V(pin) = 1 and stops once the running Collatz bracket
+``solve_mpe`` runs a power iteration with per-iteration normalization
+V(pin) = 1 and stops once the running Collatz bracket
 [min_x (AV)(x)/V(x), max_x (AV)(x)/V(x)] on the eigenvalue is narrower
 than the requested tolerance; the bracket is part of the returned
-solution and is a machine-checkable optimality certificate.
-``eigen_oracle`` recomputes the same eigenpair by repeated squaring and
-exists purely to cross-examine the solver in tests.
+solution and is a machine-checkable optimality certificate. The
+iteration (``_accel.mpe_power_iteration``) multiplies by A in the linear
+domain and falls back on log space when e^{-f} or an iterate leaves the
+normal float64 range. The solution stores h only; V = e^{-h} is derived
+on demand, because it overflows for costs of large span.
+``acoe_residual`` checks a solution independently in log-sum-exp form,
+and ``eigen_oracle`` recomputes the same eigenpair by repeated squaring
+and exists purely to cross-examine the solver in tests.
 """
 
 from __future__ import annotations
@@ -57,28 +62,41 @@ class MpeSolution:
     """Eigenpair of e^{-f} P plus its certificate.
 
     ``lam`` is the optimal average cost, ``h`` the relative value function
-    with h(pin) = 0, ``v = e^{-h}`` the positive eigenvector with
-    v(pin) = 1, and ``bracket`` the certified enclosure of e^{-lam}.
+    with h(pin) = 0, and ``bracket`` the certified enclosure of e^{-lam}.
+    The positive eigenvector ``v = e^{-h}`` is derived from ``h``.
     """
 
     lam: float
     h: np.ndarray
-    v: np.ndarray
     bracket: tuple[float, float]
     iterations: int
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
         h.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "v", v)
-        if not np.all(v > 0):
-            raise ValueError("eigenvector must be entrywise positive")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("relative value function must be finite")
         lo, hi = self.bracket
         if not (lo <= hi and lo > 0):
             raise ValueError(f"invalid eigenvalue bracket {self.bracket}")
+
+    @property
+    def v(self) -> np.ndarray:
+        """The eigenvector e^{-h}, entrywise positive with v(pin) = 1.
+
+        Raises FloatingPointError when some entry of e^{-h} over- or
+        underflows float64 (|h| beyond about 700); use ``h`` then.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            v = np.exp(-self.h)
+        if not (v.min() > 0 and v.max() < math.inf):
+            raise FloatingPointError(
+                f"v = e^{{-h}} is not representable in float64: h spans "
+                f"[{self.h.min():.6g}, {self.h.max():.6g}]; use h instead"
+            )
+        v.setflags(write=False)
+        return v
 
     @property
     def bracket_width(self) -> float:
@@ -108,9 +126,9 @@ def solve_mpe(
 
     The cost is shifted by its minimum before iterating (the shift factors
     out of the eigenproblem exactly), which keeps the bracket well
-    conditioned for costs with a large common offset; the reported bracket
-    is rescaled back, so its width never exceeds the tolerance. All
-    products with e^{-f} and e^{-h} are evaluated in log space.
+    conditioned for costs with a large common offset and puts e^{-f} in
+    (0, 1]; the reported bracket is rescaled back, so its width never
+    exceeds the tolerance.
 
     ``initial_v`` overrides the default all-ones start; any strictly
     positive vector converges to the same pinned solution.
@@ -119,10 +137,8 @@ def solve_mpe(
     _validate_inputs(passive, f, settings)
     fv = f.values
     base = float(fv.min())
-    log_passive = _accel.log_rows(passive.rows)
-    if initial_v is None:
-        w0 = None
-    else:
+    w0 = None
+    if initial_v is not None:
         v0 = np.asarray(initial_v, dtype=np.float64)
         if v0.shape != (passive.n,):
             raise DimensionMismatchError(f"initial_v has shape {v0.shape}, expected ({passive.n},)")
@@ -130,8 +146,9 @@ def solve_mpe(
             raise ValueError("initial_v must be strictly positive")
         w0 = np.log(v0)
         w0 = w0 - w0[settings.pin_index]
-    w, lo, hi, iterations, converged = _power_iterate(
-        log_passive, fv - base, settings, w0
+    w, lo, hi, iterations, converged = _accel.mpe_power_iteration(
+        passive.rows, fv - base, settings.pin_index, settings.tolerance,
+        settings.max_iterations, w0,
     )
     scale = math.exp(-base)
     bracket = (lo * scale, hi * scale)
@@ -145,31 +162,7 @@ def solve_mpe(
     lam = base - math.log(0.5 * (lo + hi))
     h = -w
     h = h - h[settings.pin_index]  # exact zero at the pin (clears -0.0 too)
-    v = np.exp(-h)
-    return MpeSolution(lam=lam, h=h, v=v, bracket=bracket, iterations=iterations)
-
-
-def _power_iterate(log_passive, f_shifted, settings, w0):
-    if w0 is None:
-        return _accel.mpe_power_iteration(
-            log_passive, f_shifted, settings.pin_index, settings.tolerance, settings.max_iterations
-        )
-    # custom start: run the numpy loop seeded at w0 (the compiled kernel
-    # always starts from ones; both converge to the same pinned solution)
-    n = log_passive.shape[0]
-    w = np.array(w0, dtype=np.float64)
-    lo_cert, hi_cert = 0.0, math.inf
-    it = 0
-    while it < settings.max_iterations:
-        y = _accel.log_matvec(log_passive, w) - f_shifted
-        d = y - w
-        lo_cert = max(lo_cert, math.exp(d.min()))
-        hi_cert = min(hi_cert, math.exp(d.max()))
-        w = y - y[settings.pin_index]
-        it += 1
-        if hi_cert - lo_cert <= settings.tolerance:
-            return w, lo_cert, hi_cert, it, True
-    return w, lo_cert, hi_cert, it, False
+    return MpeSolution(lam=lam, h=h, bracket=bracket, iterations=iterations)
 
 
 def acoe_residual(passive: StochasticMatrix, f: CostFunction, sol: MpeSolution) -> float:

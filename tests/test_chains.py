@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from klwalk import (
     NotUnichainError,
     StateSpace,
     StochasticMatrix,
+    build_passive,
     dobrushin_coefficient,
     ergodicity_report,
+    grid_graph,
     invariant_distribution,
     kl_divergence,
     sample_next,
@@ -243,6 +246,26 @@ class TestErgodicityReport:
             if report.nbar > 1:
                 below = np.linalg.matrix_power(p.rows, report.nbar - 1)
                 assert below.min() == 0.0
+
+    def test_nbar_past_256_states(self):
+        # 16x16 grid with the home teleport: some reachability count reaches
+        # 256, which a uint8 product wraps to 0 (the search then never ends)
+        p = build_passive(grid_graph(16, 16), stay_prob=0.01, delta=0.01, home=0)
+        reports = []
+        worker = threading.Thread(target=lambda: reports.append(ergodicity_report(p)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive(), "ergodicity check did not finish"
+        # oracle: exact int64 reachability products, thresholded each step
+        step = (p.rows > 0).astype(np.int64)
+        reach, nbar = step, 1
+        while not reach.all():
+            reach = ((reach @ step) > 0).astype(np.int64)
+            nbar += 1
+        assert nbar == 30
+        assert reports[0].nbar == nbar
+        assert reports[0].theta > 0
 
 
 class TestInvariantDistribution:

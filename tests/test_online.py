@@ -6,7 +6,6 @@ import pytest
 from klwalk import (
     CostFunction,
     ReplayCostStream,
-    SolverSettings,
     StochasticMatrix,
     begin_phase,
     kernel_sup_distance,
@@ -112,7 +111,7 @@ class TestBeginPhase:
         # now mid phase 2 (tau_2 = 2): forcing a new phase must fail
         state, _ = step(state, CostFunction([0.0, 0.1]), np.random.default_rng(0))
         with pytest.raises(RuntimeError):
-            begin_phase(state, TWO_STATE, SolverSettings())
+            begin_phase(state)
 
 
 class TestStep:

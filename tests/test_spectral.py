@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klwalk import (
     ConvergenceError,
@@ -10,11 +13,15 @@ from klwalk import (
     SolverSettings,
     StochasticMatrix,
     acoe_residual,
+    bfs_distances,
+    build_passive,
     eigen_oracle,
     ergodicity_report,
+    grid_graph,
     solve_mpe,
     span_seminorm,
 )
+from klwalk import _accel
 
 from conftest import random_cost, random_ergodic_kernel
 
@@ -100,6 +107,87 @@ class TestSolveMpe:
             assert np.all(sol.v > 0)
 
 
+def large_span_problem():
+    """10x10 grid, cost 300 x hop distance, pinned at the costliest state:
+    e^{-f} underflows and e^{-h} overflows float64."""
+    graph = grid_graph(10, 10)
+    passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
+    f = CostFunction(300.0 * bfs_distances(graph)[0][0])
+    return passive, f, SolverSettings(pin_index=int(np.argmax(f.values)))
+
+
+class TestDomains:
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_linear_and_log_paths_agree(self, n, seed):
+        rng = np.random.default_rng(seed)
+        p = random_ergodic_kernel(rng, n)
+        f = random_cost(rng, n, cap=3.0).values
+        fs = f - f.min()
+        pin = int(rng.integers(n))
+        runs = [path(p.rows, fs, pin, 1e-12, 100_000, np.zeros(n))
+                for path in (_accel.linear_power_iteration, _accel.log_power_iteration)]
+        (w_lin, lo_lin, hi_lin, _, ok_lin), (w_log, lo_log, hi_log, _, ok_log) = runs
+        assert ok_lin and ok_log
+        lam_lin = -math.log(0.5 * (lo_lin + hi_lin))
+        lam_log = -math.log(0.5 * (lo_log + hi_log))
+        assert abs(lam_lin - lam_log) <= 1e-12
+        np.testing.assert_allclose(w_lin, w_log, rtol=0, atol=1e-9)
+        assert w_lin[pin] == 0.0
+
+    def test_large_span_takes_log_fallback(self):
+        passive, f, cfg = large_span_problem()
+        fs = f.values - f.values.min()
+        with pytest.raises(FloatingPointError):
+            _accel.linear_power_iteration(
+                passive.rows, fs, cfg.pin_index, cfg.tolerance, cfg.max_iterations,
+                np.zeros(passive.n),
+            )
+        sol = solve_mpe(passive, f, cfg)
+        assert sol.bracket_width <= cfg.tolerance
+        assert acoe_residual(passive, f, sol) <= 1e-8
+
+    def test_iterate_leaving_normal_range_falls_back(self):
+        # e^{-f} is normal, but rare transitions make h span about 1000
+        eps = 1e-150
+        p = StochasticMatrix([[1 - eps, eps, 0, 0], [eps, 1 - 2 * eps, eps, 0],
+                              [0, eps, 1 - 2 * eps, eps], [0, 0, eps, 1 - eps]])
+        f = CostFunction([0.0, 1.0, 1.0, 1.0])
+        cfg = SolverSettings()
+        with pytest.raises(FloatingPointError, match="at iteration"):
+            _accel.linear_power_iteration(
+                p.rows, f.values, 0, cfg.tolerance, cfg.max_iterations, np.zeros(4)
+            )
+        sol = solve_mpe(p, f, cfg)
+        assert sol.bracket_width <= cfg.tolerance
+        assert span_seminorm(sol.h) > 1000
+        assert acoe_residual(p, f, sol) <= 1e-8
+
+    def test_large_span_solution_has_finite_h_and_refuses_v(self):
+        passive, f, cfg = large_span_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_mpe(passive, f, cfg)
+            assert np.all(np.isfinite(sol.h)) and sol.h[cfg.pin_index] == 0.0
+            with pytest.raises(FloatingPointError, match="not representable"):
+                sol.v
+
+    def test_custom_start_on_linear_path(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            p = random_ergodic_kernel(rng, n)
+            f = random_cost(rng, n).values
+            w_ones = _accel.linear_power_iteration(p.rows, f, 0, 1e-12, 100_000, np.zeros(n))[0]
+            w0 = rng.normal(size=n) * 3.0
+            w_custom, _, _, _, ok = _accel.linear_power_iteration(
+                p.rows, f, 0, 1e-12, 100_000, w0
+            )
+            assert ok
+            np.testing.assert_allclose(w_custom, w_ones, rtol=0, atol=1e-10)
+            sol = solve_mpe(p, CostFunction(f), initial_v=np.exp(w0))
+            np.testing.assert_allclose(sol.h, -w_ones, rtol=0, atol=1e-10)
+
+
 class TestAcoeResidual:
     def test_accepted_solution_is_tight(self, rng):
         for _ in range(20):
@@ -117,8 +205,7 @@ class TestAcoeResidual:
         sol = solve_mpe(TWO_STATE, TWO_STATE_COST)
         h = sol.h.copy()
         h[1] += 0.1
-        stale = type(sol)(lam=sol.lam, h=h, v=np.exp(-h), bracket=sol.bracket,
-                          iterations=sol.iterations)
+        stale = type(sol)(lam=sol.lam, h=h, bracket=sol.bracket, iterations=sol.iterations)
         assert acoe_residual(TWO_STATE, TWO_STATE_COST, stale) >= 0.01
 
 
