@@ -29,11 +29,17 @@ ROW_SUM_TOL = 1e-9
 INVARIANT_RESIDUAL_TOL = 1e-10
 
 
+def frozen_copy(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``values``; the caller's own array stays writeable."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = frozen_copy(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -92,7 +98,7 @@ class StochasticMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
+        rows = frozen_copy(self.rows)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError(f"kernel must be square, got shape {rows.shape}")
         if rows.shape[0] < 1:
@@ -104,7 +110,6 @@ class StochasticMatrix:
         if bad.size:
             x = int(bad[0])
             raise ValueError(f"row {x} sums to {sums[x]!r}, expected 1 (not renormalizing)")
-        rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -249,6 +254,21 @@ def _component_period(pattern: np.ndarray, members: np.ndarray) -> int:
                     nxt.append(v)
         frontier = nxt
     return abs(g)
+
+
+def has_single_closed_class(P: StochasticMatrix) -> bool:
+    """Whether the positive pattern of P has exactly one closed
+    communicating class.
+
+    This is a property of the pattern alone, so every kernel with the same
+    positive pattern is unichain too: it has one invariant distribution.
+    """
+    pattern = P.rows > 0
+    n_comp, labels = _scc_labels(pattern)
+    src, dst = np.nonzero(pattern)
+    leaving = labels[src] != labels[dst]
+    open_classes = np.unique(labels[src[leaving]])
+    return n_comp - open_classes.size == 1
 
 
 def ergodicity_report(P: StochasticMatrix) -> ErgodicityReport:

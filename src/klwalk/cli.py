@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
 )
 from .evaluate import ExperimentSpec, MonteCarloSummary, run_experiment, summarize
-from .policy import twisted_kernel
+from .policy import twisted_kernel, twisting_function
 from .spectral import SolverSettings, acoe_residual, solve_mpe
 from .world import Graph, grid_graph, load_graph
 
@@ -284,8 +284,7 @@ def cmd_solve(args) -> int:
         tolerance=args.tolerance, max_iterations=args.max_iterations, pin_index=args.pin
     )
     sol = solve_mpe(passive, cost, settings)
-    phi = sol.h if span_seminorm(cost.values) > 0 else np.zeros(passive.n)
-    pol = twisted_kernel(passive, phi)
+    pol = twisted_kernel(passive, twisting_function(cost, sol))
     residual = acoe_residual(passive, cost, sol)
     print(f"lambda = {sol.lam:.12f}")
     print(f"bracket = [{_fmt(sol.bracket[0])}, {_fmt(sol.bracket[1])}]"

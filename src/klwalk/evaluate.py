@@ -18,7 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _accel
-from .chains import CostFunction, StochasticMatrix, invariant_distribution
+from .chains import (
+    INVARIANT_RESIDUAL_TOL,
+    CostFunction,
+    StochasticMatrix,
+    frozen_copy,
+    has_single_closed_class,
+    invariant_distribution,
+)
 from .errors import DimensionMismatchError, NotUnichainError
 from .online import RunTrace, run_episode
 from .policy import KlPolicy, optimal_policy, rows_kl
@@ -34,6 +41,7 @@ _MASK64 = (1 << 64) - 1
 _SPLIT_GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 _POOL_STREAM = 0x706F6F6C
 _POOL_SIM_STREAM = 0x73696D
+_POOL_BLOCK = 8  # policies drawn and certified together; larger blocks raise peak memory
 
 
 def split_seed(base_seed: int, index: int) -> int:
@@ -61,9 +69,7 @@ class RegretTrace:
         if self.comparator_kind not in _COMPARATOR_KINDS:
             raise ValueError(f"unknown comparator kind {self.comparator_kind!r}")
         for name in ("per_step", "comparator_cost"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
         if self.per_step.shape != (self.horizon,) or self.comparator_cost.shape != (self.horizon,):
             raise DimensionMismatchError("regret traces must match the horizon")
 
@@ -79,9 +85,7 @@ class MonteCarloSummary:
 
     def __post_init__(self):
         for name in ("mean", "stddev"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
@@ -136,6 +140,71 @@ def best_in_hindsight(
     return optimal_policy(passive, CostFunction(fmat.mean(axis=0)), settings)
 
 
+class _DirichletLayout:
+    """Where the passive's nonzeros sit: entry i of the row-major nonzero
+    list is column ``col[i]`` of row ``row[i]`` and the ``slot[i]``-th
+    nonzero of that row; ``width`` is the widest row support."""
+
+    def __init__(self, passive: StochasticMatrix):
+        self.n = passive.n
+        self.row, self.col = np.nonzero(passive.rows)
+        counts = np.bincount(self.row, minlength=self.n)
+        self.slot = np.arange(self.row.size) - (np.cumsum(counts) - counts)[self.row]
+        self.width = int(counts.max())
+
+    def draw(self, rng: np.random.Generator, kernels: np.ndarray) -> np.ndarray:
+        """Fill the stacked ``kernels`` with rows that are flat Dirichlet
+        draws over the passive row supports; return a mask of the kernels
+        whose positive pattern is the passive's.
+
+        Bit for bit the rows of ``rng.dirichlet(np.ones(k))`` called row by
+        row: numpy's alpha = 1 Dirichlet takes k standard exponentials, sums
+        them left to right and multiplies each by the reciprocal of the sum.
+        """
+        count = kernels.shape[0]
+        draws = rng.standard_exponential(count * self.row.size).reshape(count, -1)
+        slots = np.zeros((count, self.n, self.width))
+        slots[:, self.row, self.slot] = draws
+        total = slots[:, :, 0].copy()
+        for j in range(1, self.width):  # padding zeros leave the sum exact
+            total += slots[:, :, j]
+        slots *= (1.0 / total)[:, :, np.newaxis]
+        weights = slots[:, self.row, self.slot]
+        kernels.fill(0.0)
+        kernels[:, self.row, self.col] = weights
+        return (weights > 0).all(axis=1)
+
+
+def _stationarity_certified(kernels: np.ndarray, system: np.ndarray) -> np.ndarray:
+    """Which of the stacked kernels pass ``invariant_distribution``'s bounds
+    on the solution of their square stationarity system, built in
+    ``system`` (same shape as ``kernels``).
+
+    The system is P^T - I with its last row replaced by ones, solved for
+    all kernels at once; it is nonsingular exactly for unichain kernels.
+    When some kernel makes it singular, no kernel of the stack is
+    certified. The bounds alone do not prove uniqueness (rounding can
+    turn a singular system into a solvable one whose solution is one of
+    many stationary laws), so only kernels known to be unichain may be
+    certified this way.
+    """
+    n = kernels.shape[1]
+    np.subtract(kernels.transpose(0, 2, 1), np.eye(n), out=system)
+    system[:, -1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        pi = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        return np.zeros(kernels.shape[0], dtype=bool)
+    residual = np.abs((pi[:, np.newaxis, :] @ kernels)[:, 0, :] - pi).sum(axis=1)
+    return (
+        np.isfinite(pi).all(axis=1)
+        & (residual <= INVARIANT_RESIDUAL_TOL)
+        & (pi.min(axis=1) >= -1e-12)
+    )
+
+
 def sample_policy_pool(
     passive: StochasticMatrix, pool_size: int, seed: int
 ) -> list[KlPolicy]:
@@ -144,26 +213,47 @@ def sample_policy_pool(
     Rows are flat Dirichlet draws over the support of the matching passive
     row, so the control cost is finite by construction; draws without a
     unique invariant distribution are rejected and resampled.
+
+    Policies are drawn in blocks of ``_POOL_BLOCK`` from one stream of
+    standard exponentials, which gives bit for bit the draws of one
+    ``rng.dirichlet`` call per row, so the pool does not depend on the
+    block size. The passive is checked once to have a single closed
+    class; a draw with the passive's positive pattern then has one too,
+    so it is unichain by structure, and its stationarity system is
+    solved with the rest of its block and held to the bounds of
+    ``invariant_distribution``. A draw with another pattern, or one that
+    misses those bounds, goes through ``invariant_distribution`` itself.
+    Draws are accepted or resampled in draw order, as if one at a time.
+
+    Raises NotUnichainError when the passive has more than one closed
+    class: then no policy inside its support is unichain.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
+    if not has_single_closed_class(passive):
+        raise NotUnichainError(
+            "passive kernel has more than one closed class: "
+            "no policy supported inside it is unichain"
+        )
     rng = np.random.default_rng([seed, _POOL_STREAM])
-    n = passive.n
-    supports = [np.nonzero(passive.rows[x])[0] for x in range(n)]
+    layout = _DirichletLayout(passive)
+    # reused by every block, so block temporaries do not fragment the heap
+    kernels_buf = np.empty((min(_POOL_BLOCK, pool_size), passive.n, passive.n))
+    system_buf = np.empty_like(kernels_buf)
     pool: list[KlPolicy] = []
     while len(pool) < pool_size:
-        rows = np.zeros((n, n))
-        for x in range(n):
-            sup = supports[x]
-            rows[x, sup] = rng.dirichlet(np.ones(sup.shape[0]))
-        kernel = StochasticMatrix(rows)
-        try:
-            invariant_distribution(kernel)
-        except NotUnichainError:
-            continue
-        pool.append(
-            KlPolicy(kernel=kernel, control_cost=rows_kl(rows, passive.rows))
-        )
+        count = min(_POOL_BLOCK, pool_size - len(pool))
+        kernels = kernels_buf[:count]
+        structural = layout.draw(rng, kernels)
+        certified = structural & _stationarity_certified(kernels, system_buf[:count])
+        for rows, ok in zip(kernels, certified):
+            kernel = StochasticMatrix(rows)
+            if not ok:
+                try:
+                    invariant_distribution(kernel)
+                except NotUnichainError:
+                    continue
+            pool.append(KlPolicy(kernel=kernel, control_cost=rows_kl(rows, passive.rows)))
     return pool
 
 

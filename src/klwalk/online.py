@@ -19,7 +19,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .chains import CostFunction, StochasticMatrix, sample_next
+from .chains import CostFunction, StochasticMatrix, frozen_copy, sample_next
 from .errors import DimensionMismatchError
 from .policy import KlPolicy, optimal_policy
 from .spectral import SolverSettings
@@ -51,9 +51,7 @@ class PhaseSchedule:
 
     def __post_init__(self):
         for name in ("tau", "tau_cum"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), np.int64))
 
     def phase_length(self, m: int) -> int:
         """tau_m for any phase index m >= 1 (the formula, not the table)."""
@@ -249,13 +247,9 @@ class RunTrace:
 
     def __post_init__(self):
         for name in ("states", "phase_boundaries"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), np.int64))
         for name in ("state_costs", "control_costs", "cumulative"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
     @property
     def horizon(self) -> int:

@@ -20,11 +20,12 @@ from .chains import (
     CostFunction,
     StochasticMatrix,
     ergodicity_report,
+    frozen_copy,
     invariant_distribution,
     span_seminorm,
 )
 from .errors import DimensionMismatchError, NotErgodicError
-from .spectral import SolverSettings, solve_mpe
+from .spectral import MpeSolution, SolverSettings, solve_mpe
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class KlPolicy:
     source_h: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        cc = np.asarray(self.control_cost, dtype=np.float64)
-        cc.setflags(write=False)
+        cc = frozen_copy(self.control_cost)
         object.__setattr__(self, "control_cost", cc)
         if cc.shape != (self.kernel.n,):
             raise DimensionMismatchError(
@@ -50,9 +50,7 @@ class KlPolicy:
         if np.any(cc < 0):
             raise ValueError("control costs must be nonnegative")
         if self.source_h is not None:
-            h = np.asarray(self.source_h, dtype=np.float64)
-            h.setflags(write=False)
-            object.__setattr__(self, "source_h", h)
+            object.__setattr__(self, "source_h", frozen_copy(self.source_h))
 
     @property
     def n(self) -> int:
@@ -87,7 +85,8 @@ def rows_kl(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
         ratio = np.where(a > 0, a / np.where(b > 0, b, 1.0), 1.0)
         terms = np.where(a > 0, a * np.log(ratio), 0.0)
         terms = np.where((a > 0) & (b == 0), math.inf, terms)
-    return terms.sum(axis=1)
+    # Gibbs: negative only by rounding, as for a one-entry row 1 - 2^-53
+    return np.maximum(terms.sum(axis=1), 0.0)
 
 
 def twisted_kernel(passive: StochasticMatrix, phi) -> KlPolicy:
@@ -163,16 +162,24 @@ def optimal_policy(
     passive: StochasticMatrix, f: CostFunction, settings: Optional[SolverSettings] = None
 ) -> KlPolicy:
     """Solve the eigenproblem for f and twist the passive kernel by its
-    relative value function.
-
-    A constant cost provably yields h = 0 (only the average cost shifts),
-    so the twist is applied with an exact zero vector in that case; the
-    solve still runs so its certificate is exercised uniformly.
-    """
+    relative value function (see ``twisting_function``). The solve runs
+    for a constant cost too, so its certificate is exercised uniformly."""
     sol = solve_mpe(passive, f, settings)
+    return twisted_kernel(passive, twisting_function(f, sol))
+
+
+def twisting_function(f: CostFunction, sol: MpeSolution) -> np.ndarray:
+    """The function that twists the passive kernel into the optimal policy
+    for f, given ``sol``, a solution of the eigenproblem for f.
+
+    That is the relative value function h, except that a constant cost
+    provably yields h = 0 (only the average cost shifts): then it is an
+    exact zero vector, so the policy is the passive kernel itself whatever
+    rounding the solver left in h.
+    """
     if span_seminorm(f.values) == 0.0:
-        return twisted_kernel(passive, np.zeros(passive.n))
-    return twisted_kernel(passive, sol.h)
+        return np.zeros(f.n)
+    return sol.h
 
 
 def bound_constants(passive: StochasticMatrix, cost_cap: float = 1.0) -> BoundConstants:

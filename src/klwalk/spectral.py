@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import _accel
-from .chains import CostFunction, StochasticMatrix, ergodicity_report
+from .chains import CostFunction, StochasticMatrix, ergodicity_report, frozen_copy
 from .errors import ConvergenceError, DimensionMismatchError, NotErgodicError
 
 ORACLE_MAX_STATES = 12
@@ -72,8 +72,7 @@ class MpeSolution:
     iterations: int
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64)
-        h.setflags(write=False)
+        h = frozen_copy(self.h)
         object.__setattr__(self, "h", h)
         if not np.all(np.isfinite(h)):
             raise ValueError("relative value function must be finite")

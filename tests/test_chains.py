@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -7,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klwalk import (
+    FIXED_POLICY,
     CostFunction,
     Distribution,
     DimensionMismatchError,
+    KlPolicy,
+    MonteCarloSummary,
+    MpeSolution,
     NotUnichainError,
+    PhaseSchedule,
+    RegretTrace,
+    RunTrace,
     StateSpace,
     StochasticMatrix,
     build_passive,
@@ -24,8 +30,9 @@ from klwalk import (
     total_variation,
 )
 from klwalk._accel import markov_path
+from klwalk.chains import has_single_closed_class
 
-from conftest import random_ergodic_kernel
+from conftest import random_ergodic_kernel, run_within
 
 
 def dist_pairs(min_n=2, max_n=6):
@@ -93,6 +100,35 @@ class TestContainers:
         with pytest.raises(ValueError):
             CostFunction([np.inf, 0.0])
         assert CostFunction([0.2, 0.9]).max() == 0.9
+
+
+class TestFrozenCopies:
+    """Containers freeze a copy of every array they are handed; the
+    caller's own array stays writeable and decoupled."""
+
+    @pytest.mark.parametrize(
+        "cls, fixed, float_fields, int_fields",
+        [
+            (MpeSolution, dict(lam=0.0, bracket=(1.0, 1.0), iterations=1), ("h",), ()),
+            (KlPolicy, dict(kernel=StochasticMatrix(np.eye(3))), ("control_cost", "source_h"), ()),
+            (RegretTrace, dict(horizon=3, comparator_kind=FIXED_POLICY),
+             ("per_step", "comparator_cost"), ()),
+            (MonteCarloSummary, dict(runs=2, seeds=(1, 2)), ("mean", "stddev"), ()),
+            (RunTrace, {}, ("state_costs", "control_costs", "cumulative"),
+             ("states", "phase_boundaries")),
+            (PhaseSchedule, dict(epsilon=0.05, horizon=3, complete_phases=3), (),
+             ("tau", "tau_cum")),
+        ],
+    )
+    def test_caller_array_stays_writeable(self, cls, fixed, float_fields, int_fields):
+        given = {name: np.zeros(3) for name in float_fields}
+        given.update({name: np.ones(3, dtype=np.int64) for name in int_fields})
+        obj = cls(**fixed, **given)
+        for name, arr in given.items():
+            assert arr.flags.writeable, name
+            assert not getattr(obj, name).flags.writeable, name
+            arr[0] = 7
+            assert getattr(obj, name)[0] != 7, name
 
 
 class TestTotalVariation:
@@ -251,12 +287,7 @@ class TestErgodicityReport:
         # 16x16 grid with the home teleport: some reachability count reaches
         # 256, which a uint8 product wraps to 0 (the search then never ends)
         p = build_passive(grid_graph(16, 16), stay_prob=0.01, delta=0.01, home=0)
-        reports = []
-        worker = threading.Thread(target=lambda: reports.append(ergodicity_report(p)),
-                                  daemon=True)
-        worker.start()
-        worker.join(timeout=120)
-        assert not worker.is_alive(), "ergodicity check did not finish"
+        report = run_within(120, ergodicity_report, p)
         # oracle: exact int64 reachability products, thresholded each step
         step = (p.rows > 0).astype(np.int64)
         reach, nbar = step, 1
@@ -264,8 +295,24 @@ class TestErgodicityReport:
             reach = ((reach @ step) > 0).astype(np.int64)
             nbar += 1
         assert nbar == 30
-        assert reports[0].nbar == nbar
-        assert reports[0].theta > 0
+        assert report.nbar == nbar
+        assert report.theta > 0
+
+
+class TestSingleClosedClass:
+    def test_ergodic(self, rng):
+        assert has_single_closed_class(random_ergodic_kernel(rng, 4))
+
+    def test_two_blocks(self):
+        assert not has_single_closed_class(StochasticMatrix(np.eye(2)))
+
+    def test_transient_state_into_one_class(self):
+        p = StochasticMatrix([[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+        assert has_single_closed_class(p)
+
+    def test_transient_state_into_two_classes(self):
+        p = StochasticMatrix([[0.2, 0.4, 0.4], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert not has_single_closed_class(p)
 
 
 class TestInvariantDistribution:

@@ -122,6 +122,19 @@ class TestCmdSolve:
             read_matrix_csv(str(out_kernel)).rows, [[0.5, 0.5]] * 2, atol=1e-15
         )
 
+    def test_constant_cost_writes_passive_kernel_exactly(self, tmp_path, rng):
+        # a constant cost twists by an exact zero: the kernel file is the
+        # passive file byte for byte, whatever rounding is left in h
+        rows = rng.dirichlet(np.ones(5), size=5)
+        rows[1, 2] = 0.0
+        rows[1] /= rows[1].sum()
+        passive = tmp_path / "p.csv"
+        write_matrix_csv(passive, rows)
+        cost = write(tmp_path / "f.csv", "0.7\n" * 5)
+        out_kernel = tmp_path / "kernel.csv"
+        assert main(["solve", str(passive), cost, "--out-kernel", str(out_kernel)]) == 0
+        assert out_kernel.read_bytes() == passive.read_bytes()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         passive = write(tmp_path / "p.csv", "0.5,0.5\n0.7,0.7\n")
         cost = write(tmp_path / "f.csv", "0.0\n0.0\n")

@@ -9,27 +9,32 @@ from klwalk import (
     DimensionMismatchError,
     ExperimentSpec,
     FIXED_POLICY,
+    NotUnichainError,
     ReplayCostStream,
     StochasticMatrix,
     best_in_hindsight,
     bound_constants,
+    build_passive,
     growth_exponent,
     grid_graph,
+    invariant_distribution,
     monte_carlo,
     optimal_policy,
     passive_policy,
     pool_best_realized_cost,
     realized_expected_comparator_cost,
     regret_trace,
+    rows_kl,
     run_episode,
     run_experiment,
     sample_policy_pool,
     split_seed,
     steady_state_comparator_cost,
 )
+from klwalk import evaluate
 from klwalk.chains import dobrushin_coefficient
 
-from conftest import random_cost, random_ergodic_kernel
+from conftest import random_cost, random_ergodic_kernel, run_within
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 TWO_STATE_COST = CostFunction([0.0, math.log(2)])
@@ -119,7 +124,78 @@ class TestBestInHindsight:
             best_in_hindsight(random_ergodic_kernel(rng, 3), [])
 
 
+def reference_pool(passive, pool_size, seed):
+    """The sampler one policy at a time: one ``rng.dirichlet`` call per row
+    and one ``invariant_distribution`` rejection check per policy."""
+    rng = np.random.default_rng([seed, evaluate._POOL_STREAM])
+    supports = [np.nonzero(row)[0] for row in passive.rows]
+    pool = []
+    while len(pool) < pool_size:
+        rows = np.zeros((passive.n, passive.n))
+        for x, sup in enumerate(supports):
+            rows[x, sup] = rng.dirichlet(np.ones(sup.shape[0]))
+        kernel = StochasticMatrix(rows)
+        try:
+            invariant_distribution(kernel)
+        except NotUnichainError:
+            continue
+        pool.append((kernel.rows, rows_kl(rows, passive.rows)))
+    return pool
+
+
+def uneven_kernel_with_transient_state():
+    """Row supports of 1 to 5 states; state 0 is left at once and never
+    re-entered."""
+    pattern = np.array([
+        [0, 1, 1, 1, 0, 1],
+        [0, 1, 1, 0, 0, 0],
+        [0, 1, 1, 1, 1, 1],
+        [0, 0, 1, 0, 1, 0],
+        [0, 1, 0, 1, 1, 0],
+        [0, 0, 0, 1, 0, 0],
+    ], dtype=float)
+    weights = pattern * np.random.default_rng(3).uniform(0.5, 1.5, pattern.shape)
+    return StochasticMatrix.renormalized(weights)
+
+
+POOL_ORACLE_KERNELS = {
+    "grid-10x10": lambda: build_passive(grid_graph(10, 10), 0.01, 0.01, home=0),
+    "dense-12": lambda: random_ergodic_kernel(np.random.default_rng(11), 12),
+    "uneven-transient": uneven_kernel_with_transient_state,
+}
+
+
 class TestSamplePolicyPool:
+    @pytest.mark.parametrize("name", sorted(POOL_ORACLE_KERNELS))
+    def test_bit_identical_to_per_row_sampler(self, name):
+        # 37 policies: several whole blocks and a partial one
+        passive = POOL_ORACLE_KERNELS[name]()
+        want = reference_pool(passive, 37, seed=2024)
+        got = sample_policy_pool(passive, 37, seed=2024)
+        assert len(got) == len(want)
+        for pol, (rows, control) in zip(got, want):
+            assert np.array_equal(pol.kernel.rows, rows)
+            assert np.array_equal(pol.control_cost, control)
+
+    def test_fallback_alone_gives_the_same_pool(self, monkeypatch):
+        passive = POOL_ORACLE_KERNELS["uneven-transient"]()
+        batched = sample_policy_pool(passive, 20, seed=8)
+        monkeypatch.setattr(evaluate, "_stationarity_certified",
+                            lambda kernels, system: np.zeros(kernels.shape[0], dtype=bool))
+        fallback = sample_policy_pool(passive, 20, seed=8)
+        for a, b in zip(batched, fallback, strict=True):
+            assert np.array_equal(a.kernel.rows, b.kernel.rows)
+            assert np.array_equal(a.control_cost, b.control_cost)
+
+    def test_multichain_passive_raises_instead_of_hanging(self):
+        # two closed classes: no policy inside the support is unichain
+        half = [[0.5, 0.5], [0.5, 0.5]]
+        rows = np.zeros((4, 4))
+        rows[:2, :2] = half
+        rows[2:, 2:] = half
+        with pytest.raises(NotUnichainError):
+            run_within(10, sample_policy_pool, StochasticMatrix(rows), 1, 0)
+
     def test_reproducible(self, rng):
         p = random_ergodic_kernel(rng, 4)
         a = sample_policy_pool(p, 3, seed=5)
