@@ -80,8 +80,8 @@ class Distribution:
         object.__setattr__(self, "weights", w)
         if w.size < 1:
             raise ValueError("distribution over an empty state space")
-        if np.any(w < 0):
-            raise ValueError("distribution weights must be nonnegative")
+        if not np.all(w >= 0):  # also false for NaN
+            raise ValueError("distribution weights must be nonnegative numbers")
         total = float(w.sum())
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"distribution weights sum to {total!r}, expected 1")
@@ -103,8 +103,8 @@ class StochasticMatrix:
             raise ValueError(f"kernel must be square, got shape {rows.shape}")
         if rows.shape[0] < 1:
             raise ValueError("kernel over an empty state space")
-        if np.any(rows < 0):
-            raise ValueError("kernel entries must be nonnegative")
+        if not np.all(rows >= 0):  # also false for NaN
+            raise ValueError("kernel entries must be nonnegative numbers")
         sums = rows.sum(axis=1)
         bad = np.where(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:

@@ -2,10 +2,13 @@
 
 ``solve`` runs the eigenproblem on a kernel/cost pair given as dense CSV
 and prints the certified results. ``track`` replicates the graph
-target-tracking experiment from a JSON config (every field has a default
-and can be overridden with a ``KLWALK_``-prefixed environment variable)
-and writes per-run trace CSVs plus a regret summary. ``plot`` renders the
-summary as a self-contained SVG, no plotting stack required.
+target-tracking experiment and writes per-run trace CSVs plus a regret
+summary. Its JSON config holds the fields of ``evaluate.ExperimentSpec``
+(a ``graph`` object in place of the graph itself) plus ``output_dir``;
+every field has the spec's default and can be overridden with a
+``KLWALK_``-prefixed environment variable, and the spec checks the
+ranges. ``plot`` renders the summary as a self-contained SVG, no
+plotting stack required.
 
 Exit codes: 0 success, 2 parse/config errors, 3 assumption violations,
 4 convergence failures.
@@ -16,12 +19,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     NotUnichainError,
     ParseError,
 )
-from .evaluate import ExperimentSpec, MonteCarloSummary, run_experiment, summarize
+from .evaluate import ExperimentSpec, run_experiment, summarize
 from .policy import twisted_kernel, twisting_function
 from .spectral import SolverSettings, acoe_residual, solve_mpe
 from .world import Graph, grid_graph, load_graph
@@ -45,57 +46,12 @@ _FLOAT_FMT = "{:.17g}"  # round-trippable float64 text
 # experiment configuration
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The JSON-facing experiment knobs, fully defaulted.
-
-    ``grid`` and ``edge_list`` are mutually exclusive graph sources;
-    defaults reproduce the desk-scale experiment (10x10 grid, T=1000,
-    100 runs, pool of 1000).
-    """
-
-    grid: Optional[tuple[int, int]] = (10, 10)
-    edge_list: Optional[str] = None
-    horizon: int = 1000
-    epsilon: float = 0.05
-    stay_prob: float = 0.01
-    delta: float = 0.01
-    home: int = 0
-    start: int = 0
-    runs: int = 100
-    pool_size: int = 1000
-    base_seed: int = 12345
-    dirichlet_alpha: float = 1.0
-    output_dir: str = "out"
-
-    def load_world(self) -> Graph:
-        if self.edge_list is not None:
-            try:
-                text = Path(self.edge_list).read_text()
-            except OSError as exc:
-                raise ParseError(f"config.edge_list: cannot read {self.edge_list!r}: {exc}")
-            return load_graph(text)
-        return grid_graph(*self.grid)
-
-    def experiment_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            graph=self.load_world(),
-            horizon=self.horizon,
-            epsilon=self.epsilon,
-            stay_prob=self.stay_prob,
-            delta=self.delta,
-            home=self.home,
-            start=self.start,
-            dirichlet_alpha=self.dirichlet_alpha,
-        )
-
-
 def _want(raw, path: str, kind, check=None, what: str = ""):
     if kind is str and not isinstance(raw, str):
         raise ParseError(f"config.{path}: expected a string, got {raw!r}")
     try:
         value = kind(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ParseError(f"config.{path}: expected {kind.__name__}, got {raw!r}")
     if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and raw != int(raw)):
         raise ParseError(f"config.{path}: expected {kind.__name__}, got {raw!r}")
@@ -104,19 +60,9 @@ def _want(raw, path: str, kind, check=None, what: str = ""):
     return value
 
 
+# every ExperimentSpec field but the graph, with the type its value is read as
 _SCALAR_FIELDS = {
-    # name -> (type, predicate, message)
-    "horizon": (int, lambda v: v >= 1, "must be a positive integer"),
-    "epsilon": (float, lambda v: 0 < v < 1 / 3, "must lie in (0, 1/3)"),
-    "stay_prob": (float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    "delta": (float, lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    "home": (int, lambda v: v >= 0, "must be a vertex index"),
-    "start": (int, lambda v: v >= 0, "must be a vertex index"),
-    "runs": (int, lambda v: v >= 1, "must be a positive integer"),
-    "pool_size": (int, lambda v: v >= 0, "must be a nonnegative integer"),
-    "base_seed": (int, lambda v: v >= 0, "must be a nonnegative integer"),
-    "dirichlet_alpha": (float, lambda v: v > 0, "must be positive"),
-    "output_dir": (str, None, ""),
+    name: kind for name, kind in get_type_hints(ExperimentSpec).items() if name != "graph"
 }
 
 
@@ -133,10 +79,22 @@ def _parse_grid(raw, path: str) -> tuple[int, int]:
     return (r, c)
 
 
-def load_config(path: Optional[str], environ=os.environ) -> ExperimentConfig:
-    """Build the experiment config from an optional JSON file plus
-    environment overrides; an empty (or missing) object yields the full
-    default experiment."""
+def _read_edge_list(path: str) -> Graph:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"config.edge_list: cannot read {path!r}: {exc}")
+    return load_graph(text)
+
+
+def load_config(path: Optional[str], environ=os.environ) -> tuple[ExperimentSpec, str]:
+    """Build the experiment from an optional JSON file plus environment
+    overrides, and return it with the output directory; an empty (or
+    missing) object yields the full default experiment, written to "out".
+
+    Only parsing and type coercion happen here: the range checks are the
+    spec's own, reported as ``config.<field>``.
+    """
     data = {}
     if path is not None:
         try:
@@ -151,7 +109,9 @@ def load_config(path: Optional[str], environ=os.environ) -> ExperimentConfig:
             raise ParseError(f"config: top level must be an object, got {type(data).__name__}")
 
     fields: dict = {}
-    known = set(_SCALAR_FIELDS) | {"graph"}
+    grid, edge_list = None, None
+    output_dir = "out"
+    known = set(_SCALAR_FIELDS) | {"graph", "output_dir"}
     for key in data:
         if key not in known:
             raise ParseError(f"config.{key}: unknown field")
@@ -163,15 +123,15 @@ def load_config(path: Optional[str], environ=os.environ) -> ExperimentConfig:
         if "grid" in graph_spec and "edge_list" in graph_spec:
             raise ParseError("config.graph: 'grid' and 'edge_list' are mutually exclusive")
         if "grid" in graph_spec:
-            fields["grid"] = _parse_grid(graph_spec["grid"], "graph.grid")
-            fields["edge_list"] = None
+            grid = _parse_grid(graph_spec["grid"], "graph.grid")
         else:
-            fields["edge_list"] = _want(graph_spec["edge_list"], "graph.edge_list", str)
-            fields["grid"] = None
+            edge_list = _want(graph_spec["edge_list"], "graph.edge_list", str)
 
-    for name, (kind, check, msg) in _SCALAR_FIELDS.items():
+    for name, kind in _SCALAR_FIELDS.items():
         if name in data:
-            fields[name] = _want(data[name], name, kind, check, msg)
+            fields[name] = _want(data[name], name, kind)
+    if "output_dir" in data:
+        output_dir = _want(data["output_dir"], "output_dir", str)
 
     # environment overrides win over the file
     env_grid = environ.get(ENV_PREFIX + "GRID")
@@ -179,17 +139,23 @@ def load_config(path: Optional[str], environ=os.environ) -> ExperimentConfig:
     if env_grid is not None and env_edges is not None:
         raise ParseError("config.graph: KLWALK_GRID and KLWALK_EDGE_LIST are mutually exclusive")
     if env_grid is not None:
-        fields["grid"] = _parse_grid(env_grid, "graph.grid")
-        fields["edge_list"] = None
+        grid, edge_list = _parse_grid(env_grid, "graph.grid"), None
     elif env_edges is not None:
-        fields["edge_list"] = env_edges
-        fields["grid"] = None
-    for name, (kind, check, msg) in _SCALAR_FIELDS.items():
+        grid, edge_list = None, env_edges
+    for name, kind in _SCALAR_FIELDS.items():
         raw = environ.get(ENV_PREFIX + name.upper())
         if raw is not None:
-            fields[name] = _want(raw, name, kind, check, msg)
+            fields[name] = _want(raw, name, kind)
+    output_dir = environ.get(ENV_PREFIX + "OUTPUT_DIR", output_dir)
 
-    return ExperimentConfig(**fields)
+    if grid is not None:
+        fields["graph"] = grid_graph(*grid)
+    elif edge_list is not None:
+        fields["graph"] = _read_edge_list(edge_list)
+    try:
+        return ExperimentSpec(**fields), output_dir
+    except ValueError as exc:
+        raise ParseError(f"config.{exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +194,9 @@ def read_matrix_csv(path: str) -> StochasticMatrix:
                 f"{path} line {lineno_offset + 1}: expected {n} columns, got {len(row)}"
             )
     rows = np.array(cells)
-    if np.any(rows < 0):
-        bad = int(np.argwhere(rows < 0)[0][0])
-        raise ParseError(f"{path} line {bad + 1}: negative entry")
+    if not np.all(rows >= 0):  # also false for NaN
+        bad = int(np.argwhere(~(rows >= 0))[0][0])
+        raise ParseError(f"{path} line {bad + 1}: negative or NaN entry")
     sums = rows.sum(axis=1)
     off = np.where(np.abs(sums - 1.0) > 1e-9)[0]
     if off.size:
@@ -325,47 +291,26 @@ def _write_summary_csv(path: Path, horizon: int, hindsight, pool):
 
 
 def cmd_track(args) -> int:
-    config = load_config(args.config)
+    spec, output_dir = load_config(args.config)
     if args.seed is not None:
-        config = dataclasses.replace(config, base_seed=args.seed)
+        try:
+            spec = dataclasses.replace(spec, base_seed=args.seed)
+        except ValueError as exc:
+            raise ParseError(f"--seed: {exc}") from None
     if args.output_dir is not None:
-        config = dataclasses.replace(config, output_dir=args.output_dir)
-    spec = config.experiment_spec()
-    if not config.start < spec.graph.n:
-        raise ParseError(f"config.start: vertex {config.start} out of range")
-    if not config.home < spec.graph.n:
-        raise ParseError(f"config.home: vertex {config.home} out of range")
+        output_dir = args.output_dir
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
 
-    result = run_experiment(
-        spec,
-        runs=config.runs,
-        base_seed=config.base_seed,
-        pool_size=config.pool_size,
-        workers=workers,
-    )
+    result = run_experiment(spec, workers=workers)
 
-    out_dir = Path(config.output_dir)
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, trace in enumerate(result.traces):
         _write_trace_csv(out_dir / f"trace_run{i:03d}.csv", trace)
-
-    if config.runs >= 2:
-        hindsight = summarize(result.hindsight_regret, result.seeds)
-        pool = summarize(result.pool_regret, result.seeds) if result.pool_regret is not None else None
-    else:
-        # single run: the mean is the run itself, the spread is undefined
-        nan = np.full(config.horizon, math.nan)
-        hindsight = MonteCarloSummary(
-            runs=1, mean=result.hindsight_regret[0], stddev=nan, seeds=result.seeds
-        )
-        pool = (
-            MonteCarloSummary(runs=1, mean=result.pool_regret[0], stddev=nan, seeds=result.seeds)
-            if result.pool_regret is not None
-            else None
-        )
-    _write_summary_csv(out_dir / "summary.csv", config.horizon, hindsight, pool)
-    print(f"wrote {config.runs} trace file(s) and summary.csv to {out_dir}")
+    hindsight = summarize(result.hindsight_regret, result.seeds)
+    pool = summarize(result.pool_regret, result.seeds) if result.pool_regret is not None else None
+    _write_summary_csv(out_dir / "summary.csv", spec.horizon, hindsight, pool)
+    print(f"wrote {spec.runs} trace file(s) and summary.csv to {out_dir}")
     return 0
 
 

@@ -6,13 +6,17 @@ state) and the best of a pool of randomly sampled stationary policies
 (charged at its realized cost on the shared cost sequence). Replications
 are embarrassingly parallel; each run owns its seeds, and summaries are
 reduced in run order so results are reproducible bit for bit.
+
+``ExperimentSpec`` describes the whole replicated experiment, from the
+graph to the run count, pool size and base seed; the CLI's JSON config
+is read into one, and ``run_experiment`` takes everything from it.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +34,7 @@ from .errors import DimensionMismatchError, NotUnichainError
 from .online import RunTrace, run_episode
 from .policy import KlPolicy, optimal_policy, rows_kl
 from .spectral import SolverSettings
-from .world import Graph, build_passive, make_tracking_env
+from .world import Graph, build_passive, grid_graph, make_tracking_env
 
 BEST_IN_HINDSIGHT = "best-in-hindsight"
 FIXED_POLICY = "fixed-policy"
@@ -330,11 +334,31 @@ def growth_exponent(trace, burn_in: Optional[int] = None) -> float:
     return float(slope)
 
 
+# experiment field -> (predicate, what it must be); checked on every spec
+_FIELD_CHECKS = {
+    "horizon": (lambda v: v >= 1, "must be a positive integer"),
+    "epsilon": (lambda v: 0 < v < 1 / 3, "must lie in (0, 1/3)"),
+    "stay_prob": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "delta": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "dirichlet_alpha": (lambda v: 0 < v < math.inf, "must be finite and positive"),
+    "runs": (lambda v: v >= 1, "must be a positive integer"),
+    "pool_size": (lambda v: v >= 0, "must be a nonnegative integer"),
+    "base_seed": (lambda v: v >= 0, "must be a nonnegative integer"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one tracking replication needs, minus its seed."""
+    """The replicated tracking experiment, every field defaulted.
 
-    graph: Graph
+    The defaults are the desk-scale experiment: a 10x10 grid, T=1000,
+    100 runs and a pool of 1000. Run i is seeded with
+    ``split_seed(base_seed, i)``; ``pool_size`` 0 skips the pool baseline.
+    Construction checks every field and raises ValueError naming the
+    first one out of range.
+    """
+
+    graph: Graph = field(default_factory=lambda: grid_graph(10, 10))
     horizon: int = 1000
     epsilon: float = 0.05
     stay_prob: float = 0.01
@@ -342,11 +366,30 @@ class ExperimentSpec:
     home: int = 0
     start: int = 0
     dirichlet_alpha: float = 1.0
-    cost_cap: float = 1.0
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    runs: int = 100
+    pool_size: int = 1000
+    base_seed: int = 12345
+
+    def __post_init__(self):
+        for name in ("home", "start"):
+            vertex = getattr(self, name)
+            if not 0 <= vertex < self.graph.n:
+                raise ValueError(
+                    f"{name}: must be a vertex of the {self.graph.n}-vertex graph, got {vertex!r}"
+                )
+        for name, (ok, what) in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name}: {what}, got {value!r}")
 
     def passive(self) -> StochasticMatrix:
-        return build_passive(self.graph, self.stay_prob, self.delta, self.home)
+        """The passive kernel, built on first use and kept on the spec, so
+        every stage of a run shares it and its memoized ergodicity report."""
+        kernel = self.__dict__.get("_passive")
+        if kernel is None:
+            kernel = build_passive(self.graph, self.stay_prob, self.delta, self.home)
+            object.__setattr__(self, "_passive", kernel)
+        return kernel
 
 
 def run_tracking_once(spec: ExperimentSpec, run_seed: int) -> tuple[RunTrace, tuple]:
@@ -363,8 +406,6 @@ def run_tracking_once(spec: ExperimentSpec, run_seed: int) -> tuple[RunTrace, tu
         epsilon=spec.epsilon,
         start=spec.start,
         seed=run_seed,
-        settings=spec.solver,
-        cost_cap=spec.cost_cap,
     )
     return trace, costs
 
@@ -372,8 +413,7 @@ def run_tracking_once(spec: ExperimentSpec, run_seed: int) -> tuple[RunTrace, tu
 def _tracking_worker(args: tuple) -> tuple:
     spec, run_seed = args
     trace, costs = run_tracking_once(spec, run_seed)
-    passive = spec.passive()
-    comparator = best_in_hindsight(passive, costs, spec.solver)
+    comparator = best_in_hindsight(spec.passive(), costs)
     hindsight = trace.cumulative - steady_state_comparator_cost(comparator, costs)
     return trace, costs, hindsight
 
@@ -395,30 +435,26 @@ class ExperimentResult:
 
 def run_experiment(
     spec: ExperimentSpec,
-    runs: int,
-    base_seed: int,
-    pool_size: int = 0,
     workers: int = 1,
     seeds: Optional[Sequence[int]] = None,
 ) -> ExperimentResult:
-    """Replicate the tracking experiment ``runs`` times.
+    """Replicate the tracking experiment ``spec.runs`` times.
 
     Run i draws its environment and agent streams from
-    ``split_seed(base_seed, i)``. With ``pool_size > 0`` a single policy
-    pool (seeded from the base seed, shared by all runs) is additionally
-    raced against each run's cost sequence. ``workers`` bounds the number
-    of parallel replication processes; the reduction is in run order
-    either way, so output does not depend on the worker count.
+    ``split_seed(spec.base_seed, i)``, or from ``seeds[i]`` when given.
+    With ``spec.pool_size > 0`` a single policy pool (seeded from the base
+    seed, shared by all runs) is additionally raced against each run's
+    cost sequence. ``workers`` bounds the number of parallel replication
+    processes; the reduction is in run order either way, so output does
+    not depend on the worker count.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
     if seeds is None:
-        seeds = [split_seed(base_seed, i) for i in range(runs)]
-    elif len(seeds) != runs:
-        raise ValueError(f"got {len(seeds)} explicit seeds for {runs} runs")
+        seeds = [split_seed(spec.base_seed, i) for i in range(spec.runs)]
+    elif len(seeds) != spec.runs:
+        raise ValueError(f"got {len(seeds)} explicit seeds for {spec.runs} runs")
     jobs = [(spec, int(s)) for s in seeds]
-    if workers > 1 and runs > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool_exec:
+    if workers > 1 and spec.runs > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, spec.runs)) as pool_exec:
             outcomes = list(pool_exec.map(_tracking_worker, jobs))
     else:
         outcomes = [_tracking_worker(job) for job in jobs]
@@ -426,9 +462,11 @@ def run_experiment(
     hindsight = np.stack([out[2] for out in outcomes])
 
     pool_regret = None
-    if pool_size > 0:
+    if spec.pool_size > 0:
         passive = spec.passive()
-        shared_pool = sample_policy_pool(passive, pool_size, split_seed(base_seed, _POOL_STREAM))
+        shared_pool = sample_policy_pool(
+            passive, spec.pool_size, split_seed(spec.base_seed, _POOL_STREAM)
+        )
         rows = []
         for (_, costs, _), run_seed, trace in zip(outcomes, seeds, traces):
             _, comparator_cost = pool_best_realized_cost(
@@ -447,27 +485,34 @@ def run_experiment(
 
 
 def summarize(regret_rows: np.ndarray, seeds: Sequence[int]) -> MonteCarloSummary:
-    """Mean and sample standard deviation (n-1 divisor) across runs."""
+    """Mean and sample standard deviation (n-1 divisor) across runs.
+
+    A single run is its own mean; its spread is undefined, so the
+    standard deviation is all NaN.
+    """
     rows = np.asarray(regret_rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise ValueError("summaries need at least two replications")
+    if rows.ndim != 2 or rows.shape[0] < 1:
+        raise ValueError("summaries need at least one replication")
+    if rows.shape[0] == 1:
+        stddev = np.full(rows.shape[1], math.nan)
+    else:
+        stddev = rows.std(axis=0, ddof=1)
     return MonteCarloSummary(
         runs=rows.shape[0],
         mean=rows.mean(axis=0),
-        stddev=rows.std(axis=0, ddof=1),
+        stddev=stddev,
         seeds=tuple(seeds),
     )
 
 
 def monte_carlo(
     spec: ExperimentSpec,
-    runs: int,
-    base_seed: int,
     workers: int = 1,
     seeds: Optional[Sequence[int]] = None,
 ) -> MonteCarloSummary:
-    """Mean/stddev of the best-in-hindsight regret over replications."""
-    if runs < 2:
-        raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
-    result = run_experiment(spec, runs, base_seed, pool_size=0, workers=workers, seeds=seeds)
+    """Mean/stddev of the best-in-hindsight regret over ``spec.runs``
+    replications; the policy pool is not raced."""
+    if spec.runs < 2:
+        raise ValueError(f"monte_carlo needs runs >= 2, got {spec.runs}")
+    result = run_experiment(replace(spec, pool_size=0), workers=workers, seeds=seeds)
     return summarize(result.hindsight_regret, result.seeds)

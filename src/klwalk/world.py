@@ -11,6 +11,7 @@ agent's behaviour.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -197,8 +198,8 @@ class TrackingEnv:
 def make_tracking_env(graph: Graph, seed: int, dirichlet_alpha: float = 1.0) -> TrackingEnv:
     """Sample a target kernel (Dirichlet rows over closed neighbourhoods)
     and a uniform starting vertex, both driven by ``seed``."""
-    if dirichlet_alpha <= 0:
-        raise ValueError(f"dirichlet_alpha must be positive, got {dirichlet_alpha}")
+    if not 0 < dirichlet_alpha < math.inf:
+        raise ValueError(f"dirichlet_alpha must be finite and positive, got {dirichlet_alpha}")
     rng = np.random.default_rng([seed, _KERNEL_STREAM])
     n = graph.n
     rows = np.zeros((n, n))

@@ -68,9 +68,9 @@ def solved_instances():
 @pytest.fixture(scope="session")
 def tracking_batch():
     """The 20-run desk-scale tracking experiment behind criteria 7 and 8."""
-    spec = ExperimentSpec(graph=grid_graph(10, 10))
+    spec = ExperimentSpec(graph=grid_graph(10, 10), runs=20, pool_size=1000, base_seed=BASE_SEED)
     start = time.monotonic()
-    result = run_experiment(spec, runs=20, base_seed=BASE_SEED, pool_size=1000, workers=2)
+    result = run_experiment(spec, workers=2)
     elapsed = time.monotonic() - start
     return spec, result, elapsed
 

@@ -94,6 +94,16 @@ class TestContainers:
         with pytest.raises(ValueError):
             StochasticMatrix.renormalized([[0.0, 0.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "container, values",
+        [(StochasticMatrix, [[np.nan, np.nan], [0.5, 0.5]]), (Distribution, [np.nan, np.nan])],
+        ids=["kernel", "distribution"],
+    )
+    def test_nan_entries_rejected(self, container, values):
+        # NaN fails both the sign test and the row-sum test
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            container(values)
+
     def test_cost_function_validation(self):
         with pytest.raises(ValueError):
             CostFunction([-0.5, 0.5])

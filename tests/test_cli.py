@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from klwalk import ExperimentSpec, ParseError, grid_graph
 from klwalk.cli import (
-    ExperimentConfig,
     load_config,
     main,
     read_matrix_csv,
@@ -27,14 +27,14 @@ LOG2 = math.log(2)
 
 class TestConfig:
     def test_empty_object_yields_full_defaults(self, tmp_path):
-        cfg = load_config(write(tmp_path / "c.json", "{}"), environ={})
-        assert cfg == ExperimentConfig()
+        cfg, output_dir = load_config(write(tmp_path / "c.json", "{}"), environ={})
+        assert cfg == ExperimentSpec() and output_dir == "out"
         assert cfg.horizon == 1000 and cfg.runs == 100 and cfg.pool_size == 1000
         assert cfg.stay_prob == 0.01 and cfg.delta == 0.01 and cfg.epsilon == 0.05
-        assert cfg.grid == (10, 10)
+        assert cfg.graph == grid_graph(10, 10)
 
     def test_no_file_is_defaults(self):
-        assert load_config(None, environ={}) == ExperimentConfig()
+        assert load_config(None, environ={}) == (ExperimentSpec(), "out")
 
     def test_field_path_diagnostics(self, tmp_path):
         path = write(tmp_path / "c.json", json.dumps({"epsilon": 0.5}))
@@ -49,9 +49,9 @@ class TestConfig:
 
     def test_env_overrides_win(self, tmp_path):
         path = write(tmp_path / "c.json", json.dumps({"horizon": 50}))
-        cfg = load_config(path, environ={"KLWALK_HORIZON": "75", "KLWALK_GRID": "4x5"})
+        cfg, _ = load_config(path, environ={"KLWALK_HORIZON": "75", "KLWALK_GRID": "4x5"})
         assert cfg.horizon == 75
-        assert cfg.grid == (4, 5)
+        assert cfg.graph == grid_graph(4, 5)
 
     def test_env_overrides_validated(self):
         with pytest.raises(Exception, match="config.runs"):
@@ -60,8 +60,8 @@ class TestConfig:
     def test_edge_list_source(self, tmp_path):
         edges = write(tmp_path / "g.txt", "0 1\n1 2\n")
         path = write(tmp_path / "c.json", json.dumps({"graph": {"edge_list": edges}}))
-        cfg = load_config(path, environ={})
-        assert cfg.load_world().n == 3
+        cfg, _ = load_config(path, environ={})
+        assert cfg.graph.n == 3
 
     def test_mutually_exclusive_sources(self, tmp_path):
         path = write(
@@ -89,6 +89,11 @@ class TestCsvRoundTrip:
     def test_vector_accepts_single_row_form(self, tmp_path):
         path = write(tmp_path / "v.csv", "0.25,0.5,0.25\n")
         np.testing.assert_array_equal(read_vector_csv(path), [0.25, 0.5, 0.25])
+
+    def test_matrix_nan_entry_line_numbered(self, tmp_path):
+        path = write(tmp_path / "m.csv", "0.5,0.5\nnan,nan\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_matrix_csv(path)
 
     def test_matrix_zero_row_sum_line_numbered(self, tmp_path):
         path = write(tmp_path / "m.csv", "0.5,0.5\n0.0,0.0\n")
@@ -198,6 +203,30 @@ class TestCmdTrack:
         cfg = write(tmp_path / "c.json", json.dumps({"horizon": -5}))
         assert main(["track", "--config", cfg]) == 2
         assert "config.horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, env, extra, field",
+        [
+            ({"dirichlet_alpha": math.inf}, {}, [], "config.dirichlet_alpha"),
+            ({}, {"KLWALK_DIRICHLET_ALPHA": "inf"}, [], "config.dirichlet_alpha"),
+            ({"horizon": math.inf}, {}, [], "config.horizon"),
+            ({}, {}, ["--seed", "-5"], "base_seed"),
+            ({"start": 9}, {}, [], "config.start"),
+        ],
+        ids=["json-inf-alpha", "env-inf-alpha", "inf-horizon", "negative-seed", "start-off-graph"],
+    )
+    def test_bad_values_exit_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, overrides, env, extra, field
+    ):
+        # JSON has no infinity; the literal 1e400 overflows to it when parsed
+        text = json.dumps({**SMOKE_CONFIG, **overrides}).replace("Infinity", "1e400")
+        cfg = write(tmp_path / "c.json", text)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        assert main(["track", "--config", cfg, "--output-dir", str(out), *extra]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write(tmp_path / "c.json", json.dumps(SMOKE_CONFIG))

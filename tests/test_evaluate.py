@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from klwalk import (
     sample_policy_pool,
     split_seed,
     steady_state_comparator_cost,
+    summarize,
 )
 from klwalk import evaluate
 from klwalk.chains import dobrushin_coefficient
@@ -305,36 +308,84 @@ class TestRegretTrace:
         np.testing.assert_allclose(np.concatenate([seg1, seg2]), full, atol=1e-10)
 
 
+class TestExperimentSpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", 0),
+            ("epsilon", 1 / 3),
+            ("stay_prob", 1.0),
+            ("delta", 1.0),
+            ("home", 9),
+            ("start", -1),
+            ("dirichlet_alpha", math.inf),
+            ("dirichlet_alpha", math.nan),
+            ("runs", 0),
+            ("pool_size", -1),
+            ("base_seed", -5),
+        ],
+    )
+    def test_range_checks_name_the_field(self, field, value):
+        spec = ExperimentSpec(graph=grid_graph(3, 3))
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            replace(spec, **{field: value})
+
+    def test_passive_built_once_per_experiment(self, monkeypatch):
+        built = []
+        real = evaluate.build_passive
+        monkeypatch.setattr(
+            evaluate, "build_passive", lambda *args: built.append(args) or real(*args)
+        )
+        spec = ExperimentSpec(graph=grid_graph(3, 3), horizon=10, runs=2, pool_size=3)
+        run_experiment(spec)
+        assert len(built) == 1
+        assert spec.passive() is spec.passive()
+
+
+class TestSummarize:
+    def test_single_run_is_its_own_mean_with_nan_spread(self):
+        row = np.array([[0.5, -1.25, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = summarize(row, [7])
+        np.testing.assert_array_equal(summary.mean, row[0])
+        assert np.isnan(summary.stddev).all() and summary.stddev.shape == (3,)
+        assert summary.runs == 1 and summary.seeds == (7,)
+
+
 class TestMonteCarlo:
-    SPEC = ExperimentSpec(graph=grid_graph(3, 3), horizon=40, epsilon=0.05)
+    SPEC = ExperimentSpec(graph=grid_graph(3, 3), horizon=40, epsilon=0.05, pool_size=0)
+
+    def spec(self, runs, base_seed):
+        return replace(self.SPEC, runs=runs, base_seed=base_seed)
 
     def test_forced_identical_seeds_zero_stddev(self):
         s = split_seed(1, 1)
-        summary = monte_carlo(self.SPEC, runs=2, base_seed=0, seeds=[s, s])
+        summary = monte_carlo(self.spec(runs=2, base_seed=0), seeds=[s, s])
         np.testing.assert_array_equal(summary.stddev, 0.0)
 
     def test_two_run_stddev_formula(self):
-        result = run_experiment(self.SPEC, runs=2, base_seed=77)
+        result = run_experiment(self.spec(runs=2, base_seed=77))
         r1, r2 = result.hindsight_regret
-        summary = monte_carlo(self.SPEC, runs=2, base_seed=77)
+        summary = monte_carlo(self.spec(runs=2, base_seed=77))
         np.testing.assert_allclose(summary.stddev, np.abs(r1 - r2) / math.sqrt(2), atol=1e-12)
         np.testing.assert_allclose(summary.mean, (r1 + r2) / 2, atol=1e-12)
 
     def test_bitwise_determinism(self):
-        a = monte_carlo(self.SPEC, runs=3, base_seed=5)
-        b = monte_carlo(self.SPEC, runs=3, base_seed=5)
+        a = monte_carlo(self.spec(runs=3, base_seed=5))
+        b = monte_carlo(self.spec(runs=3, base_seed=5))
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.stddev, b.stddev)
         assert a.seeds == b.seeds
 
     def test_workers_do_not_change_results(self):
-        a = run_experiment(self.SPEC, runs=3, base_seed=5, workers=1)
-        b = run_experiment(self.SPEC, runs=3, base_seed=5, workers=2)
+        a = run_experiment(self.spec(runs=3, base_seed=5), workers=1)
+        b = run_experiment(self.spec(runs=3, base_seed=5), workers=2)
         np.testing.assert_array_equal(a.hindsight_regret, b.hindsight_regret)
 
     def test_needs_two_runs(self):
         with pytest.raises(ValueError):
-            monte_carlo(self.SPEC, runs=1, base_seed=0)
+            monte_carlo(self.spec(runs=1, base_seed=0))
 
 
 class TestGrowthExponent:

@@ -193,6 +193,12 @@ class TestTrackingEnv:
                 env.target_kernel.rows[x, closed], expected, atol=0.01
             )
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        # an infinite alpha would draw all-NaN target rows
+        with pytest.raises(ValueError, match="dirichlet_alpha"):
+            make_tracking_env(grid_graph(2, 2), seed=0, dirichlet_alpha=alpha)
+
     def test_stream_is_fixed_before_the_agent_runs(self):
         env = make_tracking_env(grid_graph(3, 3), seed=4)
         stream = env.stream(20)
