@@ -1,13 +1,19 @@
-"""Hot numeric kernels: the certified power iteration and chain simulation.
+"""Hot numeric kernels: the certified eigenvalue iteration and chain simulation.
 
 ``mpe_power_iteration`` finds the Perron eigenpair of A = e^{-f} P with
-one certified loop, ``_collatz_loop``, that can hold its iterate in two
-representations. By default the iterate is V itself and A V is a BLAS
-matrix-vector product. When e^{-f}, the start or an iterate has an entry
-that is zero, subnormal or not finite in float64 (costs spanning more
-than about 700), the run starts again from the same start with the
-iterate held as log V and A V taken as a row-wise log-sum-exp. Both
-representations produce the same iterates up to rounding.
+one certified loop, ``_collatz_loop``. Every step multiplies the iterate
+by A and takes the Collatz bounds from the product, so the running
+bracket certifies the eigenvalue whatever rule makes the next iterate;
+the rule is a parameter of the loop. ``inverse_iteration`` holds V itself,
+takes A V as a BLAS matrix-vector product and makes the next iterate by
+Noda's inverse step, a sparse LU solve of (sigma I - A) z = V with sigma
+the step's upper Collatz bound; a step whose solve fails or whose z is not
+positive and normal in float64 takes the power step A V instead. When
+e^{-f} or an iterate has an entry that is zero, subnormal or not finite
+in float64 (costs spanning more than about 700), the run starts again
+from V = 1 with power steps on log V, A V taken as a row-wise
+log-sum-exp. ``linear_power_iteration`` is the plain power iteration on
+V, kept as the reference the tests hold the log domain against.
 
 ``markov_path`` walks a chain from per-row CDFs and pre-drawn uniforms.
 Callers reach both functions through this module's attributes
@@ -19,6 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 _TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max)
@@ -42,19 +50,25 @@ def log_matvec(log_rows_: np.ndarray, w: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(b - mx[:, np.newaxis]).sum(axis=1))
 
 
-def _collatz_loop(matvec, ratio, to_linear, floor, ceil, x, pin, tol, max_iter):
-    """Power iteration with a running Collatz bracket, in one representation.
+def _collatz_loop(matvec, ratio, to_linear, floor, ceil, update, x, pin, tol, max_iter):
+    """Certified eigenvalue iteration with a running Collatz bracket.
 
     ``matvec`` applies A to an iterate and ``ratio`` compares two
     representatives entrywise (``np.divide`` for V, ``np.subtract`` for
-    log V); ``to_linear`` maps a ratio back to the linear domain. Each
-    iterate is normalized by its pin entry, so V(pin) = 1 in either
-    representation. Every raw Collatz bound min/max (AV)(x)/V(x) is valid
-    for any positive iterate, so the running max/min [lo, hi] certifies
-    the dominant eigenvalue of A at every iteration.
+    log V); ``to_linear`` maps a ratio back to the linear domain. Every
+    raw Collatz bound min/max (AV)(x)/V(x) is valid for any positive
+    iterate, so the running max/min [lo, hi] certifies the dominant
+    eigenvalue of A at every iteration, whatever rule makes the iterates.
 
-    Raises FloatingPointError as soon as A x or the normalized iterate has
-    an entry outside [floor, ceil] (or NaN). Returns
+    The loop stops as soon as the bracket is narrower than ``tol`` and
+    then returns the normalized A x. Otherwise ``update(x, x_power,
+    sigma)`` makes the next iterate, normalized to V(pin) = 1: ``x_power``
+    is the power step A x / (A x)(pin) and ``sigma`` this step's upper
+    bound max (AV)(x)/V(x) in the linear domain, which is at least the
+    eigenvalue and, since convergence is tested first, above it.
+
+    Raises FloatingPointError as soon as A x or the power step has an
+    entry outside [floor, ceil] (or NaN). Returns
     (x, lo, hi, iterations, converged).
     """
     lo_cert = 0.0
@@ -65,7 +79,7 @@ def _collatz_loop(matvec, ratio, to_linear, floor, ceil, x, pin, tol, max_iter):
         top = y[pin]
         y_lo = y.min()
         y_hi = y.max()
-        # ratio is monotone, so the new iterate spans [ratio(y_lo, top), ratio(y_hi, top)]
+        # ratio is monotone, so the power step spans [ratio(y_lo, top), ratio(y_hi, top)]
         if not (
             floor <= y_lo and y_hi <= ceil
             and floor <= ratio(y_lo, top) and ratio(y_hi, top) <= ceil
@@ -74,63 +88,123 @@ def _collatz_loop(matvec, ratio, to_linear, floor, ceil, x, pin, tol, max_iter):
                 f"power iterate left [{floor:.3e}, {ceil:.3e}] at iteration {it + 1}"
             )
         d = ratio(y, x)
+        sigma = to_linear(d.max())
         lo_cert = max(lo_cert, to_linear(d.min()))
-        hi_cert = min(hi_cert, to_linear(d.max()))
-        x = ratio(y, top)
+        hi_cert = min(hi_cert, sigma)
+        x_power = ratio(y, top)
         it += 1
         if hi_cert - lo_cert <= tol:
-            return x, lo_cert, hi_cert, it, True
+            return x_power, lo_cert, hi_cert, it, True
+        x = update(x, x_power, sigma)
     return x, lo_cert, hi_cert, it, False
 
 
-def linear_power_iteration(rows, f_shifted, pin, tol, max_iter, w0):
-    """Certified power iteration on V, with A V = e^{-f} * (P @ V).
+def _power_update(x, x_power, sigma):
+    return x_power
 
-    Starts from V = e^{w0}. Raises FloatingPointError when e^{-f}, the
-    start or an iterate has an entry outside the normal float64 range.
-    Returns (log V, lo, hi, iterations, converged).
-    """
-    with np.errstate(all="ignore"):
+
+def _normal(arr) -> bool:
+    """True when every entry is positive, finite and normal in float64."""
+    return bool(_TINY <= arr.min() and arr.max() <= _HUGE)
+
+
+def _linear_scale(f_shifted):
+    """e^{-f}, raising FloatingPointError unless every entry is normal."""
+    with np.errstate(under="ignore", over="ignore"):
         scale = np.exp(-f_shifted)
-        v0 = np.exp(w0)
-        for name, arr in (("e^{-f}", scale), ("e^{w0}", v0)):
-            if not (_TINY <= arr.min() and arr.max() <= _HUGE):
-                raise FloatingPointError(f"{name} is not normal in float64")
+    if not _normal(scale):
+        raise FloatingPointError("e^{-f} is not normal in float64")
+    return scale
+
+
+def _linear_loop(rows, scale, update, pin, tol, max_iter):
+    with np.errstate(all="ignore"):
         v, lo, hi, it, ok = _collatz_loop(
-            lambda v: scale * (rows @ v), np.divide, float, _TINY, _HUGE,
-            v0, pin, tol, max_iter,
+            lambda v: scale * (rows @ v), np.divide, float, _TINY, _HUGE, update,
+            np.ones(rows.shape[0]), pin, tol, max_iter,
         )
     return np.log(v), lo, hi, it, ok
 
 
-def log_power_iteration(rows, f_shifted, pin, tol, max_iter, w0):
+def linear_power_iteration(rows, f_shifted, pin, tol, max_iter):
+    """Certified power iteration on V, with A V = e^{-f} * (P @ V).
+
+    Starts from V = 1. Raises FloatingPointError when e^{-f} or an
+    iterate has an entry outside the normal float64 range.
+    Returns (log V, lo, hi, iterations, converged).
+    """
+    return _linear_loop(rows, _linear_scale(f_shifted), _power_update, pin, tol, max_iter)
+
+
+def inverse_iteration(rows, f_shifted, pin, tol, max_iter):
+    """Certified Noda inverse iteration on V, with A = e^{-f} P.
+
+    Each step takes A V = e^{-f} * (P @ V) and its Collatz bounds, exactly
+    as the power iteration does, then solves (sigma I - A) z = V with
+    sigma = max (AV)(x)/V(x) > rho(A) (T. Noda, Numer. Math. 17, 1971).
+    sigma I - A is then a nonsingular M-matrix with a positive inverse, so
+    z is positive and the iteration converges superlinearly. The solve is
+    a sparse LU (SuperLU) over the nonzeros of P and the diagonal: it runs
+    on one thread, where a dense LAPACK LU of n >= 100 starts BLAS threads
+    that stall when processes share the cores. A step whose factorization
+    fails, or whose z has an entry that is not positive, finite and
+    normal, takes the power step instead.
+
+    Starts from V = 1 and raises FloatingPointError like
+    ``linear_power_iteration``. Returns (log V, lo, hi, iterations, converged).
+    """
+    scale = _linear_scale(f_shifted)
+    n = rows.shape[0]
+    # -A in CSC form with every diagonal entry stored; a step only rewrites
+    # the diagonal to sigma - A(x, x)
+    stored = rows.T != 0
+    stored[np.diag_indices(n)] = True
+    col, row = np.nonzero(stored)
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    shifted = sparse.csc_matrix((-scale[row] * rows[row, col], row, indptr), shape=(n, n))
+    diag = np.flatnonzero(row == col)
+    minus_a_diag = shifted.data[diag].copy()
+
+    def noda_update(x, x_power, sigma):
+        shifted.data[diag] = minus_a_diag + sigma
+        try:
+            z = splu(shifted).solve(x)
+        except RuntimeError:  # SuperLU: the factor is exactly singular
+            return x_power
+        z_pinned = z / z[pin]
+        return z_pinned if _normal(z) and _normal(z_pinned) else x_power
+
+    return _linear_loop(rows, scale, noda_update, pin, tol, max_iter)
+
+
+def log_power_iteration(rows, f_shifted, pin, tol, max_iter):
     """Certified power iteration on w = log V, with log(A V) a row-wise
-    log-sum-exp. Starts from w = w0. Returns (w, lo, hi, iterations, converged).
+    log-sum-exp. Starts from w = 0. Returns (w, lo, hi, iterations, converged).
     """
     log_p = log_rows(rows)
     return _collatz_loop(
         lambda w: log_matvec(log_p, w) - f_shifted, np.subtract, math.exp, -_HUGE, _HUGE,
-        np.asarray(w0, dtype=np.float64), pin, tol, max_iter,
+        _power_update, np.zeros(rows.shape[0]), pin, tol, max_iter,
     )
 
 
-def mpe_power_iteration(rows, f_shifted, pin, tol, max_iter, w0=None):
-    """Certified power iteration on A = e^{-f} P for a nonnegative shifted cost.
+def mpe_power_iteration(rows, f_shifted, pin, tol, max_iter):
+    """Certified solve of the Perron eigenpair of A = e^{-f} P for a
+    nonnegative shifted cost.
 
-    ``rows`` is the passive kernel, ``f_shifted`` the cost minus its
-    minimum (so e^{-f} lies in (0, 1]) and ``w0`` the log of a positive
-    start vector (all ones by default). Runs in the linear domain and
-    reruns from ``w0`` in log space when the linear domain cannot hold an
-    iterate. The iterate is normalized to V(pin) = 1 at every step.
+    ``rows`` is the passive kernel and ``f_shifted`` the cost minus its
+    minimum (so e^{-f} lies in (0, 1]). Runs the inverse iteration in the
+    linear domain, and reruns with power steps in log space when the
+    linear domain cannot hold e^{-f} or an iterate. Both start from V = 1
+    and normalize to V(pin) = 1 at every step.
 
     Returns (w, lo, hi, iterations, converged) with w = log V and [lo, hi]
     the certified bracket on the dominant eigenvalue of A.
     """
-    w0 = np.zeros(rows.shape[0]) if w0 is None else w0
     try:
-        return linear_power_iteration(rows, f_shifted, pin, tol, max_iter, w0)
+        return inverse_iteration(rows, f_shifted, pin, tol, max_iter)
     except FloatingPointError:
-        return log_power_iteration(rows, f_shifted, pin, tol, max_iter, w0)
+        return log_power_iteration(rows, f_shifted, pin, tol, max_iter)
 
 
 def pick_from_cdf(cdf: np.ndarray, u: float) -> int:

@@ -36,6 +36,21 @@ def frozen_copy(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+class FrozenArrays:
+    """Base of the frozen containers whose arrays are ``frozen_copy``s.
+
+    Pickle restores numpy arrays writeable, so a container coming back
+    from a worker process or from ``copy`` marks its arrays read-only
+    again as it is restored.
+    """
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+
 def _frozen_array(values, name: str) -> np.ndarray:
     arr = frozen_copy(values)
     if arr.ndim != 1:
@@ -70,7 +85,7 @@ class StateSpace:
 
 
 @dataclass(frozen=True)
-class Distribution:
+class Distribution(FrozenArrays):
     """A probability mass vector over a finite state space."""
 
     weights: np.ndarray
@@ -92,7 +107,7 @@ class Distribution:
 
 
 @dataclass(frozen=True)
-class StochasticMatrix:
+class StochasticMatrix(FrozenArrays):
     """A row-stochastic transition kernel; row x is the law of the next state."""
 
     rows: np.ndarray
@@ -130,7 +145,7 @@ class StochasticMatrix:
 
 
 @dataclass(frozen=True)
-class CostFunction:
+class CostFunction(FrozenArrays):
     """A nonnegative per-state cost vector."""
 
     values: np.ndarray

@@ -25,6 +25,7 @@ from . import _accel
 from .chains import (
     INVARIANT_RESIDUAL_TOL,
     CostFunction,
+    FrozenArrays,
     StochasticMatrix,
     frozen_copy,
     has_single_closed_class,
@@ -61,7 +62,7 @@ def split_seed(base_seed: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class RegretTrace:
+class RegretTrace(FrozenArrays):
     """Prefix regret of a run against one comparator."""
 
     horizon: int
@@ -79,7 +80,7 @@ class RegretTrace:
 
 
 @dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(FrozenArrays):
     """Per-step mean and sample standard deviation over replications."""
 
     runs: int

@@ -19,7 +19,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .chains import CostFunction, StochasticMatrix, frozen_copy, sample_next
+from .chains import CostFunction, FrozenArrays, StochasticMatrix, frozen_copy, sample_next
 from .errors import DimensionMismatchError
 from .policy import KlPolicy, optimal_policy
 from .spectral import SolverSettings
@@ -34,7 +34,7 @@ class CostStream(Protocol):
 
 
 @dataclass(frozen=True)
-class PhaseSchedule:
+class PhaseSchedule(FrozenArrays):
     """Phase lengths and boundaries for a horizon.
 
     ``tau[k]`` is the length of phase k+1 (phases are numbered from 1) and
@@ -231,7 +231,7 @@ def step(
 
 
 @dataclass(frozen=True)
-class RunTrace:
+class RunTrace(FrozenArrays):
     """Per-step record of one episode.
 
     ``phase_boundaries`` holds the step indices at which the acting policy

@@ -18,6 +18,7 @@ import numpy as np
 from . import _accel
 from .chains import (
     CostFunction,
+    FrozenArrays,
     StochasticMatrix,
     ergodicity_report,
     frozen_copy,
@@ -29,7 +30,7 @@ from .spectral import MpeSolution, SolverSettings, solve_mpe
 
 
 @dataclass(frozen=True)
-class KlPolicy:
+class KlPolicy(FrozenArrays):
     """A stationary policy with its per-state deviation price.
 
     ``control_cost[x]`` is D(kernel(x,.) || passive(x,.)); ``source_h`` is

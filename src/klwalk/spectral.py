@@ -6,15 +6,19 @@ nonnegative irreducible matrix A = e^{-f} P:
 
     e^{-f} P V = e^{-lambda} V,      h = -log V,  h(pin) = 0.
 
-``solve_mpe`` runs a power iteration with per-iteration normalization
-V(pin) = 1 and stops once the running Collatz bracket
+``solve_mpe`` iterates with per-iteration normalization V(pin) = 1 and
+stops once the running Collatz bracket
 [min_x (AV)(x)/V(x), max_x (AV)(x)/V(x)] on the eigenvalue is narrower
 than the requested tolerance; the bracket is part of the returned
 solution and is a machine-checkable optimality certificate. The
-iteration (``_accel.mpe_power_iteration``) multiplies by A in the linear
-domain and falls back on log space when e^{-f} or an iterate leaves the
-normal float64 range. The solution stores h only; V = e^{-h} is derived
-on demand, because it overflows for costs of large span.
+iteration (``_accel.mpe_power_iteration``) is Noda's inverse iteration in
+the linear domain: each step multiplies by A for the bracket, then solves
+(sigma I - A) z = V with sigma the step's upper Collatz bound, and takes a
+plain power step instead whenever that solve fails or leaves the positive
+normal float64 range. When e^{-f} or an iterate leaves that range, the
+solve reruns with power steps in log space. The solution stores h only;
+V = e^{-h} is derived on demand, because it overflows for costs of large
+span.
 ``acoe_residual`` checks a solution independently in log-sum-exp form,
 and ``eigen_oracle`` recomputes the same eigenpair by repeated squaring
 and exists purely to cross-examine the solver in tests.
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import _accel
-from .chains import CostFunction, StochasticMatrix, ergodicity_report, frozen_copy
+from .chains import CostFunction, FrozenArrays, StochasticMatrix, ergodicity_report, frozen_copy
 from .errors import ConvergenceError, DimensionMismatchError, NotErgodicError
 
 ORACLE_MAX_STATES = 12
@@ -37,11 +41,12 @@ ORACLE_MAX_STATES = 12
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs for the power iteration.
+    """Knobs for the certified eigenvalue iteration of ``solve_mpe``.
 
     ``tolerance`` is the certified width of the eigenvalue bracket on
     e^{-lambda}; ``pin_index`` is the state where the relative value
-    function is pinned to zero.
+    function is pinned to zero. ``max_iterations`` caps the steps of one
+    run; each step is one Collatz bound and one inverse (or power) step.
     """
 
     tolerance: float = 1e-12
@@ -58,7 +63,7 @@ class SolverSettings:
 
 
 @dataclass(frozen=True)
-class MpeSolution:
+class MpeSolution(FrozenArrays):
     """Eigenpair of e^{-f} P plus its certificate.
 
     ``lam`` is the optimal average cost, ``h`` the relative value function
@@ -119,9 +124,8 @@ def solve_mpe(
     passive: StochasticMatrix,
     f: CostFunction,
     settings: Optional[SolverSettings] = None,
-    initial_v: Optional[np.ndarray] = None,
 ) -> MpeSolution:
-    """Solve e^{-f} P V = e^{-lambda} V by certified power iteration.
+    """Solve e^{-f} P V = e^{-lambda} V by certified inverse iteration.
 
     The cost is shifted by its minimum before iterating (the shift factors
     out of the eigenproblem exactly), which keeps the bracket well
@@ -129,25 +133,21 @@ def solve_mpe(
     (0, 1]; the reported bracket is rescaled back, so its width never
     exceeds the tolerance.
 
-    ``initial_v`` overrides the default all-ones start; any strictly
-    positive vector converges to the same pinned solution.
+    Starting from V = 1, each step bounds e^{-lambda} by the Collatz
+    quotients of A V and then takes Noda's inverse step, a sparse LU solve
+    of (sigma I - A) z = V with sigma the step's upper bound; a step whose
+    solve fails or gives an entry that is not positive and normal takes the
+    power step A V instead. Costs whose e^{-f} or iterates leave the normal
+    float64 range rerun with power steps in log space. ``iterations``
+    counts the steps of the run that produced the solution.
     """
     settings = settings or SolverSettings()
     _validate_inputs(passive, f, settings)
     fv = f.values
     base = float(fv.min())
-    w0 = None
-    if initial_v is not None:
-        v0 = np.asarray(initial_v, dtype=np.float64)
-        if v0.shape != (passive.n,):
-            raise DimensionMismatchError(f"initial_v has shape {v0.shape}, expected ({passive.n},)")
-        if not np.all(v0 > 0):
-            raise ValueError("initial_v must be strictly positive")
-        w0 = np.log(v0)
-        w0 = w0 - w0[settings.pin_index]
     w, lo, hi, iterations, converged = _accel.mpe_power_iteration(
         passive.rows, fv - base, settings.pin_index, settings.tolerance,
-        settings.max_iterations, w0,
+        settings.max_iterations,
     )
     scale = math.exp(-base)
     bracket = (lo * scale, hi * scale)
@@ -182,7 +182,7 @@ def eigen_oracle(passive: StochasticMatrix, f: CostFunction) -> tuple[float, np.
     Squares the matrix 60 times (renormalizing by the max entry) so the
     column space collapses onto the dominant eigenvector, then takes one
     Collatz bracket for the eigenvalue. Deliberately shares no code with
-    the power iteration in ``solve_mpe``; guarded to n <= 12.
+    the iteration in ``solve_mpe``; guarded to n <= 12.
     """
     if passive.n > ORACLE_MAX_STATES:
         raise ValueError(f"eigen_oracle is desk-scale only (n <= {ORACLE_MAX_STATES})")

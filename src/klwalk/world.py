@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from . import _accel
 from .chains import CostFunction, StochasticMatrix
@@ -121,18 +123,15 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 def bfs_distances(graph: Graph) -> tuple[np.ndarray, int]:
-    """All-pairs hop counts via one breadth-first pass per source."""
+    """All-pairs hop counts, by scipy's unweighted shortest paths from
+    every source."""
     n = graph.n
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        frontier = deque([src])
-        while frontier:
-            u = frontier.popleft()
-            for v in graph.adjacency[u]:
-                if dist[src, v] < 0:
-                    dist[src, v] = dist[src, u] + 1
-                    frontier.append(v)
+    u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    adjacency = csr_matrix((np.ones(u.shape[0]), (u, v)), shape=(n, n))
+    hops = shortest_path(adjacency, method="D", directed=False, unweighted=True)
+    if not np.all(np.isfinite(hops)):
+        raise GraphError("graph is disconnected")
+    dist = hops.astype(np.int64)
     diameter = int(dist.max())
     dist.setflags(write=False)
     return dist, diameter

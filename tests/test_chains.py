@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -139,6 +141,39 @@ class TestFrozenCopies:
             assert not getattr(obj, name).flags.writeable, name
             arr[0] = 7
             assert getattr(obj, name)[0] != 7, name
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            Distribution([0.25, 0.75]),
+            StochasticMatrix([[0.5, 0.5], [0.1, 0.9]]),
+            CostFunction([0.0, 1.5]),
+            MpeSolution(lam=0.0, h=[0.0, 0.5], bracket=(1.0, 1.0), iterations=1),
+            KlPolicy(kernel=StochasticMatrix(np.eye(2)), control_cost=[0.0, 0.1],
+                     source_h=[0.0, 0.2]),
+            RegretTrace(horizon=2, per_step=[0.1, 0.2], comparator_kind=FIXED_POLICY,
+                        comparator_cost=[0.3, 0.4]),
+            MonteCarloSummary(runs=2, mean=[0.1, 0.2], stddev=[0.0, 0.1], seeds=(1, 2)),
+            RunTrace(states=[0, 1], state_costs=[0.1, 0.2], control_costs=[0.0, 0.3],
+                     cumulative=[0.1, 0.6], phase_boundaries=[0]),
+            PhaseSchedule(epsilon=0.05, horizon=3, tau=[1, 2], tau_cum=[1, 3],
+                          complete_phases=2),
+        ],
+        ids=lambda obj: type(obj).__name__,
+    )
+    def test_copies_stay_frozen(self, obj):
+        # pickle is how results come back from worker processes
+        for restored in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            arrays = [(name, value) for name, value in vars(restored).items()
+                      if isinstance(value, np.ndarray)]
+            if isinstance(restored, KlPolicy):
+                arrays.append(("kernel.rows", restored.kernel.rows))
+            assert arrays
+            for name, arr in arrays:
+                assert not arr.flags.writeable, name
+            for name, value in vars(obj).items():
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_array_equal(getattr(restored, name), value)
 
 
 class TestTotalVariation:

@@ -383,6 +383,13 @@ class TestMonteCarlo:
         b = run_experiment(self.spec(runs=3, base_seed=5), workers=2)
         np.testing.assert_array_equal(a.hindsight_regret, b.hindsight_regret)
 
+    def test_traces_from_workers_stay_read_only(self):
+        spec = replace(self.SPEC, horizon=5, runs=2)
+        for workers in (1, 2):
+            for trace in run_experiment(spec, workers=workers).traces:
+                for name, arr in vars(trace).items():
+                    assert not arr.flags.writeable, (workers, name)
+
     def test_needs_two_runs(self):
         with pytest.raises(ValueError):
             monte_carlo(self.spec(runs=1, base_seed=0))

@@ -91,15 +91,6 @@ class TestSolveMpe:
         assert sol.h[1] == 0.0
         np.testing.assert_allclose(sol.h, [-math.log(2), 0.0], atol=1e-10)
 
-    def test_scaling_freedom_of_initial_iterate(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            p = random_ergodic_kernel(rng, n)
-            f = random_cost(rng, n)
-            baseline = solve_mpe(p, f)
-            scaled = solve_mpe(p, f, initial_v=np.exp(rng.normal(size=n)) * 7.3)
-            np.testing.assert_allclose(scaled.h, baseline.h, atol=1e-10)
-
     def test_positivity_of_v(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 8))
@@ -125,7 +116,7 @@ class TestDomains:
         f = random_cost(rng, n, cap=3.0).values
         fs = f - f.min()
         pin = int(rng.integers(n))
-        runs = [path(p.rows, fs, pin, 1e-12, 100_000, np.zeros(n))
+        runs = [path(p.rows, fs, pin, 1e-12, 100_000)
                 for path in (_accel.linear_power_iteration, _accel.log_power_iteration)]
         (w_lin, lo_lin, hi_lin, _, ok_lin), (w_log, lo_log, hi_log, _, ok_log) = runs
         assert ok_lin and ok_log
@@ -141,7 +132,6 @@ class TestDomains:
         with pytest.raises(FloatingPointError):
             _accel.linear_power_iteration(
                 passive.rows, fs, cfg.pin_index, cfg.tolerance, cfg.max_iterations,
-                np.zeros(passive.n),
             )
         sol = solve_mpe(passive, f, cfg)
         assert sol.bracket_width <= cfg.tolerance
@@ -156,7 +146,7 @@ class TestDomains:
         cfg = SolverSettings()
         with pytest.raises(FloatingPointError, match="at iteration"):
             _accel.linear_power_iteration(
-                p.rows, f.values, 0, cfg.tolerance, cfg.max_iterations, np.zeros(4)
+                p.rows, f.values, 0, cfg.tolerance, cfg.max_iterations
             )
         sol = solve_mpe(p, f, cfg)
         assert sol.bracket_width <= cfg.tolerance
@@ -172,20 +162,108 @@ class TestDomains:
             with pytest.raises(FloatingPointError, match="not representable"):
                 sol.v
 
-    def test_custom_start_on_linear_path(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 9))
-            p = random_ergodic_kernel(rng, n)
-            f = random_cost(rng, n).values
-            w_ones = _accel.linear_power_iteration(p.rows, f, 0, 1e-12, 100_000, np.zeros(n))[0]
-            w0 = rng.normal(size=n) * 3.0
-            w_custom, _, _, _, ok = _accel.linear_power_iteration(
-                p.rows, f, 0, 1e-12, 100_000, w0
+
+def grid_phase_problem():
+    """10x10 grid passive and a phase cost: the mean normalized distance to
+    a few target positions. Power iteration takes 570+ steps here."""
+    graph = grid_graph(10, 10)
+    passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
+    dist, diameter = bfs_distances(graph)
+    f = CostFunction(dist[:, [3, 17, 44, 58, 71]].mean(axis=1) / diameter)
+    return passive, f
+
+
+class TestInverseIteration:
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_and_log_paths_agree(self, n, seed):
+        rng = np.random.default_rng(seed)
+        p = random_ergodic_kernel(rng, n)
+        f = random_cost(rng, n, cap=3.0).values
+        fs = f - f.min()
+        pin = int(rng.integers(n))
+        tol = 1e-12
+        runs = [path(p.rows, fs, pin, tol, 100_000)
+                for path in (_accel.inverse_iteration, _accel.log_power_iteration)]
+        (w_inv, lo_inv, hi_inv, _, ok_inv), (w_log, lo_log, hi_log, _, ok_log) = runs
+        assert ok_inv and ok_log
+        assert hi_inv - lo_inv <= tol
+        # both brackets hold the eigenvalue and are at most tol wide
+        assert abs(0.5 * (lo_inv + hi_inv) - 0.5 * (lo_log + hi_log)) <= tol
+        np.testing.assert_allclose(w_inv, w_log, rtol=0, atol=1e-9)
+        assert w_inv[pin] == 0.0
+
+    @pytest.mark.parametrize("failure", ["singular factor", "negative entry"])
+    def test_failed_solve_takes_power_step(self, monkeypatch, failure):
+        passive, f = grid_phase_problem()
+        fs = f.values - f.values.min()
+        tol = 1e-12
+        w_ref = _accel.inverse_iteration(passive.rows, fs, 0, tol, 100_000)[0]
+        power = _accel.linear_power_iteration(passive.rows, fs, 0, tol, 100_000)
+        real_splu = _accel.splu
+
+        class NegativeEntry:
+            def __init__(self, matrix):
+                self.lu = real_splu(matrix)
+
+            def solve(self, b):
+                z = self.lu.solve(b)
+                z[len(z) // 2] = -1.0
+                return z
+
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(_accel, "splu", singular if failure == "singular factor" else NegativeEntry)
+        w, lo, hi, it, ok = _accel.inverse_iteration(passive.rows, fs, 0, tol, 100_000)
+        assert ok and hi - lo <= tol
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9)
+        # every step fell back, so the run is the power iteration itself
+        assert it == power[3]
+        np.testing.assert_array_equal(w, power[0])
+
+    def test_factored_matrix_is_sigma_i_minus_a(self, rng):
+        # the sparse matrix stores P's nonzeros and the whole diagonal,
+        # including diagonal entries that P leaves at zero
+        seen = []
+        real_splu = _accel.splu
+
+        def checking_splu(matrix):
+            seen.append(matrix.toarray())
+            return real_splu(matrix)
+
+        for _ in range(5):
+            n = int(rng.integers(3, 9))
+            rows = random_ergodic_kernel(rng, n).rows.copy()
+            rows[rng.random((n, n)) < 0.4] = 0.0
+            rows[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # keeps it irreducible
+            rows[0, 0] += 0.5  # and aperiodic
+            np.fill_diagonal(rows[1:, 1:], 0.0)
+            rows /= rows.sum(axis=1, keepdims=True)
+            fs = random_cost(rng, n).values
+            seen.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_accel, "splu", checking_splu)
+                w, lo, hi, _, ok = _accel.inverse_iteration(rows, fs - fs.min(), 0, 1e-12, 1000)
+            assert ok and seen
+            a = np.exp(-(fs - fs.min()))[:, None] * rows
+            off = ~np.eye(n, dtype=bool)
+            for m in seen:
+                np.testing.assert_array_equal(m[off], -a[off])
+                sigma = np.diag(m) + np.diag(a)
+                np.testing.assert_allclose(sigma, sigma[0], rtol=0, atol=1e-15)
+                assert sigma[0] >= hi
+            w_log, lo_log, hi_log, _, _ = _accel.log_power_iteration(
+                rows, fs - fs.min(), 0, 1e-12, 1_000_000
             )
-            assert ok
-            np.testing.assert_allclose(w_custom, w_ones, rtol=0, atol=1e-10)
-            sol = solve_mpe(p, CostFunction(f), initial_v=np.exp(w0))
-            np.testing.assert_allclose(sol.h, -w_ones, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(w, w_log, rtol=0, atol=1e-9)
+
+    def test_grid_phase_cost_converges_in_few_steps(self):
+        passive, f = grid_phase_problem()
+        sol = solve_mpe(passive, f)
+        assert sol.iterations <= 20
+        assert sol.bracket_width <= SolverSettings().tolerance
+        assert acoe_residual(passive, f, sol) <= 1e-8
 
 
 class TestAcoeResidual:

@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from klwalk import (
+    Graph,
     GraphError,
     bfs_distances,
     build_passive,
@@ -23,6 +26,32 @@ def floyd_warshall(n, edges):
     for k in range(n):
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
     return dist
+
+
+def reference_bfs(graph):
+    """One breadth-first pass per source over the adjacency lists."""
+    dist = np.full((graph.n, graph.n), -1, dtype=np.int64)
+    for src in range(graph.n):
+        dist[src, src] = 0
+        frontier = deque([src])
+        while frontier:
+            u = frontier.popleft()
+            for v in graph.adjacency[u]:
+                if dist[src, v] < 0:
+                    dist[src, v] = dist[src, u] + 1
+                    frontier.append(v)
+    return dist
+
+
+def random_connected_graph(seed, n=30, extra=25):
+    """A random spanning tree plus ``extra`` random chords."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edges = {tuple(sorted((int(order[i]), int(order[rng.integers(i)])))) for i in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, sorted(edges))
 
 
 class TestLoadGraph:
@@ -88,8 +117,6 @@ class TestBfsDistances:
 
     def test_complete_graph(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-        from klwalk import Graph
-
         g = Graph.from_edges(4, edges)
         dist, diameter = bfs_distances(g)
         off_diag = dist[~np.eye(4, dtype=bool)]
@@ -107,6 +134,30 @@ class TestBfsDistances:
         dist, _ = bfs_distances(g)
         np.testing.assert_array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 0)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            grid_graph(7, 5),
+            load_graph("\n".join(f"{i} {i + 1}" for i in range(11))),
+            Graph.from_edges(9, [(0, v) for v in range(1, 9)]),
+            random_connected_graph(seed=20),
+            Graph.from_edges(1, []),
+        ],
+        ids=["grid", "path", "star", "random", "single-vertex"],
+    )
+    def test_matches_reference_bfs(self, graph):
+        dist, diameter = bfs_distances(graph)
+        expected = reference_bfs(graph)
+        assert dist.dtype == np.int64 and not dist.flags.writeable
+        np.testing.assert_array_equal(dist, expected)
+        assert diameter == int(expected.max())
+
+    def test_disconnected_graph_rejected(self):
+        # from_edges refuses it; a Graph built field by field reaches here
+        g = Graph(n=3, edges=((0, 1),), adjacency=((1,), (0,), ()))
+        with pytest.raises(GraphError, match="disconnected"):
+            bfs_distances(g)
 
 
 class TestBuildPassive:
