@@ -15,6 +15,7 @@ from .chains import (
     StochasticMatrix,
     dobrushin_coefficient,
     ergodicity_report,
+    graph_verdict,
     invariant_distribution,
     kl_divergence,
     sample_next,

@@ -6,6 +6,13 @@ built on: total variation, KL divergence, span seminorm, the Dobrushin
 ergodicity coefficient, ergodicity diagnostics and invariant
 distributions.
 
+The standing assumption of the solver, an irreducible and aperiodic
+passive kernel, is a property of the kernel's positive pattern alone:
+``graph_verdict`` reads it from the strongly connected components and
+their periods, in time linear in the nonzeros. ``ergodicity_report`` adds
+the costlier quantities (the Dobrushin coefficient, ``nbar`` and
+``theta``), which only the bound constants need.
+
 All containers are immutable after construction (the backing arrays are
 marked read-only), so they can be shared freely across threads. Sampling
 takes an explicit ``numpy.random.Generator`` owned by the caller; there
@@ -20,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from ._accel import pick_from_cdf
 from .errors import DimensionMismatchError, NotUnichainError
@@ -234,41 +241,68 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
     return 0.5 * worst
 
 
-def _scc_labels(pattern: np.ndarray) -> tuple[int, np.ndarray]:
-    graph = csr_matrix(pattern.astype(np.int8))
+def _pattern_graph(P: StochasticMatrix) -> csr_matrix:
+    """The positive pattern of P as a sparse 0/1 graph.
+
+    Built from the flat indices of the positive entries, which are already
+    in row-major (CSR) order; that is several times faster than converting
+    the dense matrix.
+    """
+    pattern = P.rows > 0
+    flat = np.flatnonzero(pattern)
+    indptr = np.concatenate([[0], np.cumsum(pattern.sum(axis=1))])
+    return csr_matrix((np.ones(flat.size, np.int8), flat % P.n, indptr), shape=pattern.shape)
+
+
+def _scc_labels(graph: csr_matrix) -> tuple[int, np.ndarray]:
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     return int(n_comp), labels
 
 
-def _component_period(pattern: np.ndarray, members: np.ndarray) -> int:
-    """gcd of cycle lengths inside one strongly connected component.
+def _component_periods(graph: csr_matrix, n_comp: int, labels: np.ndarray) -> np.ndarray:
+    """gcd of cycle lengths inside each strongly connected component.
 
-    Returns 0 when the component carries no cycle at all (a transient
-    singleton), which by convention fails aperiodicity.
+    Levels are BFS hop distances from one root per component, over the
+    edges inside components only (a super-root linked to every root gives
+    them all in one search). An edge u -> v inside a component then closes
+    cycles whose lengths differ by level[u] + 1 - level[v], and the gcd of
+    those differences over the component's edges is its period. A
+    component without an inner edge (a transient singleton) gets 0, which
+    by convention fails aperiodicity.
     """
-    if members.size == 1:
-        x = int(members[0])
-        return 1 if pattern[x, x] else 0
-    inside = np.zeros(pattern.shape[0], dtype=bool)
-    inside[members] = True
-    src = int(members[0])
-    level = {src: 0}
-    frontier = [src]
-    g = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(pattern[u])[0]:
-                v = int(v)
-                if not inside[v]:
-                    continue
-                if v in level:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-                else:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return abs(g)
+    n = graph.shape[0]
+    src, dst = graph.nonzero()
+    inner = labels[src] == labels[dst]
+    src, dst = src[inner], dst[inner]
+    roots = np.unique(labels, return_index=True)[1]
+    links = np.ones(src.size + n_comp, dtype=np.int8)
+    rooted = csr_matrix(
+        (links, (np.concatenate([src, np.full(n_comp, n)]), np.concatenate([dst, roots]))),
+        shape=(n + 1, n + 1),
+    )
+    level = shortest_path(rooted, method="D", unweighted=True, indices=n)[:n].astype(np.int64)
+    periods = np.zeros(n_comp, dtype=np.int64)
+    np.gcd.at(periods, labels[src], level[src] + 1 - level[dst])
+    return periods
+
+
+def graph_verdict(P: StochasticMatrix) -> tuple[bool, bool]:
+    """``(irreducible, aperiodic)`` for the positive pattern of P.
+
+    Irreducible when the pattern is one strongly connected component,
+    aperiodic when every component has period 1; both together make P
+    primitive, which is the solver's standing assumption. Memoized on the
+    (immutable) kernel, like ``ergodicity_report``, which builds on it.
+    """
+    cached = getattr(P, "_graph_verdict_cache", None)
+    if cached is not None:
+        return cached
+    graph = _pattern_graph(P)
+    n_comp, labels = _scc_labels(graph)
+    periods = _component_periods(graph, n_comp, labels)
+    verdict = (n_comp == 1, bool(np.all(periods == 1)))
+    object.__setattr__(P, "_graph_verdict_cache", verdict)
+    return verdict
 
 
 def has_single_closed_class(P: StochasticMatrix) -> bool:
@@ -278,9 +312,9 @@ def has_single_closed_class(P: StochasticMatrix) -> bool:
     This is a property of the pattern alone, so every kernel with the same
     positive pattern is unichain too: it has one invariant distribution.
     """
-    pattern = P.rows > 0
-    n_comp, labels = _scc_labels(pattern)
-    src, dst = np.nonzero(pattern)
+    graph = _pattern_graph(P)
+    n_comp, labels = _scc_labels(graph)
+    src, dst = graph.nonzero()
     leaving = labels[src] != labels[dst]
     open_classes = np.unique(labels[src[leaving]])
     return n_comp - open_classes.size == 1
@@ -290,10 +324,11 @@ def ergodicity_report(P: StochasticMatrix) -> ErgodicityReport:
     """Irreducibility, aperiodicity, Dobrushin coefficient and, when the
     kernel is ergodic, the smallest all-positive power and its minimum entry.
 
-    The power search is capped at the Wielandt primitivity bound
-    n^2 - 2n + 2; a kernel that exceeds the cap without turning positive is
-    reported as non-ergodic. The result is memoized on the (immutable)
-    kernel, since the online loop re-solves against one fixed passive.
+    The first two come from ``graph_verdict``; the rest costs O(n^3) per
+    reachability product, so callers that only need the verdict should ask
+    ``graph_verdict``. The power search is capped at the Wielandt
+    primitivity bound n^2 - 2n + 2, which a primitive kernel never
+    exceeds. The result is memoized on the (immutable) kernel.
     """
     cached = getattr(P, "_ergodicity_cache", None)
     if cached is not None:
@@ -306,15 +341,7 @@ def ergodicity_report(P: StochasticMatrix) -> ErgodicityReport:
 def _ergodicity_report_uncached(P: StochasticMatrix) -> ErgodicityReport:
     rows = P.rows
     n = P.n
-    pattern = rows > 0
-    n_comp, labels = _scc_labels(pattern)
-    irreducible = n_comp == 1
-    aperiodic = True
-    for comp in range(n_comp):
-        members = np.nonzero(labels == comp)[0]
-        if _component_period(pattern, members) != 1:
-            aperiodic = False
-            break
+    irreducible, aperiodic = graph_verdict(P)
     alpha = dobrushin_coefficient(P)
     if not (irreducible and aperiodic):
         return ErgodicityReport(irreducible, aperiodic, alpha)
@@ -322,7 +349,7 @@ def _ergodicity_report_uncached(P: StochasticMatrix) -> ErgodicityReport:
     wielandt = n * n - 2 * n + 2
     # 0/1 float64 products go through BLAS; their path counts are at most
     # n before thresholding, so they are exact (a uint8 product wraps at 256)
-    step = pattern.astype(np.float64)
+    step = (rows > 0).astype(np.float64)
     reach = step
     nbar = 1
     while not reach.all():

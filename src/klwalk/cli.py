@@ -39,7 +39,7 @@ from .spectral import SolverSettings, acoe_residual, solve_mpe
 from .world import Graph, grid_graph, load_graph
 
 ENV_PREFIX = "KLWALK_"
-_FLOAT_FMT = "{:.17g}"  # round-trippable float64 text
+_FLOAT_FMT = "%.17g"  # round-trippable float64 text
 
 
 # ---------------------------------------------------------------------------
@@ -162,38 +162,51 @@ def load_config(path: Optional[str], environ=os.environ) -> tuple[ExperimentSpec
 # CSV formats
 
 
-def _parse_cells(path: str) -> list[list[float]]:
+def _parse_cells(path: str) -> tuple[np.ndarray, list[int]]:
+    """Every cell of a CSV file as one flat float64 array, in file order,
+    plus the number of cells on each data row (blank lines are skipped).
+
+    Each row goes through one numpy string-to-float cast, which follows
+    Python's ``float`` rules. Only when it fails are the row's cells tried
+    one by one, to name the first bad cell and its line.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}")
-    rows = []
+    values, widths = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                raise ParseError(f"{path} line {lineno}: not a number: {cell.strip()!r}")
-        rows.append(cells)
-    if not rows:
+        cells = line.split(",")
+        try:
+            values.append(np.array(cells, dtype=np.float64))
+        except ValueError:
+            for cell in cells:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path} line {lineno}: not a number: {cell.strip()!r}"
+                    ) from None
+            raise
+        widths.append(len(cells))
+    if not values:
         raise ParseError(f"{path}: no data rows")
-    return rows
+    return np.concatenate(values), widths
 
 
 def read_matrix_csv(path: str) -> StochasticMatrix:
     """Dense CSV, one row per line; rows must already be stochastic."""
-    cells = _parse_cells(path)
-    n = len(cells)
-    for lineno_offset, row in enumerate(cells):
-        if len(row) != n:
+    values, widths = _parse_cells(path)
+    n = len(widths)
+    for lineno_offset, width in enumerate(widths):
+        if width != n:
             raise ParseError(
-                f"{path} line {lineno_offset + 1}: expected {n} columns, got {len(row)}"
+                f"{path} line {lineno_offset + 1}: expected {n} columns, got {width}"
             )
-    rows = np.array(cells)
+    rows = values.reshape(n, n)
     if not np.all(rows >= 0):  # also false for NaN
         bad = int(np.argwhere(~(rows >= 0))[0][0])
         raise ParseError(f"{path} line {bad + 1}: negative or NaN entry")
@@ -207,32 +220,25 @@ def read_matrix_csv(path: str) -> StochasticMatrix:
 
 def read_vector_csv(path: str, expected_n: Optional[int] = None) -> np.ndarray:
     """A vector as either one CSV row or one value per line."""
-    cells = _parse_cells(path)
-    if len(cells) == 1:
-        vec = np.array(cells[0])
-    elif all(len(row) == 1 for row in cells):
-        vec = np.array([row[0] for row in cells])
-    else:
+    vec, widths = _parse_cells(path)
+    if len(widths) > 1 and any(width != 1 for width in widths):
         raise ParseError(f"{path}: expected a single row or a single column of numbers")
     if expected_n is not None and vec.shape[0] != expected_n:
         raise ParseError(f"{path}: expected {expected_n} values, got {vec.shape[0]}")
     return vec
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(value)
-
-
 def write_matrix_csv(path: Path, rows: np.ndarray):
+    rows = np.atleast_2d(rows)
+    line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        for row in np.atleast_2d(rows):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def write_vector_csv(path: Path, vec: np.ndarray):
+    line = _FLOAT_FMT + "\n"
     with open(path, "w", newline="\n") as fh:
-        for v in vec:
-            fh.write(_fmt(v) + "\n")
+        fh.writelines(line % v for v in np.asarray(vec).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,7 @@ def cmd_solve(args) -> int:
     pol = twisted_kernel(passive, twisting_function(cost, sol))
     residual = acoe_residual(passive, cost, sol)
     print(f"lambda = {sol.lam:.12f}")
-    print(f"bracket = [{_fmt(sol.bracket[0])}, {_fmt(sol.bracket[1])}]"
+    print(f"bracket = [{_FLOAT_FMT % sol.bracket[0]}, {_FLOAT_FMT % sol.bracket[1]}]"
           f" (width {sol.bracket[1] - sol.bracket[0]:.3e})")
     print(f"span_h = {span_seminorm(sol.h):.12f}")
     print(f"acoe_residual = {residual:.3e}")
@@ -268,26 +274,24 @@ def cmd_solve(args) -> int:
 
 
 def _write_trace_csv(path: Path, trace):
+    line = f"%d,%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
+    columns = (np.arange(1, trace.horizon + 1), trace.states, trace.state_costs,
+               trace.control_costs, trace.cumulative, trace.step_phases())
     with open(path, "w", newline="\n") as fh:
         fh.write("t,state,state_cost,control_cost,cum_cost,phase\n")
-        for t in range(trace.horizon):
-            fh.write(
-                f"{t + 1},{int(trace.states[t])},{_fmt(trace.state_costs[t])},"
-                f"{_fmt(trace.control_costs[t])},{_fmt(trace.cumulative[t])},"
-                f"{trace.phase_of_step(t)}\n"
-            )
+        fh.writelines(line % fields for fields in zip(*(c.tolist() for c in columns)))
 
 
 def _write_summary_csv(path: Path, horizon: int, hindsight, pool):
+    line = f"%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\n"
+    missing = np.full(horizon, np.nan)  # formats as "nan"
+    columns = (np.arange(1, horizon + 1), hindsight.mean, hindsight.stddev,
+               pool.mean if pool is not None else missing,
+               pool.stddev if pool is not None else missing)
     with open(path, "w", newline="\n") as fh:
         fh.write("t,mean_regret_hindsight,std_regret_hindsight,"
                  "mean_regret_pool,std_regret_pool\n")
-        for t in range(horizon):
-            pm = _fmt(pool.mean[t]) if pool is not None else "nan"
-            ps = _fmt(pool.stddev[t]) if pool is not None else "nan"
-            fh.write(
-                f"{t + 1},{_fmt(hindsight.mean[t])},{_fmt(hindsight.stddev[t])},{pm},{ps}\n"
-            )
+        fh.writelines(line % fields for fields in zip(*(c.tolist() for c in columns)))
 
 
 def cmd_track(args) -> int:

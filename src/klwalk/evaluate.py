@@ -385,7 +385,7 @@ class ExperimentSpec:
 
     def passive(self) -> StochasticMatrix:
         """The passive kernel, built on first use and kept on the spec, so
-        every stage of a run shares it and its memoized ergodicity report."""
+        every stage of a run shares it and its memoized ergodicity verdict."""
         kernel = self.__dict__.get("_passive")
         if kernel is None:
             kernel = build_passive(self.graph, self.stay_prob, self.delta, self.home)

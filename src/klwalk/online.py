@@ -259,6 +259,10 @@ class RunTrace(FrozenArrays):
         """1-based phase number acting at step index t."""
         return int(np.searchsorted(self.phase_boundaries, t, side="right"))
 
+    def step_phases(self) -> np.ndarray:
+        """``phase_of_step`` of every step index, as one array."""
+        return np.searchsorted(self.phase_boundaries, np.arange(self.horizon), side="right")
+
 
 def run_episode(
     passive: StochasticMatrix,

@@ -19,6 +19,9 @@ normal float64 range. When e^{-f} or an iterate leaves that range, the
 solve reruns with power steps in log space. The solution stores h only;
 V = e^{-h} is derived on demand, because it overflows for costs of large
 span.
+The standing assumption, an irreducible and aperiodic P, is checked on the
+positive pattern alone (``chains.graph_verdict``); the Dobrushin
+coefficient and the other bound constants are never computed here.
 ``acoe_residual`` checks a solution independently in log-sum-exp form,
 and ``eigen_oracle`` recomputes the same eigenpair by repeated squaring
 and exists purely to cross-examine the solver in tests.
@@ -33,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from . import _accel
-from .chains import CostFunction, FrozenArrays, StochasticMatrix, ergodicity_report, frozen_copy
+from .chains import CostFunction, FrozenArrays, StochasticMatrix, frozen_copy, graph_verdict
+from .chains import ergodicity_report  # noqa: F401  (public name; tracers patch it here)
 from .errors import ConvergenceError, DimensionMismatchError, NotErgodicError
 
 ORACLE_MAX_STATES = 12
@@ -112,11 +116,11 @@ def _validate_inputs(passive: StochasticMatrix, f: CostFunction, settings: Solve
         raise DimensionMismatchError(f"cost has {f.n} states, kernel has {passive.n}")
     if settings.pin_index >= passive.n:
         raise ValueError(f"pin_index {settings.pin_index} out of range for n={passive.n}")
-    report = ergodicity_report(passive)
-    if not report.ergodic:
+    irreducible, aperiodic = graph_verdict(passive)
+    if not (irreducible and aperiodic):
         raise NotErgodicError(
             "passive kernel is not ergodic "
-            f"(irreducible={report.irreducible}, aperiodic={report.aperiodic})"
+            f"(irreducible={irreducible}, aperiodic={aperiodic})"
         )
 
 

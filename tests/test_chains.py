@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klwalk import (
@@ -24,6 +24,7 @@ from klwalk import (
     build_passive,
     dobrushin_coefficient,
     ergodicity_report,
+    graph_verdict,
     grid_graph,
     invariant_distribution,
     kl_divergence,
@@ -32,7 +33,7 @@ from klwalk import (
     total_variation,
 )
 from klwalk._accel import markov_path
-from klwalk.chains import has_single_closed_class
+from klwalk.chains import _component_periods, _pattern_graph, _scc_labels, has_single_closed_class
 
 from conftest import random_ergodic_kernel, run_within
 
@@ -342,6 +343,140 @@ class TestErgodicityReport:
         assert nbar == 30
         assert report.nbar == nbar
         assert report.theta > 0
+
+
+def bfs_component_period(pattern: np.ndarray, members: np.ndarray) -> int:
+    """Reference period of one strong component: a Python BFS from its
+    first member, with the gcd of level[u] + 1 - level[v] over inner edges
+    (0 for a transient singleton)."""
+    if members.size == 1:
+        x = int(members[0])
+        return 1 if pattern[x, x] else 0
+    inside = np.zeros(pattern.shape[0], dtype=bool)
+    inside[members] = True
+    src = int(members[0])
+    level = {src: 0}
+    frontier = [src]
+    g = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(pattern[u])[0]:
+                v = int(v)
+                if not inside[v]:
+                    continue
+                if v in level:
+                    g = math.gcd(g, level[u] + 1 - level[v])
+                else:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return abs(g)
+
+
+@st.composite
+def pattern_kernels(draw, max_n=7):
+    """Stochastic kernels on random sparse positive patterns: 1-3 successors
+    per state, so periodic, reducible and transient patterns all occur."""
+    n = draw(st.integers(1, max_n))
+    pattern = np.zeros((n, n), dtype=bool)
+    for x in range(n):
+        succ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        pattern[x, succ] = True
+    return StochasticMatrix.renormalized(pattern.astype(float))
+
+
+# cycles of length 2 and 3 (periodic); two absorbing states (reducible, one
+# class per state); a transient state without a self-loop (period 0) feeding
+# a primitive class, then feeding a period-2 class; a 3-cycle made primitive
+# by self-loops; one state with a self-loop
+CYCLE_3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+PATTERN_CASES = [
+    ([[0, 1], [1, 0]], (True, False)),
+    (CYCLE_3, (True, False)),
+    ([[1, 0], [0, 1]], (False, True)),
+    ([[0, 1, 0], [0, 1, 1], [0, 1, 1]], (False, False)),
+    ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], (False, False)),
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 0]], (True, True)),
+    ([[1]], (True, True)),
+]
+
+
+def reference_verdict(rows: np.ndarray) -> tuple[bool, bool]:
+    """Irreducible from the transitive closure, aperiodic from the BFS
+    periods of the closure's mutual-reachability classes."""
+    n = rows.shape[0]
+    step = (rows > 0).astype(np.int64)
+    reach = np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        reach = ((reach + reach @ step) > 0).astype(np.int64)
+    mutual = (reach > 0) & (reach.T > 0)
+    classes = {tuple(np.flatnonzero(row)) for row in mutual}
+    periods = [bfs_component_period(rows > 0, np.array(c)) for c in classes]
+    return len(classes) == 1, all(p == 1 for p in periods)
+
+
+class TestGraphVerdict:
+    @pytest.mark.parametrize("pattern, expected", PATTERN_CASES)
+    def test_known_patterns(self, pattern, expected):
+        p = StochasticMatrix.renormalized(np.array(pattern, dtype=float))
+        assert graph_verdict(p) == expected
+        assert reference_verdict(p.rows) == expected
+
+    @given(pattern_kernels())
+    @example(StochasticMatrix([[0, 1], [1, 0]]))
+    @example(StochasticMatrix(CYCLE_3))
+    @example(StochasticMatrix([[0, 1, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]]))
+    @example(StochasticMatrix([[0.5, 0.5, 0], [0, 1, 0], [0, 0, 1]]))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_report_and_reference(self, p):
+        irreducible, aperiodic = graph_verdict(p)
+        report = ergodicity_report(p)
+        assert (report.irreducible, report.aperiodic) == (irreducible, aperiodic)
+        assert reference_verdict(p.rows) == (irreducible, aperiodic)
+        # Wielandt: primitive iff the pattern's (n^2 - 2n + 2)-th power is positive
+        step = (p.rows > 0).astype(np.int64)
+        power = np.eye(p.n, dtype=np.int64)
+        for _ in range(p.n * p.n - 2 * p.n + 2):
+            power = ((power @ step) > 0).astype(np.int64)
+        assert bool(power.all()) == (irreducible and aperiodic)
+        assert (report.nbar is not None) == (irreducible and aperiodic)
+
+    @given(pattern_kernels(max_n=9))
+    @settings(max_examples=100, deadline=None)
+    def test_component_periods_match_bfs(self, p):
+        pattern = p.rows > 0
+        graph = _pattern_graph(p)
+        np.testing.assert_array_equal(graph.toarray(), pattern)
+        n_comp, labels = _scc_labels(graph)
+        periods = _component_periods(graph, n_comp, labels)
+        for comp in range(n_comp):
+            members = np.flatnonzero(labels == comp)
+            assert periods[comp] == bfs_component_period(pattern, members)
+
+    def test_component_periods_on_grid_past_256_states(self):
+        # the bare neighbour walk on a 16x16 grid: bipartite, so period 2
+        side = 16
+        coords = np.array([(r, c) for r in range(side) for c in range(side)])
+        adjacent = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2) == 1
+        p = StochasticMatrix.renormalized(adjacent.astype(float))
+        graph = _pattern_graph(p)
+        n_comp, labels = _scc_labels(graph)
+        assert n_comp == 1
+        assert _component_periods(graph, n_comp, labels).tolist() == [2]
+        assert bfs_component_period(p.rows > 0, np.arange(p.n)) == 2
+        assert graph_verdict(p) == (True, False)
+
+    def test_memoized_on_the_kernel(self, monkeypatch):
+        p = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+        assert graph_verdict(p) == (True, True)
+        monkeypatch.setattr("klwalk.chains._scc_labels", None)  # any recompute fails
+        assert graph_verdict(p) == (True, True)
+
+    def test_survives_pickle(self):
+        p = StochasticMatrix([[0, 1], [1, 0]])
+        graph_verdict(p)
+        assert graph_verdict(pickle.loads(pickle.dumps(p))) == (True, False)
 
 
 class TestSingleClosedClass:

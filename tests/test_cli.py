@@ -1,11 +1,27 @@
+import importlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from klwalk import ExperimentSpec, ParseError, grid_graph
+from klwalk import (
+    CostFunction,
+    ExperimentSpec,
+    ParseError,
+    bfs_distances,
+    build_passive,
+    grid_graph,
+    solve_mpe,
+    twisted_kernel,
+)
 from klwalk.cli import (
+    _write_summary_csv,
+    _write_trace_csv,
     load_config,
     main,
     read_matrix_csv,
@@ -14,6 +30,7 @@ from klwalk.cli import (
     write_matrix_csv,
     write_vector_csv,
 )
+from klwalk.online import RunTrace
 
 
 def write(path, text):
@@ -101,6 +118,86 @@ class TestCsvRoundTrip:
             read_matrix_csv(path)
 
 
+    def test_bad_cell_named_with_its_line(self, tmp_path):
+        path = write(tmp_path / "m.csv", "\n0.5,0.5\n\n0.5, x1 \n")
+        with pytest.raises(ParseError, match=r"m.csv line 4: not a number: 'x1'$"):
+            read_matrix_csv(path)
+        path = write(tmp_path / "v.csv", "0.5\n0.5\x00\n")
+        with pytest.raises(ParseError, match=r"line 2: not a number: '0.5\\x00'$"):
+            read_vector_csv(path)
+
+    def test_bad_cell_reported_before_column_count(self, tmp_path):
+        path = write(tmp_path / "m.csv", "0.5,0.5\n0.5\n1.0,nope\n")
+        with pytest.raises(ParseError, match="line 3: not a number: 'nope'"):
+            read_matrix_csv(path)
+        path = write(tmp_path / "m.csv", "0.5,0.5\n1.0\n")
+        with pytest.raises(ParseError, match="line 2: expected 2 columns, got 1"):
+            read_matrix_csv(path)
+
+    def test_python_float_spellings_accepted(self, tmp_path):
+        cells = [" 1.5", "1_0", "inf", "-nan", "+Infinity", "1e400", "4.9e-324", "\u00a02.5 "]
+        path = write(tmp_path / "v.csv", ",".join(cells) + "\n")
+        vec = read_vector_csv(path)
+        np.testing.assert_array_equal(vec, [float(c) for c in cells])
+        assert np.isnan(vec[3])
+
+
+def old_row(values) -> str:
+    """The per-element formatting the writers must reproduce byte for byte."""
+    return ",".join("{:.17g}".format(v) for v in values) + "\n"
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+    1e16, 1e15 + 0.5, 1 / 3, -2.5e-7, 123456789012345678.0, 1.0, float(np.nextafter(1.0, 2.0)),
+]
+
+
+class TestCsvWriters:
+    def test_special_values_match_per_element_format(self, tmp_path):
+        rows = np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1]])
+        write_matrix_csv(tmp_path / "m.csv", rows)
+        assert (tmp_path / "m.csv").read_text() == "".join(old_row(r) for r in rows)
+        write_vector_csv(tmp_path / "v.csv", np.array(SPECIAL_VALUES))
+        assert (tmp_path / "v.csv").read_text() == "".join(old_row([v]) for v in SPECIAL_VALUES)
+
+    def test_twisted_kernel_15x15_matches_per_element_format(self, tmp_path):
+        graph = grid_graph(15, 15)
+        passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
+        hops, diameter = bfs_distances(graph)
+        cost = CostFunction(hops[:, 112] / diameter)
+        sol = solve_mpe(passive, cost)
+        rows = twisted_kernel(passive, sol.h).kernel.rows
+        write_matrix_csv(tmp_path / "K.csv", rows)
+        assert (tmp_path / "K.csv").read_text() == "".join(old_row(r) for r in rows)
+        write_vector_csv(tmp_path / "h.csv", sol.h)
+        assert (tmp_path / "h.csv").read_text() == "".join(old_row([v]) for v in sol.h)
+
+    def test_trace_and_summary_lines_match_per_element_format(self, tmp_path):
+        values = np.array(SPECIAL_VALUES)
+        horizon = values.size
+        trace = RunTrace(states=np.arange(horizon) % 4, state_costs=values,
+                         control_costs=values[::-1], cumulative=np.linspace(0.0, 1e20, horizon),
+                         phase_boundaries=[0, 2, 9])
+        _write_trace_csv(tmp_path / "trace.csv", trace)
+        fmt = "{:.17g}".format
+        expected = "t,state,state_cost,control_cost,cum_cost,phase\n" + "".join(
+            f"{t + 1},{int(trace.states[t])},{fmt(trace.state_costs[t])},"
+            f"{fmt(trace.control_costs[t])},{fmt(trace.cumulative[t])},{trace.phase_of_step(t)}\n"
+            for t in range(horizon)
+        )
+        assert (tmp_path / "trace.csv").read_text() == expected
+        stats = SimpleNamespace(mean=values, stddev=values[::-1])
+        for pool in (None, SimpleNamespace(mean=-values, stddev=values * 2)):
+            _write_summary_csv(tmp_path / "summary.csv", horizon, stats, pool)
+            lines = (tmp_path / "summary.csv").read_text().splitlines(keepends=True)[1:]
+            for t, line in enumerate(lines):
+                pm = fmt(pool.mean[t]) if pool is not None else "nan"
+                ps = fmt(pool.stddev[t]) if pool is not None else "nan"
+                assert line == f"{t + 1},{fmt(values[t])},{fmt(values[-1 - t])},{pm},{ps}\n"
+            assert len(lines) == horizon
+
+
 class TestCmdSolve:
     def test_two_state_worked_example(self, tmp_path, capsys):
         passive = write(tmp_path / "p.csv", TWO_STATE_CSV)
@@ -150,6 +247,21 @@ class TestCmdSolve:
         passive = write(tmp_path / "p.csv", "0.0,1.0\n1.0,0.0\n")
         cost = write(tmp_path / "f.csv", "0.0\n0.5\n")
         assert main(["solve", passive, cost]) == 3
+
+    def test_solve_never_builds_the_full_report(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("klwalk solve built the full ergodicity report")
+
+        for target in ("klwalk.chains.dobrushin_coefficient", "klwalk.chains.ergodicity_report",
+                       "klwalk.spectral.ergodicity_report", "klwalk.policy.ergodicity_report"):
+            monkeypatch.setattr(target, refuse)
+        passive = write(tmp_path / "p.csv", "0.2,0.8,0.0\n0.0,0.3,0.7\n0.6,0.0,0.4\n")
+        cost = write(tmp_path / "f.csv", "0.0\n0.5\n1.0\n")
+        assert main(["solve", passive, cost, "--out-kernel", str(tmp_path / "k.csv")]) == 0
+        assert "lambda = " in capsys.readouterr().out
+        periodic = write(tmp_path / "q.csv", "0.0,1.0,0.0\n0.0,0.0,1.0\n1.0,0.0,0.0\n")
+        assert main(["solve", periodic, cost]) == 3
+        assert "aperiodic=False" in capsys.readouterr().err
 
     def test_convergence_error_exit_code(self, tmp_path):
         passive = write(tmp_path / "p.csv", TWO_STATE_CSV)
@@ -280,3 +392,19 @@ class TestCmdPlot:
         t = np.arange(1, 11, dtype=float)
         svg = render_regret_svg(t, np.sqrt(t), np.ones(10) * 0.2)
         assert "href" not in svg and "script" not in svg
+
+
+def test_benchmark_trace_points_resolve(monkeypatch):
+    # the benchmark's tracer wraps these (module, attribute) names; each must
+    # still exist for the per-layer metrics to mean anything
+    spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    assert spans.PATCH_POINTS
+    for module_name, attr, _ in spans.PATCH_POINTS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)

@@ -228,3 +228,4 @@ class TestRunEpisode:
                     break
                 assert trace.phase_of_step(t) == m
                 t += 1
+        assert trace.step_phases().tolist() == [trace.phase_of_step(t) for t in range(20)]

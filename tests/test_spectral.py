@@ -70,6 +70,21 @@ class TestSolveMpe:
         with pytest.raises(NotErgodicError):
             solve_mpe(StochasticMatrix(np.eye(2)), CostFunction([0.1, 0.2]))
 
+    def test_assumption_check_never_builds_the_report(self, rng, monkeypatch):
+        # the solve reads the graph verdict only: the Dobrushin coefficient
+        # and the full report are for the bound constants
+        def refuse(*args):
+            raise AssertionError("the solve path built the full ergodicity report")
+
+        for target in ("klwalk.chains.dobrushin_coefficient", "klwalk.chains.ergodicity_report",
+                       "klwalk.spectral.ergodicity_report", "klwalk.policy.ergodicity_report"):
+            monkeypatch.setattr(target, refuse)
+        p = random_ergodic_kernel(rng, 6)
+        sol = solve_mpe(p, random_cost(rng, 6))
+        assert sol.bracket_width <= 1e-12
+        with pytest.raises(NotErgodicError, match="aperiodic=False"):
+            solve_mpe(StochasticMatrix([[0, 1], [1, 0]]), CostFunction([0.1, 0.2]))
+
     def test_no_convergence_reports_bracket(self):
         with pytest.raises(ConvergenceError) as exc_info:
             solve_mpe(TWO_STATE, TWO_STATE_COST, SolverSettings(max_iterations=1))
