@@ -11,7 +11,6 @@ from .chains import (
     CostFunction,
     Distribution,
     ErgodicityReport,
-    StateSpace,
     StochasticMatrix,
     dobrushin_coefficient,
     ergodicity_report,

@@ -13,6 +13,13 @@ their periods, in time linear in the nonzeros. ``ergodicity_report`` adds
 the costlier quantities (the Dobrushin coefficient, ``nbar`` and
 ``theta``), which only the bound constants need.
 
+Uniqueness of the invariant distribution is a pattern property too: a
+kernel is unichain exactly when its pattern has one closed communicating
+class. Given that, one square solve of the stationarity system, held to
+a residual bound, certifies the law; ``invariant_distribution`` and the
+batched policy-pool sampler share that solver. Each kernel's pattern is
+labelled into strongly connected components once.
+
 All containers are immutable after construction (the backing arrays are
 marked read-only), so they can be shared freely across threads. Sampling
 takes an explicit ``numpy.random.Generator`` owned by the caller; there
@@ -70,25 +77,6 @@ def _vec(x) -> np.ndarray:
     if isinstance(x, (Distribution, CostFunction)):
         return x.values if isinstance(x, CostFunction) else x.weights
     return np.asarray(x, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """A finite set of states, optionally labelled."""
-
-    n: int
-    labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"state space needs at least one state, got n={self.n}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.n:
-                raise ValueError(f"expected {self.n} labels, got {len(labels)}")
-            if len(set(labels)) != len(labels):
-                raise ValueError("state labels must be unique")
 
 
 @dataclass(frozen=True)
@@ -286,6 +274,18 @@ def _component_periods(graph: csr_matrix, n_comp: int, labels: np.ndarray) -> np
     return periods
 
 
+def _pattern_analysis(P: StochasticMatrix) -> tuple[csr_matrix, int, np.ndarray]:
+    """The positive pattern of P with its component count and SCC labels,
+    memoized on the (immutable) kernel, so each kernel's pattern is
+    labelled once whichever structural question is asked first."""
+    cached = getattr(P, "_pattern_cache", None)
+    if cached is None:
+        graph = _pattern_graph(P)
+        cached = (graph, *_scc_labels(graph))
+        object.__setattr__(P, "_pattern_cache", cached)
+    return cached
+
+
 def graph_verdict(P: StochasticMatrix) -> tuple[bool, bool]:
     """``(irreducible, aperiodic)`` for the positive pattern of P.
 
@@ -297,8 +297,7 @@ def graph_verdict(P: StochasticMatrix) -> tuple[bool, bool]:
     cached = getattr(P, "_graph_verdict_cache", None)
     if cached is not None:
         return cached
-    graph = _pattern_graph(P)
-    n_comp, labels = _scc_labels(graph)
+    graph, n_comp, labels = _pattern_analysis(P)
     periods = _component_periods(graph, n_comp, labels)
     verdict = (n_comp == 1, bool(np.all(periods == 1)))
     object.__setattr__(P, "_graph_verdict_cache", verdict)
@@ -312,8 +311,7 @@ def has_single_closed_class(P: StochasticMatrix) -> bool:
     This is a property of the pattern alone, so every kernel with the same
     positive pattern is unichain too: it has one invariant distribution.
     """
-    graph = _pattern_graph(P)
-    n_comp, labels = _scc_labels(graph)
+    graph, n_comp, labels = _pattern_analysis(P)
     src, dst = graph.nonzero()
     leaving = labels[src] != labels[dst]
     open_classes = np.unique(labels[src[leaving]])
@@ -361,23 +359,54 @@ def _ergodicity_report_uncached(P: StochasticMatrix) -> ErgodicityReport:
     return ErgodicityReport(irreducible, aperiodic, alpha, nbar=nbar, theta=theta)
 
 
-def invariant_distribution(P: StochasticMatrix) -> Distribution:
-    """The unique pi with pi P = pi, by a direct solve of the stationarity
-    system stacked with the normalization constraint.
+def _stationary_solve(kernels: np.ndarray, system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solutions of the stacked kernels' square stationarity systems,
+    built in ``system`` (same shape as ``kernels``), and a mask of the
+    solutions that pass the certificate's bounds: finite, fixed-point
+    residual at most ``INVARIANT_RESIDUAL_TOL``, no entry below -1e-12.
 
-    Raises NotUnichainError when the system is rank-deficient (multiple
-    recurrent classes) or the fixed-point residual exceeds 1e-10.
+    The system is P^T - I with its last row replaced by ones, solved for
+    all kernels at once; it is nonsingular exactly for unichain kernels.
+    When some kernel makes it singular, every solution is NaN and no
+    kernel is certified. The bounds alone do not prove uniqueness
+    (rounding can turn a singular system into a solvable one whose
+    solution is one of many stationary laws), so only kernels whose
+    pattern has a single closed class may be certified this way.
     """
-    rows = P.rows
-    n = P.n
-    system = np.vstack([rows.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
+    n = kernels.shape[1]
+    np.subtract(kernels.transpose(0, 2, 1), np.eye(n), out=system)
+    system[:, -1, :] = 1.0
+    rhs = np.zeros(n)
     rhs[-1] = 1.0
-    pi, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
-    if rank < n:
-        raise NotUnichainError("stationarity system is rank-deficient: kernel is not unichain")
-    residual = float(np.abs(pi @ rows - pi).sum())
-    if not np.all(np.isfinite(pi)) or residual > INVARIANT_RESIDUAL_TOL or pi.min() < -1e-12:
+    try:
+        pi = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(kernels.shape[:2], np.nan), np.zeros(kernels.shape[0], dtype=bool)
+    residual = np.abs((pi[:, np.newaxis, :] @ kernels)[:, 0, :] - pi).sum(axis=1)
+    certified = (
+        np.isfinite(pi).all(axis=1)
+        & (residual <= INVARIANT_RESIDUAL_TOL)
+        & (pi.min(axis=1) >= -1e-12)
+    )
+    return pi, certified
+
+
+def invariant_distribution(P: StochasticMatrix) -> Distribution:
+    """The unique pi with pi P = pi.
+
+    Uniqueness comes from the pattern: P must have a single closed class.
+    The law is then the solution of the square stationarity system (see
+    ``_stationary_solve``), held to its residual and sign bounds.
+
+    Raises NotUnichainError when the pattern has more than one closed
+    class, or when the solve misses the bounds (a fixed-point residual
+    above 1e-10, or a singular system, reported as residual nan).
+    """
+    if not has_single_closed_class(P):
+        raise NotUnichainError("kernel has more than one closed class: it is not unichain")
+    (pi,), (certified,) = _stationary_solve(P.rows[np.newaxis], np.empty((1, P.n, P.n)))
+    if not certified:
+        residual = float(np.abs(pi @ P.rows - pi).sum())
         raise NotUnichainError(
             f"no reliable invariant distribution (fixed-point residual {residual:.3e})"
         )

@@ -162,9 +162,10 @@ def load_config(path: Optional[str], environ=os.environ) -> tuple[ExperimentSpec
 # CSV formats
 
 
-def _parse_cells(path: str) -> tuple[np.ndarray, list[int]]:
+def _parse_cells(path: str) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Every cell of a CSV file as one flat float64 array, in file order,
-    plus the number of cells on each data row (blank lines are skipped).
+    plus the file line number and the number of cells of each data row
+    (blank lines are skipped, but counted in the line numbers).
 
     Each row goes through one numpy string-to-float cast, which follows
     Python's ``float`` rules. Only when it fails are the row's cells tried
@@ -174,7 +175,7 @@ def _parse_cells(path: str) -> tuple[np.ndarray, list[int]]:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}")
-    values, widths = [], []
+    values, rows = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -191,37 +192,37 @@ def _parse_cells(path: str) -> tuple[np.ndarray, list[int]]:
                         f"{path} line {lineno}: not a number: {cell.strip()!r}"
                     ) from None
             raise
-        widths.append(len(cells))
+        rows.append((lineno, len(cells)))
     if not values:
         raise ParseError(f"{path}: no data rows")
-    return np.concatenate(values), widths
+    return np.concatenate(values), rows
 
 
 def read_matrix_csv(path: str) -> StochasticMatrix:
     """Dense CSV, one row per line; rows must already be stochastic."""
-    values, widths = _parse_cells(path)
-    n = len(widths)
-    for lineno_offset, width in enumerate(widths):
+    values, data_rows = _parse_cells(path)
+    n = len(data_rows)
+    for lineno, width in data_rows:
         if width != n:
-            raise ParseError(
-                f"{path} line {lineno_offset + 1}: expected {n} columns, got {width}"
-            )
+            raise ParseError(f"{path} line {lineno}: expected {n} columns, got {width}")
     rows = values.reshape(n, n)
     if not np.all(rows >= 0):  # also false for NaN
         bad = int(np.argwhere(~(rows >= 0))[0][0])
-        raise ParseError(f"{path} line {bad + 1}: negative or NaN entry")
+        raise ParseError(f"{path} line {data_rows[bad][0]}: negative or NaN entry")
     sums = rows.sum(axis=1)
     off = np.where(np.abs(sums - 1.0) > 1e-9)[0]
     if off.size:
         x = int(off[0])
-        raise ParseError(f"{path} line {x + 1}: row sums to {sums[x]!r}, expected 1")
+        raise ParseError(
+            f"{path} line {data_rows[x][0]}: row sums to {float(sums[x])!r}, expected 1"
+        )
     return StochasticMatrix(rows)
 
 
 def read_vector_csv(path: str, expected_n: Optional[int] = None) -> np.ndarray:
     """A vector as either one CSV row or one value per line."""
-    vec, widths = _parse_cells(path)
-    if len(widths) > 1 and any(width != 1 for width in widths):
+    vec, data_rows = _parse_cells(path)
+    if len(data_rows) > 1 and any(width != 1 for _, width in data_rows):
         raise ParseError(f"{path}: expected a single row or a single column of numbers")
     if expected_n is not None and vec.shape[0] != expected_n:
         raise ParseError(f"{path}: expected {expected_n} values, got {vec.shape[0]}")

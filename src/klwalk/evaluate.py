@@ -23,10 +23,10 @@ import numpy as np
 
 from . import _accel
 from .chains import (
-    INVARIANT_RESIDUAL_TOL,
     CostFunction,
     FrozenArrays,
     StochasticMatrix,
+    _stationary_solve,
     frozen_copy,
     has_single_closed_class,
     invariant_distribution,
@@ -180,36 +180,6 @@ class _DirichletLayout:
         return (weights > 0).all(axis=1)
 
 
-def _stationarity_certified(kernels: np.ndarray, system: np.ndarray) -> np.ndarray:
-    """Which of the stacked kernels pass ``invariant_distribution``'s bounds
-    on the solution of their square stationarity system, built in
-    ``system`` (same shape as ``kernels``).
-
-    The system is P^T - I with its last row replaced by ones, solved for
-    all kernels at once; it is nonsingular exactly for unichain kernels.
-    When some kernel makes it singular, no kernel of the stack is
-    certified. The bounds alone do not prove uniqueness (rounding can
-    turn a singular system into a solvable one whose solution is one of
-    many stationary laws), so only kernels known to be unichain may be
-    certified this way.
-    """
-    n = kernels.shape[1]
-    np.subtract(kernels.transpose(0, 2, 1), np.eye(n), out=system)
-    system[:, -1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        return np.zeros(kernels.shape[0], dtype=bool)
-    residual = np.abs((pi[:, np.newaxis, :] @ kernels)[:, 0, :] - pi).sum(axis=1)
-    return (
-        np.isfinite(pi).all(axis=1)
-        & (residual <= INVARIANT_RESIDUAL_TOL)
-        & (pi.min(axis=1) >= -1e-12)
-    )
-
-
 def sample_policy_pool(
     passive: StochasticMatrix, pool_size: int, seed: int
 ) -> list[KlPolicy]:
@@ -224,11 +194,12 @@ def sample_policy_pool(
     ``rng.dirichlet`` call per row, so the pool does not depend on the
     block size. The passive is checked once to have a single closed
     class; a draw with the passive's positive pattern then has one too,
-    so it is unichain by structure, and its stationarity system is
-    solved with the rest of its block and held to the bounds of
-    ``invariant_distribution``. A draw with another pattern, or one that
-    misses those bounds, goes through ``invariant_distribution`` itself.
-    Draws are accepted or resampled in draw order, as if one at a time.
+    so it is unichain by structure, and its stationarity system goes
+    through the stationarity solver of ``chains`` with the rest of its
+    block, under the bounds ``invariant_distribution`` applies. A draw
+    with another pattern, or one that misses those bounds, goes through
+    ``invariant_distribution`` itself. Draws are accepted or resampled in
+    draw order, as if one at a time.
 
     Raises NotUnichainError when the passive has more than one closed
     class: then no policy inside its support is unichain.
@@ -250,7 +221,7 @@ def sample_policy_pool(
         count = min(_POOL_BLOCK, pool_size - len(pool))
         kernels = kernels_buf[:count]
         structural = layout.draw(rng, kernels)
-        certified = structural & _stationarity_certified(kernels, system_buf[:count])
+        certified = structural & _stationary_solve(kernels, system_buf[:count])[1]
         for rows, ok in zip(kernels, certified):
             kernel = StochasticMatrix(rows)
             if not ok:

@@ -12,13 +12,12 @@ agent's behaviour.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import _accel
 from .chains import CostFunction, StochasticMatrix
@@ -60,20 +59,19 @@ class Graph:
             edges=tuple(normalized),
             adjacency=tuple(tuple(sorted(nb)) for nb in neighbours),
         )
-        if n > 1 and not graph._connected():
+        if connected_components(graph._adjacency_csr(), directed=False)[0] > 1:
             raise GraphError("graph is disconnected")
         return graph
 
-    def _connected(self) -> bool:
-        seen = {0}
-        frontier = deque([0])
-        while frontier:
-            u = frontier.popleft()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == self.n
+    def _adjacency_csr(self) -> csr_matrix:
+        """Each edge once, as a CSR matrix for csgraph's undirected
+        searches; built on first use and kept on the (immutable) graph."""
+        cached = self.__dict__.get("_adjacency_csr_cache")
+        if cached is None:
+            u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+            cached = csr_matrix((np.ones(u.shape[0]), (u, v)), shape=(self.n, self.n))
+            object.__setattr__(self, "_adjacency_csr_cache", cached)
+        return cached
 
     def degree(self, x: int) -> int:
         return len(self.adjacency[x])
@@ -125,10 +123,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
 def bfs_distances(graph: Graph) -> tuple[np.ndarray, int]:
     """All-pairs hop counts, by scipy's unweighted shortest paths from
     every source."""
-    n = graph.n
-    u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
-    adjacency = csr_matrix((np.ones(u.shape[0]), (u, v)), shape=(n, n))
-    hops = shortest_path(adjacency, method="D", directed=False, unweighted=True)
+    hops = shortest_path(graph._adjacency_csr(), method="D", directed=False, unweighted=True)
     if not np.all(np.isfinite(hops)):
         raise GraphError("graph is disconnected")
     dist = hops.astype(np.int64)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 
@@ -19,7 +20,6 @@ from klwalk import (
     PhaseSchedule,
     RegretTrace,
     RunTrace,
-    StateSpace,
     StochasticMatrix,
     build_passive,
     dobrushin_coefficient,
@@ -32,8 +32,15 @@ from klwalk import (
     span_seminorm,
     total_variation,
 )
+from klwalk import chains
 from klwalk._accel import markov_path
-from klwalk.chains import _component_periods, _pattern_graph, _scc_labels, has_single_closed_class
+from klwalk.chains import (
+    INVARIANT_RESIDUAL_TOL,
+    _component_periods,
+    _pattern_graph,
+    _scc_labels,
+    has_single_closed_class,
+)
 
 from conftest import random_ergodic_kernel, run_within
 
@@ -68,16 +75,6 @@ def kernels(min_n=2, max_n=6):
 
 
 class TestContainers:
-    def test_state_space_labels(self):
-        s = StateSpace(2, labels=("a", "b"))
-        assert s.n == 2
-        with pytest.raises(ValueError):
-            StateSpace(0)
-        with pytest.raises(ValueError):
-            StateSpace(2, labels=("a",))
-        with pytest.raises(ValueError):
-            StateSpace(2, labels=("a", "a"))
-
     def test_distribution_validation(self):
         d = Distribution([0.25, 0.75])
         assert d.n == 2
@@ -375,15 +372,17 @@ def bfs_component_period(pattern: np.ndarray, members: np.ndarray) -> int:
 
 
 @st.composite
-def pattern_kernels(draw, max_n=7):
+def pattern_kernels(draw, max_n=7, weights=st.just(1.0)):
     """Stochastic kernels on random sparse positive patterns: 1-3 successors
-    per state, so periodic, reducible and transient patterns all occur."""
+    per state, so periodic, reducible and transient patterns all occur.
+    Each successor's weight is drawn from ``weights`` before the rows are
+    renormalized."""
     n = draw(st.integers(1, max_n))
-    pattern = np.zeros((n, n), dtype=bool)
+    raw = np.zeros((n, n))
     for x in range(n):
         succ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
-        pattern[x, succ] = True
-    return StochasticMatrix.renormalized(pattern.astype(float))
+        raw[x, succ] = [draw(weights) for _ in succ]
+    return StochasticMatrix.renormalized(raw)
 
 
 # cycles of length 2 and 3 (periodic); two absorbing states (reducible, one
@@ -520,6 +519,74 @@ class TestInvariantDistribution:
         block = StochasticMatrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NotUnichainError):
             invariant_distribution(block)
+
+    @given(pattern_kernels(weights=st.floats(0.05, 1.0)))
+    @example(StochasticMatrix([[0.2, 0.4, 0.4], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    @example(StochasticMatrix([[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]))
+    @example(StochasticMatrix(CYCLE_3))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_lstsq_oracle(self, p):
+        if reference_closed_class_count(p.rows) > 1:
+            with pytest.raises(NotUnichainError):
+                invariant_distribution(p)
+        else:
+            oracle = lstsq_invariant_distribution(p.rows)
+            np.testing.assert_allclose(invariant_distribution(p).weights, oracle, rtol=0, atol=1e-12)
+
+    @given(pattern_kernels(weights=st.sampled_from([1.0, 1e-300])))
+    @example(StochasticMatrix([[1.0, 1e-300], [1e-300, 1.0]]))
+    @example(StochasticMatrix([[1.0, 1e-300, 0.0], [0.0, 1.0, 1e-300], [1e-300, 0.0, 1.0]]))
+    @example(StochasticMatrix([[1.0, 1e-300, 1e-300], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_tiny_entries_never_give_an_uncertified_law(self, p):
+        try:
+            pi = invariant_distribution(p).weights
+        except NotUnichainError:
+            return
+        assert np.abs(pi @ p.rows - pi).sum() <= INVARIANT_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_one_scc_pass_per_kernel(self, monkeypatch, order):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return _scc_labels(graph)
+
+        monkeypatch.setattr(chains, "_scc_labels", counted)
+        p = build_passive(grid_graph(3, 3), stay_prob=0.1, delta=0.05, home=0)
+        questions = (graph_verdict, has_single_closed_class, invariant_distribution)
+        for i in order:
+            questions[i](p)
+        assert len(calls) == 1
+
+
+def reference_closed_class_count(rows: np.ndarray) -> int:
+    """Closed communicating classes from the transitive closure: classes
+    of mutually reachable states that reach no state outside."""
+    n = rows.shape[0]
+    step = (rows > 0).astype(np.int64)
+    reach = np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        reach = ((reach + reach @ step) > 0).astype(np.int64)
+    mutual = (reach > 0) & (reach.T > 0)
+    classes = {tuple(np.flatnonzero(row)) for row in mutual}
+    return sum(all(mutual[c[0], np.flatnonzero(reach[c[0]])]) for c in classes)
+
+
+def lstsq_invariant_distribution(rows: np.ndarray) -> np.ndarray:
+    """The least-squares stationarity solve ``invariant_distribution`` once
+    used: P^T - I stacked over a row of ones, rank-checked, clipped and
+    normalized."""
+    n = rows.shape[0]
+    system = np.vstack([rows.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+    assert rank == n
+    assert np.abs(pi @ rows - pi).sum() <= INVARIANT_RESIDUAL_TOL
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
 
 
 class TestSampleNext:

@@ -134,6 +134,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="line 2: expected 2 columns, got 1"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("\n\n0.5,0.5\n1\n", r"m.csv line 4: expected 2 columns, got 1$"),
+        ("\n0.5,0.5\n\n-0.5,1.5\n", r"m.csv line 4: negative or NaN entry$"),
+        ("0.5,0.5\n\n\n0.7,0.7\n", r"m.csv line 4: row sums to 1.4, expected 1$"),
+    ], ids=["columns", "negative", "row-sum"])
+    def test_errors_name_the_file_line_past_blank_lines(self, tmp_path, text, message):
+        path = write(tmp_path / "m.csv", text)
+        with pytest.raises(ParseError, match=message):
+            read_matrix_csv(path)
+
     def test_python_float_spellings_accepted(self, tmp_path):
         cells = [" 1.5", "1_0", "inf", "-nan", "+Infinity", "1e400", "4.9e-324", "\u00a02.5 "]
         path = write(tmp_path / "v.csv", ",".join(cells) + "\n")

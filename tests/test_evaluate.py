@@ -183,8 +183,8 @@ class TestSamplePolicyPool:
     def test_fallback_alone_gives_the_same_pool(self, monkeypatch):
         passive = POOL_ORACLE_KERNELS["uneven-transient"]()
         batched = sample_policy_pool(passive, 20, seed=8)
-        monkeypatch.setattr(evaluate, "_stationarity_certified",
-                            lambda kernels, system: np.zeros(kernels.shape[0], dtype=bool))
+        monkeypatch.setattr(evaluate, "_stationary_solve",
+                            lambda kernels, system: (None, np.zeros(kernels.shape[0], dtype=bool)))
         fallback = sample_policy_pool(passive, 20, seed=8)
         for a, b in zip(batched, fallback, strict=True):
             assert np.array_equal(a.kernel.rows, b.kernel.rows)
