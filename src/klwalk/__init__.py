@@ -36,6 +36,7 @@ from .evaluate import (
     ExperimentResult,
     ExperimentSpec,
     MonteCarloSummary,
+    PolicyPool,
     RegretTrace,
     best_in_hindsight,
     growth_exponent,

@@ -15,9 +15,13 @@ from V = 1 with power steps on log V, A V taken as a row-wise
 log-sum-exp. ``linear_power_iteration`` is the plain power iteration on
 V, kept as the reference the tests hold the log domain against.
 
-``markov_path`` walks a chain from per-row CDFs and pre-drawn uniforms.
-Callers reach both functions through this module's attributes
-(``_accel.markov_path``), so a wrapper set on an attribute sees every call.
+``markov_path`` walks one chain from dense per-row CDFs and pre-drawn
+uniforms; it simulates the target stream. ``markov_paths`` walks a block
+of chains in lock step, each row stored as the bounds of its support's
+slots (``draw_bounds``), and races the policy pool; every step of every
+chain is ``pick_from_cdf``'s draw. Callers reach these functions through
+this module's attributes (``_accel.markov_path``), so a wrapper set on an
+attribute sees every call.
 """
 
 from __future__ import annotations
@@ -232,3 +236,43 @@ def markov_path(cdf_rows, start, uniforms):
         x = pick_from_cdf(cdf_rows[x], uniforms[t])
         states[t + 1] = x
     return states
+
+
+def draw_bounds(slots: np.ndarray) -> np.ndarray:
+    """Inverse-CDF bounds of rows stored as zero-padded slot weights
+    (..., W), each row's support in column order.
+
+    The bounds are the running sums, which equal the dense row's CDF at
+    the support's columns bit for bit, with every entry from the row's
+    last positive-mass slot on (the first to reach the row total) set to
+    +inf. The count of bounds <= u is then ``pick_from_cdf``'s slot for u
+    in [0, 1), rounding gap included: a u at or above the row total lands
+    on the last slot that adds mass.
+    """
+    bounds = np.cumsum(slots, axis=-1)
+    bounds[bounds >= bounds[..., -1:]] = np.inf
+    return bounds
+
+
+def markov_paths(bounds, columns, start, uniforms):
+    """Walk a block of chains in lock step, chain b driven by ``uniforms[b]``.
+
+    ``bounds[b, x]`` are chain b's ``draw_bounds`` for row x, and
+    ``columns[x, s]`` is the state of slot s of row x. Returns the visited
+    states as int64, shape (chains, steps + 1), each row beginning with
+    ``start``; row b is ``markov_path`` on chain b's dense CDFs.
+    """
+    chains, t_steps = uniforms.shape
+    n, width = columns.shape
+    # flat row and slot indices: ``take`` on them is the cheapest gather
+    row_bounds = np.ascontiguousarray(bounds).reshape(chains * n, width)
+    slot_columns = columns.ravel()
+    first_row = np.arange(chains) * n
+    step_uniforms = np.ascontiguousarray(uniforms.T)[:, :, np.newaxis]
+    path = np.empty((t_steps + 1, chains), dtype=np.int64)
+    path[0] = start
+    for t in range(t_steps):
+        x = path[t]
+        below = row_bounds.take(first_row + x, axis=0) <= step_uniforms[t]
+        path[t + 1] = slot_columns.take(x * width + np.add.reduce(below, axis=1, dtype=np.intp))
+    return np.ascontiguousarray(path.T)

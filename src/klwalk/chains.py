@@ -101,6 +101,19 @@ class Distribution(FrozenArrays):
         return self.weights.shape[0]
 
 
+def check_stochastic_rows(rows: np.ndarray) -> None:
+    """Raise ValueError unless the kernel rows, one kernel (n, n) or a
+    stack (..., n, n), hold nonnegative numbers and each row sums to 1
+    within ``ROW_SUM_TOL``."""
+    if not np.all(rows >= 0):  # also false for NaN
+        raise ValueError("kernel entries must be nonnegative numbers")
+    sums = rows.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        x = int(bad[0]) % rows.shape[-2]
+        raise ValueError(f"row {x} sums to {sums.flat[bad[0]]!r}, expected 1 (not renormalizing)")
+
+
 @dataclass(frozen=True)
 class StochasticMatrix(FrozenArrays):
     """A row-stochastic transition kernel; row x is the law of the next state."""
@@ -113,13 +126,7 @@ class StochasticMatrix(FrozenArrays):
             raise ValueError(f"kernel must be square, got shape {rows.shape}")
         if rows.shape[0] < 1:
             raise ValueError("kernel over an empty state space")
-        if not np.all(rows >= 0):  # also false for NaN
-            raise ValueError("kernel entries must be nonnegative numbers")
-        sums = rows.sum(axis=1)
-        bad = np.where(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-        if bad.size:
-            x = int(bad[0])
-            raise ValueError(f"row {x} sums to {sums[x]!r}, expected 1 (not renormalizing)")
+        check_stochastic_rows(rows)
         object.__setattr__(self, "rows", rows)
 
     @classmethod

@@ -7,6 +7,12 @@ state) and the best of a pool of randomly sampled stationary policies
 are embarrassingly parallel; each run owns its seeds, and summaries are
 reduced in run order so results are reproducible bit for bit.
 
+The pool is kept stacked over the passive's nonzeros (``PolicyPool``):
+it is drawn, checked and priced in blocks, holds every row's
+inverse-CDF bounds once for all runs, and is raced in blocks of walks
+stepped together; a dense ``KlPolicy`` is built only for a policy that
+is asked for.
+
 ``ExperimentSpec`` describes the whole replicated experiment, from the
 graph to the run count, pool size and base seed; the CLI's JSON config
 is read into one, and ``run_experiment`` takes everything from it.
@@ -14,6 +20,7 @@ is read into one, and ``run_experiment`` takes everything from it.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -27,13 +34,14 @@ from .chains import (
     FrozenArrays,
     StochasticMatrix,
     _stationary_solve,
+    check_stochastic_rows,
     frozen_copy,
     has_single_closed_class,
     invariant_distribution,
 )
 from .errors import DimensionMismatchError, NotUnichainError
 from .online import RunTrace, run_episode
-from .policy import KlPolicy, optimal_policy, rows_kl
+from .policy import KlPolicy, optimal_policy, rows_kl_at
 from .spectral import SolverSettings
 from .world import Graph, build_passive, grid_graph, make_tracking_env
 
@@ -47,6 +55,7 @@ _SPLIT_GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 _POOL_STREAM = 0x706F6F6C
 _POOL_SIM_STREAM = 0x73696D
 _POOL_BLOCK = 8  # policies drawn and certified together; larger blocks raise peak memory
+_RACE_BLOCK = 64  # policies walked together in the pool race
 
 
 def split_seed(base_seed: int, index: int) -> int:
@@ -145,61 +154,139 @@ def best_in_hindsight(
     return optimal_policy(passive, CostFunction(fmat.mean(axis=0)), settings)
 
 
-class _DirichletLayout:
-    """Where the passive's nonzeros sit: entry i of the row-major nonzero
-    list is column ``col[i]`` of row ``row[i]`` and the ``slot[i]``-th
-    nonzero of that row; ``width`` is the widest row support."""
+class _SupportLayout:
+    """Where a support pattern's entries sit: entry i of the row-major
+    list of the pattern's nonzeros is column ``col[i]`` of row ``row[i]``
+    and the ``slot[i]``-th entry of that row; ``width`` is the widest row
+    support, and ``columns[x, s]`` is the column of slot s of row x."""
 
-    def __init__(self, passive: StochasticMatrix):
-        self.n = passive.n
-        self.row, self.col = np.nonzero(passive.rows)
+    def __init__(self, pattern: np.ndarray):
+        self.n = pattern.shape[0]
+        self.row, self.col = np.nonzero(pattern)
         counts = np.bincount(self.row, minlength=self.n)
         self.slot = np.arange(self.row.size) - (np.cumsum(counts) - counts)[self.row]
         self.width = int(counts.max())
+        self.columns = np.zeros((self.n, self.width), dtype=np.intp)
+        self.columns[self.row, self.slot] = self.col
 
-    def draw(self, rng: np.random.Generator, kernels: np.ndarray) -> np.ndarray:
+    def slots(self, weights: np.ndarray) -> np.ndarray:
+        """Stacked entries (K, m) as zero-padded per-row slots (K, n, width)."""
+        out = np.zeros((weights.shape[0], self.n, self.width))
+        out[:, self.row, self.slot] = weights
+        return out
+
+    def dense(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write stacked entries (..., m) into ``out`` as dense kernels (..., n, n)."""
+        out.fill(0.0)
+        out[..., self.row, self.col] = weights
+        return out
+
+    def draw(self, rng: np.random.Generator, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fill the stacked ``kernels`` with rows that are flat Dirichlet
-        draws over the passive row supports; return a mask of the kernels
-        whose positive pattern is the passive's.
+        draws over the pattern's row supports; return their entries (K, m)
+        and a mask of the kernels whose positive pattern is the pattern.
 
         Bit for bit the rows of ``rng.dirichlet(np.ones(k))`` called row by
         row: numpy's alpha = 1 Dirichlet takes k standard exponentials, sums
         them left to right and multiplies each by the reciprocal of the sum.
         """
         count = kernels.shape[0]
-        draws = rng.standard_exponential(count * self.row.size).reshape(count, -1)
-        slots = np.zeros((count, self.n, self.width))
-        slots[:, self.row, self.slot] = draws
+        slots = self.slots(rng.standard_exponential(count * self.row.size).reshape(count, -1))
         total = slots[:, :, 0].copy()
         for j in range(1, self.width):  # padding zeros leave the sum exact
             total += slots[:, :, j]
         slots *= (1.0 / total)[:, :, np.newaxis]
         weights = slots[:, self.row, self.slot]
-        kernels.fill(0.0)
-        kernels[:, self.row, self.col] = weights
-        return (weights > 0).all(axis=1)
+        self.dense(weights, kernels)
+        return weights, (weights > 0).all(axis=1)
 
 
-def sample_policy_pool(
-    passive: StochasticMatrix, pool_size: int, seed: int
-) -> list[KlPolicy]:
+class PolicyPool(collections.abc.Sequence):
+    """Stationary policies stacked over one support pattern.
+
+    ``weights[i]`` holds policy i's transition probabilities at the
+    pattern's m nonzeros in row-major order, shape (K, m), and
+    ``control_cost[i]`` its per-state control cost, shape (K, n).
+    ``bounds`` holds every row's inverse-CDF bounds over its slots,
+    shape (K, n, W), built once (see ``_accel.draw_bounds``), so races on
+    many cost sequences share them. ``pool[i]`` builds policy i's
+    ``KlPolicy`` on first access and keeps it, so ``pool[i] is pool[i]``.
+    The arrays are read-only.
+    """
+
+    def __init__(self, layout: _SupportLayout, weights: np.ndarray, control_cost: np.ndarray):
+        weights = frozen_copy(weights)
+        control_cost = frozen_copy(control_cost)
+        if weights.ndim != 2 or weights.shape[1] != layout.row.size or (
+            control_cost.shape != (weights.shape[0], layout.n)
+        ):
+            raise DimensionMismatchError(
+                f"weights {weights.shape} and control costs {control_cost.shape} do not fit "
+                f"{layout.row.size} entries over {layout.n} states"
+            )
+        bounds = _accel.draw_bounds(layout.slots(weights))
+        bounds.setflags(write=False)
+        for name, value in (("layout", layout), ("weights", weights),
+                            ("control_cost", control_cost), ("bounds", bounds),
+                            ("_policies", [None] * weights.shape[0])):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolicyPool is immutable; cannot set {name!r}")
+
+    @classmethod
+    def packed(cls, policies: Sequence[KlPolicy]) -> "PolicyPool":
+        """Stack explicit policies over the union of their supports;
+        ``pool[i]`` is then ``policies[i]`` itself."""
+        if len({pol.n for pol in policies}) > 1:
+            raise DimensionMismatchError("pooled policies live on different state spaces")
+        rows = np.stack([pol.kernel.rows for pol in policies])
+        layout = _SupportLayout((rows > 0).any(axis=0))
+        pool = cls(layout, rows[:, layout.row, layout.col],
+                   np.stack([pol.control_cost for pol in policies]))
+        pool._policies[:] = policies
+        return pool
+
+    @property
+    def n(self) -> int:
+        return self.layout.n
+
+    def __len__(self) -> int:
+        return len(self._policies)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        policy = self._policies[i]
+        if policy is None:
+            rows = self.layout.dense(self.weights[i], np.empty((self.n, self.n)))
+            policy = KlPolicy(kernel=StochasticMatrix(rows), control_cost=self.control_cost[i])
+            self._policies[i] = policy
+        return policy
+
+
+def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> PolicyPool:
     """Random stationary policies supported inside the passive support.
 
     Rows are flat Dirichlet draws over the support of the matching passive
     row, so the control cost is finite by construction; draws without a
-    unique invariant distribution are rejected and resampled.
+    unique invariant distribution are rejected and resampled. The pool is
+    stacked over the passive's nonzeros (``PolicyPool``).
 
     Policies are drawn in blocks of ``_POOL_BLOCK`` from one stream of
     standard exponentials, which gives bit for bit the draws of one
     ``rng.dirichlet`` call per row, so the pool does not depend on the
-    block size. The passive is checked once to have a single closed
-    class; a draw with the passive's positive pattern then has one too,
-    so it is unichain by structure, and its stationarity system goes
-    through the stationarity solver of ``chains`` with the rest of its
-    block, under the bounds ``invariant_distribution`` applies. A draw
-    with another pattern, or one that misses those bounds, goes through
-    ``invariant_distribution`` itself. Draws are accepted or resampled in
-    draw order, as if one at a time.
+    block size. Each block is checked to be row-stochastic and priced at
+    once: its KL terms are taken on the nonzeros and summed over dense
+    rows, bit for bit ``rows_kl``. The passive is checked once to have a
+    single closed class; a draw with the passive's positive pattern then
+    has one too, so it is unichain by structure, and its stationarity
+    system goes through the stationarity solver of ``chains`` with the
+    rest of its block, under the bounds ``invariant_distribution``
+    applies. A draw with another pattern, or one that misses those
+    bounds, goes through ``invariant_distribution`` itself. Draws are
+    accepted or resampled in draw order, as if one at a time.
 
     Raises NotUnichainError when the passive has more than one closed
     class: then no policy inside its support is unichain.
@@ -212,25 +299,32 @@ def sample_policy_pool(
             "no policy supported inside it is unichain"
         )
     rng = np.random.default_rng([seed, _POOL_STREAM])
-    layout = _DirichletLayout(passive)
+    layout = _SupportLayout(passive.rows > 0)
+    passive_entries = passive.rows[layout.row, layout.col]
     # reused by every block, so block temporaries do not fragment the heap
     kernels_buf = np.empty((min(_POOL_BLOCK, pool_size), passive.n, passive.n))
     system_buf = np.empty_like(kernels_buf)
-    pool: list[KlPolicy] = []
-    while len(pool) < pool_size:
-        count = min(_POOL_BLOCK, pool_size - len(pool))
-        kernels = kernels_buf[:count]
-        structural = layout.draw(rng, kernels)
-        certified = structural & _stationary_solve(kernels, system_buf[:count])[1]
-        for rows, ok in zip(kernels, certified):
-            kernel = StochasticMatrix(rows)
-            if not ok:
-                try:
-                    invariant_distribution(kernel)
-                except NotUnichainError:
-                    continue
-            pool.append(KlPolicy(kernel=kernel, control_cost=rows_kl(rows, passive.rows)))
-    return pool
+    weights, control, accepted = [], [], 0
+    while accepted < pool_size:
+        count = min(_POOL_BLOCK, pool_size - accepted)
+        kernels, system = kernels_buf[:count], system_buf[:count]
+        block, structural = layout.draw(rng, kernels)
+        check_stochastic_rows(kernels)
+        keep = structural & _stationary_solve(kernels, system)[1]
+        costs = rows_kl_at(block, passive_entries, layout.row, layout.col, system)
+        if np.any(costs < 0):
+            raise ValueError("control costs must be nonnegative")
+        for i in np.flatnonzero(~keep):
+            kernel = StochasticMatrix(kernels[i])
+            try:
+                invariant_distribution(kernel)
+            except NotUnichainError:
+                continue
+            keep[i] = True
+        weights.append(block[keep])
+        control.append(costs[keep])
+        accepted += int(keep.sum())
+    return PolicyPool(layout, np.concatenate(weights), np.concatenate(control))
 
 
 def pool_best_realized_cost(
@@ -245,27 +339,41 @@ def pool_best_realized_cost(
 
     Each policy gets its own derived seed, so adding policies never
     perturbs the trajectories of the others; ties go to the lowest pool
-    index.
+    index, and a NaN total never wins. Policies are walked in lock step,
+    ``_RACE_BLOCK`` at a time, over a ``PolicyPool``'s shared bounds; any
+    other sequence is first packed into one (``PolicyPool.packed``), and
+    the winner returned is the caller's own ``pool[i]``.
     """
     if not pool:
         raise ValueError("empty policy pool")
+    stacked = pool if isinstance(pool, PolicyPool) else PolicyPool.packed(pool)
     fmat = _cost_matrix(costs)
+    if fmat.shape[1] != stacked.n:
+        raise DimensionMismatchError("costs and pool live on different state spaces")
+    if not 0 <= start < stacked.n:
+        raise IndexError(f"start state {start} out of range for n={stacked.n}")
     horizon = fmat.shape[0]
     steps = np.arange(horizon)
-    best_policy = None
+    best_index = None
     best_per_step = None
     best_total = math.inf
-    for i, candidate in enumerate(pool):
-        rng = np.random.default_rng(split_seed(seed, i))
-        cdf = np.cumsum(candidate.kernel.rows, axis=1)
-        states = _accel.markov_path(cdf, start, rng.random(horizon - 1))
-        per_step = fmat[steps, states] + candidate.control_cost[states]
-        total = float(per_step.sum())
-        if total < best_total:
-            best_total = total
-            best_policy = candidate
-            best_per_step = per_step
-    return best_policy, np.cumsum(best_per_step)
+    for lo in range(0, len(stacked), _RACE_BLOCK):
+        block = np.arange(lo, min(lo + _RACE_BLOCK, len(stacked)))
+        uniforms = np.stack(
+            [np.random.default_rng(split_seed(seed, int(i))).random(horizon - 1) for i in block]
+        )
+        states = _accel.markov_paths(stacked.bounds[block], stacked.layout.columns, start, uniforms)
+        per_step = fmat[steps, states] + np.take_along_axis(
+            stacked.control_cost[block], states, axis=1
+        )
+        for i, total in zip(block, per_step.sum(axis=1)):
+            if total < best_total:
+                best_total = total
+                best_index = int(i)
+                best_per_step = per_step[i - lo]
+    if best_index is None:
+        raise ValueError("no pooled policy has a finite realized cost")
+    return pool[best_index], np.cumsum(best_per_step)
 
 
 def regret_trace(run: RunTrace, comparator_cost, kind: str) -> RegretTrace:

@@ -82,12 +82,27 @@ def rows_kl(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     b = np.asarray(b_rows, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    row, col = np.nonzero(a > 0)
+    return rows_kl_at(a[row, col], b[row, col], row, col, np.zeros(a.shape))
+
+
+def rows_kl_at(a: np.ndarray, b: np.ndarray, row, col, out: np.ndarray) -> np.ndarray:
+    """Row-wise KL divergence of kernels given by their entries at
+    (``row``, ``col``): ``a`` and ``b`` hold those entries, one kernel
+    per leading index, shape (..., m).
+
+    The terms a log(a/b) are taken on those entries only (0 where a is
+    not positive, +inf where a > 0 = b) and scattered into ``out``, a
+    dense (..., n, n) buffer that is overwritten, so each row sums over
+    its n columns in the order of a dense kernel's row sum.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(a > 0, a / np.where(b > 0, b, 1.0), 1.0)
-        terms = np.where(a > 0, a * np.log(ratio), 0.0)
-        terms = np.where((a > 0) & (b == 0), math.inf, terms)
+        terms = np.where(a > 0, a * np.log(a / np.where(b > 0, b, 1.0)), 0.0)
+    terms[(a > 0) & (b == 0)] = math.inf
+    out.fill(0.0)
+    out[..., row, col] = terms
     # Gibbs: negative only by rounding, as for a one-entry row 1 - 2^-53
-    return np.maximum(terms.sum(axis=1), 0.0)
+    return np.maximum(out.sum(axis=-1), 0.0)
 
 
 def twisted_kernel(passive: StochasticMatrix, phi) -> KlPolicy:

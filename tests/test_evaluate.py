@@ -28,14 +28,17 @@ from klwalk import (
     regret_trace,
     rows_kl,
     run_episode,
+    make_tracking_env,
     run_experiment,
     sample_policy_pool,
     split_seed,
     steady_state_comparator_cost,
     summarize,
 )
-from klwalk import evaluate
+from klwalk import _accel, evaluate
+from klwalk._accel import markov_path, pick_from_cdf
 from klwalk.chains import dobrushin_coefficient
+from klwalk.policy import KlPolicy
 
 from conftest import random_cost, random_ergodic_kernel, run_within
 
@@ -212,6 +215,24 @@ class TestSamplePolicyPool:
             assert np.array_equal(pol.kernel.rows > 0, p.rows > 0)
             assert np.all(np.isfinite(pol.control_cost))
 
+    def test_pool_arrays_stay_compact(self):
+        # 400 dense 10x10 kernels alone would take 32 MB
+        pool = sample_policy_pool(POOL_ORACLE_KERNELS["grid-10x10"](), 400, seed=3)
+        arrays = [v for part in (pool, pool.layout) for v in vars(part).values()
+                  if isinstance(v, np.ndarray)]
+        assert len(arrays) == 7
+        assert sum(a.nbytes for a in arrays) < 5e6
+
+    def test_policies_built_once_from_read_only_arrays(self, rng):
+        pool = sample_policy_pool(random_ergodic_kernel(rng, 4), 3, seed=5)
+        assert pool[1] is pool[1] and pool[-1] is pool[2] and pool[1:] == [pool[1], pool[2]]
+        with pytest.raises(IndexError):
+            pool[3]
+        for arr in (pool.weights, pool.control_cost, pool.bounds):
+            assert not arr.flags.writeable
+        with pytest.raises(AttributeError):
+            pool.weights = None
+
     def test_mean_control_cost_positive(self, rng):
         p = random_ergodic_kernel(rng, 5)
         pool = sample_policy_pool(p, 50, seed=2)
@@ -219,10 +240,124 @@ class TestSamplePolicyPool:
         assert mean_cc > 0.01
 
 
+def reference_race(pool, costs, start, seed):
+    """The pool race one policy at a time over dense CDFs: returns the
+    winner's index and its prefix cost trace."""
+    fmat = np.stack([c.values for c in costs])
+    horizon = fmat.shape[0]
+    steps = np.arange(horizon)
+    best_index, best_per_step, best_total = None, None, math.inf
+    for i, candidate in enumerate(pool):
+        rng = np.random.default_rng(split_seed(seed, i))
+        cdf = np.cumsum(candidate.kernel.rows, axis=1)
+        states = markov_path(cdf, start, rng.random(horizon - 1))
+        per_step = fmat[steps, states] + candidate.control_cost[states]
+        total = float(per_step.sum())
+        if total < best_total:
+            best_index, best_per_step, best_total = i, per_step, total
+    return best_index, np.cumsum(best_per_step)
+
+
+def crafted_pick_kernel():
+    """Rows that stress the inverse-CDF draw: leading and trailing zeros,
+    one-entry rows at either end, and rows whose CDF stops below 1 (the
+    rounding gap), one with a last entry too small to move the CDF."""
+    n = 12
+    rows = np.zeros((n, n))
+    rows[0, 2:4] = 0.5
+    rows[1, n - 1] = 1.0
+    rows[2, 0] = 1.0
+    rows[3, :10] = 0.1  # CDF ends at 1 - 2^-53
+    rows[4, :10] = 0.1
+    rows[4, 10] = 1e-300  # CDF stays at 1 - 2^-53: the draw walks back past it
+    rows[5, 1:11] = 0.1
+    rows[6:] = np.eye(n)[(np.arange(6, n) + 1) % n] * 0.25 + 0.75 / n
+    return StochasticMatrix(rows)
+
+
+class TestVectorizedPick:
+    @pytest.mark.parametrize("union", [False, True], ids=["own-support", "union-support"])
+    def test_matches_pick_from_cdf(self, union):
+        # packed alone, the crafted kernel keeps its own supports; packed
+        # beside a full-support kernel its zeros become zero-weight slots
+        kernel = crafted_pick_kernel()
+        policies = [KlPolicy(kernel=kernel, control_cost=np.zeros(kernel.n))]
+        if union:
+            full = StochasticMatrix(np.full((kernel.n, kernel.n), 1.0 / kernel.n))
+            policies.append(KlPolicy(kernel=full, control_cost=np.zeros(kernel.n)))
+        pool = evaluate.PolicyPool.packed(policies)
+        gap = np.nextafter(1.0, 0.0)
+        cdf = np.cumsum(kernel.rows, axis=1)
+        for x in range(kernel.n):
+            us = np.concatenate([
+                [0.0, gap, 0.5, np.nextafter(0.5, 0.0)],
+                cdf[x], np.nextafter(cdf[x], 0.0), np.linspace(0.0, gap, 41),
+            ])
+            us = us[us < 1.0]
+            bounds = np.repeat(pool.bounds[:1], us.size, axis=0)
+            got = _accel.markov_paths(bounds, pool.layout.columns, x, us[:, np.newaxis])
+            want = [pick_from_cdf(cdf[x], u) for u in us]
+            assert np.array_equal(got[:, 0], np.full(us.size, x))
+            assert got[:, 1].tolist() == want, x
+        assert cdf[3, -1] <= gap and cdf[4, -1] <= gap  # the gap rows are hit
+
+    def test_long_walks_match_markov_path(self):
+        kernel = crafted_pick_kernel()
+        pool = evaluate.PolicyPool.packed([KlPolicy(kernel=kernel, control_cost=np.zeros(12))])
+        uniforms = np.random.default_rng(5).random((3, 500))
+        got = _accel.markov_paths(np.repeat(pool.bounds, 3, axis=0), pool.layout.columns, 4, uniforms)
+        cdf = np.cumsum(kernel.rows, axis=1)
+        for walk, u in zip(got, uniforms):
+            assert np.array_equal(walk, markov_path(cdf, 4, u))
+
+    def test_horizon_one_has_no_uniforms(self):
+        kernel = crafted_pick_kernel()
+        pool = evaluate.PolicyPool.packed([KlPolicy(kernel=kernel, control_cost=np.zeros(12))])
+        got = _accel.markov_paths(np.repeat(pool.bounds, 2, axis=0), pool.layout.columns, 7,
+                                  np.empty((2, 0)))
+        assert got.shape == (2, 1) and np.all(got == 7)
+
+
+RACE_KERNELS = {
+    "grid-10x10": (POOL_ORACLE_KERNELS["grid-10x10"], lambda n, t: make_tracking_env(
+        grid_graph(10, 10), seed=31).stream(t).costs),
+    "uneven-transient": (uneven_kernel_with_transient_state, lambda n, t: [
+        random_cost(np.random.default_rng(t), n) for _ in range(t)]),
+}
+
+
+class TestPoolRaceOracle:
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("name", sorted(RACE_KERNELS))
+    def test_same_winner_and_trace_as_per_policy_loop(self, name, size):
+        make_passive, make_costs = RACE_KERNELS[name]
+        passive = make_passive()
+        pool = sample_policy_pool(passive, size, seed=size)
+        for horizon, start, seed in ((40, 0, 3), (1, 1, 4)):
+            costs = make_costs(passive.n, horizon)
+            want_index, want_trace = reference_race(pool, costs, start, seed)
+            best, trace = pool_best_realized_cost(pool, passive, costs, start, seed)
+            assert best is pool[want_index]
+            assert np.array_equal(trace, want_trace)
+
+    @pytest.mark.parametrize("name", sorted(RACE_KERNELS))
+    def test_plain_list_with_duplicates(self, name):
+        make_passive, make_costs = RACE_KERNELS[name]
+        passive = make_passive()
+        sampled = list(sample_policy_pool(passive, 70, seed=1))
+        pool = [passive_policy(passive)] + sampled[:40] + [passive_policy(passive)] + sampled[40:]
+        for costs in (make_costs(passive.n, 30), [CostFunction(np.zeros(passive.n))] * 30):
+            want_index, want_trace = reference_race(pool, costs, 0, 9)
+            best, trace = pool_best_realized_cost(pool, passive, costs, 0, 9)
+            assert best is pool[want_index]
+            assert np.array_equal(trace, want_trace)
+        assert want_index == 0  # the zero-cost tie between the two passives
+
+
 class TestPoolBestRealizedCost:
     def test_passive_wins_on_zero_costs(self, rng):
         p = random_ergodic_kernel(rng, 3)
-        pool = [passive_policy(p)] + sample_policy_pool(p, 4, seed=9)
+        pool = [passive_policy(p)] + list(sample_policy_pool(p, 4, seed=9))
         costs = [CostFunction(np.zeros(3))] * 10
         best, trace = pool_best_realized_cost(pool, p, costs, start=0, seed=3)
         assert best is pool[0]
@@ -379,9 +514,11 @@ class TestMonteCarlo:
         assert a.seeds == b.seeds
 
     def test_workers_do_not_change_results(self):
-        a = run_experiment(self.spec(runs=3, base_seed=5), workers=1)
-        b = run_experiment(self.spec(runs=3, base_seed=5), workers=2)
+        spec = replace(self.spec(runs=3, base_seed=5), pool_size=5)
+        a = run_experiment(spec, workers=1)
+        b = run_experiment(spec, workers=2)
         np.testing.assert_array_equal(a.hindsight_regret, b.hindsight_regret)
+        np.testing.assert_array_equal(a.pool_regret, b.pool_regret)
 
     def test_traces_from_workers_stay_read_only(self):
         spec = replace(self.SPEC, horizon=5, runs=2)
