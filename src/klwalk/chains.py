@@ -15,9 +15,9 @@ the costlier quantities (the Dobrushin coefficient, ``nbar`` and
 
 Uniqueness of the invariant distribution is a pattern property too: a
 kernel is unichain exactly when its pattern has one closed communicating
-class. Given that, one square solve of the stationarity system, held to
-a residual bound, certifies the law; ``invariant_distribution`` and the
-batched policy-pool sampler share that solver. Each kernel's pattern is
+class. Given that, ``invariant_distribution`` certifies the law with one
+sparse LU solve of the stationarity system, held to a residual bound; it
+is the library's only stationarity solve. Each kernel's pattern is
 labelled into strongly connected components once.
 
 All containers are immutable after construction (the backing arrays are
@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.linalg import splu
 
 from ._accel import pick_from_cdf
 from .errors import DimensionMismatchError, NotUnichainError
@@ -366,54 +367,35 @@ def _ergodicity_report_uncached(P: StochasticMatrix) -> ErgodicityReport:
     return ErgodicityReport(irreducible, aperiodic, alpha, nbar=nbar, theta=theta)
 
 
-def _stationary_solve(kernels: np.ndarray, system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The solutions of the stacked kernels' square stationarity systems,
-    built in ``system`` (same shape as ``kernels``), and a mask of the
-    solutions that pass the certificate's bounds: finite, fixed-point
-    residual at most ``INVARIANT_RESIDUAL_TOL``, no entry below -1e-12.
-
-    The system is P^T - I with its last row replaced by ones, solved for
-    all kernels at once; it is nonsingular exactly for unichain kernels.
-    When some kernel makes it singular, every solution is NaN and no
-    kernel is certified. The bounds alone do not prove uniqueness
-    (rounding can turn a singular system into a solvable one whose
-    solution is one of many stationary laws), so only kernels whose
-    pattern has a single closed class may be certified this way.
-    """
-    n = kernels.shape[1]
-    np.subtract(kernels.transpose(0, 2, 1), np.eye(n), out=system)
-    system[:, -1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        return np.full(kernels.shape[:2], np.nan), np.zeros(kernels.shape[0], dtype=bool)
-    residual = np.abs((pi[:, np.newaxis, :] @ kernels)[:, 0, :] - pi).sum(axis=1)
-    certified = (
-        np.isfinite(pi).all(axis=1)
-        & (residual <= INVARIANT_RESIDUAL_TOL)
-        & (pi.min(axis=1) >= -1e-12)
-    )
-    return pi, certified
-
-
 def invariant_distribution(P: StochasticMatrix) -> Distribution:
     """The unique pi with pi P = pi.
 
     Uniqueness comes from the pattern: P must have a single closed class.
-    The law is then the solution of the square stationarity system (see
-    ``_stationary_solve``), held to its residual and sign bounds.
+    The law is then the solution of the square stationarity system, P^T - I
+    with its last row replaced by ones (nonsingular exactly for unichain
+    kernels), by one sparse LU solve (SuperLU, which runs on one thread).
+    The solution is certified by bounds: finite, fixed-point residual at
+    most ``INVARIANT_RESIDUAL_TOL``, no entry below -1e-12. The bounds
+    alone do not prove uniqueness (rounding can turn a singular system
+    into a solvable one whose solution is one of many stationary laws),
+    which is why the pattern is checked first.
 
     Raises NotUnichainError when the pattern has more than one closed
-    class, or when the solve misses the bounds (a fixed-point residual
-    above 1e-10, or a singular system, reported as residual nan).
+    class, or when the solve misses the bounds (a singular system is
+    reported as residual nan).
     """
     if not has_single_closed_class(P):
         raise NotUnichainError("kernel has more than one closed class: it is not unichain")
-    (pi,), (certified,) = _stationary_solve(P.rows[np.newaxis], np.empty((1, P.n, P.n)))
-    if not certified:
-        residual = float(np.abs(pi @ P.rows - pi).sum())
+    system = P.rows.T - np.eye(P.n)
+    system[-1] = 1.0
+    rhs = np.zeros(P.n)
+    rhs[-1] = 1.0
+    try:
+        pi = splu(csc_matrix(system)).solve(rhs)
+    except RuntimeError:  # SuperLU: the factor is exactly singular
+        pi = np.full(P.n, np.nan)
+    residual = float(np.abs(pi @ P.rows - pi).sum())
+    if not (np.isfinite(pi).all() and residual <= INVARIANT_RESIDUAL_TOL and pi.min() >= -1e-12):
         raise NotUnichainError(
             f"no reliable invariant distribution (fixed-point residual {residual:.3e})"
         )

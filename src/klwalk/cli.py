@@ -305,6 +305,8 @@ def cmd_track(args) -> int:
     if args.output_dir is not None:
         output_dir = args.output_dir
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    if workers < 1:
+        raise ParseError(f"--workers: must be a positive integer, got {workers}")
 
     result = run_experiment(spec, workers=workers)
 

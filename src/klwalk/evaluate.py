@@ -7,11 +7,14 @@ state) and the best of a pool of randomly sampled stationary policies
 are embarrassingly parallel; each run owns its seeds, and summaries are
 reduced in run order so results are reproducible bit for bit.
 
-The pool is kept stacked over the passive's nonzeros (``PolicyPool``):
-it is drawn, checked and priced in blocks, holds every row's
-inverse-CDF bounds once for all runs, and is raced in blocks of walks
-stepped together; a dense ``KlPolicy`` is built only for a policy that
-is asked for.
+The hindsight comparator's steady state comes from
+``chains.invariant_distribution``. The pool needs no steady state: a
+draw with the passive's positive pattern is unichain by structure, so
+the sampler accepts it without a stationarity solve. The pool is kept
+stacked over the passive's nonzeros (``PolicyPool``): it is drawn,
+checked and priced in blocks, holds every row's inverse-CDF bounds once
+for all runs, and is raced in blocks of walks stepped together; a dense
+``KlPolicy`` is built only for a policy that is asked for.
 
 ``ExperimentSpec`` describes the whole replicated experiment, from the
 graph to the run count, pool size and base seed; the CLI's JSON config
@@ -33,7 +36,6 @@ from .chains import (
     CostFunction,
     FrozenArrays,
     StochasticMatrix,
-    _stationary_solve,
     check_stochastic_rows,
     frozen_copy,
     has_single_closed_class,
@@ -54,7 +56,7 @@ _MASK64 = (1 << 64) - 1
 _SPLIT_GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 _POOL_STREAM = 0x706F6F6C
 _POOL_SIM_STREAM = 0x73696D
-_POOL_BLOCK = 8  # policies drawn and certified together; larger blocks raise peak memory
+_POOL_BLOCK = 8  # policies drawn and priced together; larger blocks raise peak memory
 _RACE_BLOCK = 64  # policies walked together in the pool race
 
 
@@ -280,13 +282,12 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
     block size. Each block is checked to be row-stochastic and priced at
     once: its KL terms are taken on the nonzeros and summed over dense
     rows, bit for bit ``rows_kl``. The passive is checked once to have a
-    single closed class; a draw with the passive's positive pattern then
-    has one too, so it is unichain by structure, and its stationarity
-    system goes through the stationarity solver of ``chains`` with the
-    rest of its block, under the bounds ``invariant_distribution``
-    applies. A draw with another pattern, or one that misses those
-    bounds, goes through ``invariant_distribution`` itself. Draws are
-    accepted or resampled in draw order, as if one at a time.
+    single closed class; a kernel is unichain exactly when its positive
+    pattern has one (Kemeny and Snell), so a draw with the passive's
+    pattern is unichain by structure and is accepted without a solve. A
+    draw with another pattern (an entry that underflowed to zero) goes
+    through ``invariant_distribution``. Draws are accepted or resampled
+    in draw order, as if one at a time.
 
     Raises NotUnichainError when the passive has more than one closed
     class: then no policy inside its support is unichain.
@@ -303,19 +304,16 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
     passive_entries = passive.rows[layout.row, layout.col]
     # reused by every block, so block temporaries do not fragment the heap
     kernels_buf = np.empty((min(_POOL_BLOCK, pool_size), passive.n, passive.n))
-    system_buf = np.empty_like(kernels_buf)
     weights, control, accepted = [], [], 0
     while accepted < pool_size:
-        count = min(_POOL_BLOCK, pool_size - accepted)
-        kernels, system = kernels_buf[:count], system_buf[:count]
-        block, structural = layout.draw(rng, kernels)
+        kernels = kernels_buf[:min(_POOL_BLOCK, pool_size - accepted)]
+        block, keep = layout.draw(rng, kernels)
         check_stochastic_rows(kernels)
-        keep = structural & _stationary_solve(kernels, system)[1]
-        costs = rows_kl_at(block, passive_entries, layout.row, layout.col, system)
+        costs = rows_kl_at(block, passive_entries, layout.row, layout.col, kernels)
         if np.any(costs < 0):
             raise ValueError("control costs must be nonnegative")
         for i in np.flatnonzero(~keep):
-            kernel = StochasticMatrix(kernels[i])
+            kernel = StochasticMatrix(layout.dense(block[i], np.empty((passive.n, passive.n))))
             try:
                 invariant_distribution(kernel)
             except NotUnichainError:
@@ -528,6 +526,8 @@ def run_experiment(
     processes; the reduction is in run order either way, so output does
     not depend on the worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if seeds is None:
         seeds = [split_seed(spec.base_seed, i) for i in range(spec.runs)]
     elif len(seeds) != spec.runs:

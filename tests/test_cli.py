@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -349,6 +351,34 @@ class TestCmdTrack:
         assert main(["track", "--config", cfg, "--output-dir", str(out), *extra]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        cfg = write(tmp_path / "c.json", json.dumps(SMOKE_CONFIG))
+        out = tmp_path / "out"
+        assert main(["track", "--config", cfg, "--output-dir", str(out),
+                     "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_identical_across_blas_threads_and_workers(self, tmp_path):
+        cfg = write(tmp_path / "c.json", json.dumps({
+            "graph": {"grid": [10, 10]}, "horizon": 50, "runs": 2,
+            "pool_size": 0, "base_seed": 9,
+        }))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run(
+                [sys.executable, "-m", "klwalk.cli", "track", "--config", cfg,
+                 "--output-dir", str(out), "--workers", threads],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["summary.csv", "trace_run000.csv", "trace_run001.csv"]
+        assert outputs[0] == outputs[1]
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write(tmp_path / "c.json", json.dumps(SMOKE_CONFIG))

@@ -185,13 +185,31 @@ class TestSamplePolicyPool:
 
     def test_fallback_alone_gives_the_same_pool(self, monkeypatch):
         passive = POOL_ORACLE_KERNELS["uneven-transient"]()
-        batched = sample_policy_pool(passive, 20, seed=8)
-        monkeypatch.setattr(evaluate, "_stationary_solve",
-                            lambda kernels, system: (None, np.zeros(kernels.shape[0], dtype=bool)))
+        structural = sample_policy_pool(passive, 20, seed=8)
+        draw = evaluate._SupportLayout.draw
+
+        def never_structural(layout, rng, kernels):
+            weights, mask = draw(layout, rng, kernels)
+            return weights, np.zeros_like(mask)
+
+        # every draw now takes the invariant_distribution path
+        monkeypatch.setattr(evaluate._SupportLayout, "draw", never_structural)
         fallback = sample_policy_pool(passive, 20, seed=8)
-        for a, b in zip(batched, fallback, strict=True):
+        for a, b in zip(structural, fallback, strict=True):
             assert np.array_equal(a.kernel.rows, b.kernel.rows)
             assert np.array_equal(a.control_cost, b.control_cost)
+
+    def test_makes_no_dense_solve(self, monkeypatch):
+        passive = POOL_ORACLE_KERNELS["grid-10x10"]()
+        want = sample_policy_pool(passive, 20, seed=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense stationarity solve")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        got = sample_policy_pool(passive, 20, seed=4)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.control_cost, want.control_cost)
 
     def test_multichain_passive_raises_instead_of_hanging(self):
         # two closed classes: no policy inside the support is unichain
@@ -530,6 +548,13 @@ class TestMonteCarlo:
     def test_needs_two_runs(self):
         with pytest.raises(ValueError):
             monte_carlo(self.spec(runs=1, base_seed=0))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(self.spec(runs=2, base_seed=0), workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            monte_carlo(self.spec(runs=2, base_seed=0), workers=workers)
 
 
 class TestGrowthExponent:
