@@ -17,7 +17,6 @@ from .chains import (
     graph_verdict,
     invariant_distribution,
     kl_divergence,
-    sample_next,
     span_seminorm,
     total_variation,
 )
@@ -57,6 +56,7 @@ from .online import (
     RunTrace,
     StepRecord,
     StrategyState,
+    advance,
     begin_phase,
     make_schedule,
     run_episode,

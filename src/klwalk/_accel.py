@@ -15,13 +15,11 @@ from V = 1 with power steps on log V, A V taken as a row-wise
 log-sum-exp. ``linear_power_iteration`` is the plain power iteration on
 V, kept as the reference the tests hold the log domain against.
 
-``markov_path`` walks one chain from dense per-row CDFs and pre-drawn
-uniforms; it simulates the target stream. ``markov_paths`` walks a block
-of chains in lock step, each row stored as the bounds of its support's
-slots (``draw_bounds``), and races the policy pool; every step of every
-chain is ``pick_from_cdf``'s draw. Callers reach these functions through
-this module's attributes (``_accel.markov_path``), so a wrapper set on an
-attribute sees every call.
+``markov_paths``, the one chain walker, walks a block of chains in lock
+step over the inverse-CDF bounds of each row's support (``draw_bounds``).
+It races the policy pool; its one-chain view ``markov_path`` walks each
+phase of an episode and the target stream. Callers reach these through
+this module's attributes, so a wrapper set on an attribute sees every call.
 """
 
 from __future__ import annotations
@@ -211,33 +209,6 @@ def mpe_power_iteration(rows, f_shifted, pin, tol, max_iter):
         return log_power_iteration(rows, f_shifted, pin, tol, max_iter)
 
 
-def pick_from_cdf(cdf: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw; always lands on an index with positive mass."""
-    n = cdf.shape[0]
-    j = int(np.searchsorted(cdf, u, side="right"))  # smallest j with cdf[j] > u
-    if j >= n:  # u fell in the rounding gap above cdf[-1]
-        j = n - 1
-        while j > 0 and cdf[j] <= cdf[j - 1]:
-            j -= 1
-    return j
-
-
-def markov_path(cdf_rows, start, uniforms):
-    """Walk a chain given per-row CDFs and pre-drawn uniforms.
-
-    Returns the visited states as int64, length ``len(uniforms) + 1``,
-    beginning with ``start``.
-    """
-    t_steps = uniforms.shape[0]
-    states = np.empty(t_steps + 1, dtype=np.int64)
-    x = int(start)
-    states[0] = x
-    for t in range(t_steps):
-        x = pick_from_cdf(cdf_rows[x], uniforms[t])
-        states[t + 1] = x
-    return states
-
-
 def draw_bounds(slots: np.ndarray) -> np.ndarray:
     """Inverse-CDF bounds of rows stored as zero-padded slot weights
     (..., W), each row's support in column order.
@@ -245,9 +216,9 @@ def draw_bounds(slots: np.ndarray) -> np.ndarray:
     The bounds are the running sums, which equal the dense row's CDF at
     the support's columns bit for bit, with every entry from the row's
     last positive-mass slot on (the first to reach the row total) set to
-    +inf. The count of bounds <= u is then ``pick_from_cdf``'s slot for u
-    in [0, 1), rounding gap included: a u at or above the row total lands
-    on the last slot that adds mass.
+    +inf. The count of bounds <= u in [0, 1) is then the slot of the first
+    column whose CDF exceeds u or, for a u in the rounding gap above the row
+    total, of the last slot that adds mass: always a slot with mass.
     """
     bounds = np.cumsum(slots, axis=-1)
     bounds[bounds >= bounds[..., -1:]] = np.inf
@@ -260,10 +231,12 @@ def markov_paths(bounds, columns, start, uniforms):
     ``bounds[b, x]`` are chain b's ``draw_bounds`` for row x, and
     ``columns[x, s]`` is the state of slot s of row x. Returns the visited
     states as int64, shape (chains, steps + 1), each row beginning with
-    ``start``; row b is ``markov_path`` on chain b's dense CDFs.
+    ``start``. Raises IndexError when ``start`` is not a state.
     """
     chains, t_steps = uniforms.shape
     n, width = columns.shape
+    if not 0 <= start < n:
+        raise IndexError(f"state index {start} out of range for n={n}")
     # flat row and slot indices: ``take`` on them is the cheapest gather
     row_bounds = np.ascontiguousarray(bounds).reshape(chains * n, width)
     slot_columns = columns.ravel()
@@ -276,3 +249,10 @@ def markov_paths(bounds, columns, start, uniforms):
         below = row_bounds.take(first_row + x, axis=0) <= step_uniforms[t]
         path[t + 1] = slot_columns.take(x * width + np.add.reduce(below, axis=1, dtype=np.intp))
     return np.ascontiguousarray(path.T)
+
+
+def markov_path(table, start, uniforms):
+    """``markov_paths`` for one chain with ``(bounds, columns)`` ``table``
+    (``chains.draw_table``) and 1-D ``uniforms``; returns its one path."""
+    bounds, columns = table
+    return markov_paths(bounds[np.newaxis], columns, start, uniforms[np.newaxis])[0]

@@ -21,9 +21,10 @@ is the library's only stationarity solve. Each kernel's pattern is
 labelled into strongly connected components once.
 
 All containers are immutable after construction (the backing arrays are
-marked read-only), so they can be shared freely across threads. Sampling
-takes an explicit ``numpy.random.Generator`` owned by the caller; there
-is no hidden global randomness.
+marked read-only), so they can be shared freely across threads. Next
+states are drawn by ``_accel.markov_paths`` from a kernel's memoized
+``draw_table``, with uniforms from the caller's ``numpy.random.Generator``;
+there is no hidden global randomness.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import splu
 
-from ._accel import pick_from_cdf
+from ._accel import draw_bounds
 from .errors import DimensionMismatchError, NotUnichainError
 
 ROW_SUM_TOL = 1e-9
@@ -61,8 +62,9 @@ class FrozenArrays:
 
     def __setstate__(self, state):
         for name, value in state.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for arr in value if isinstance(value, tuple) else (value,):  # memos are tuples
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
             object.__setattr__(self, name, value)
 
 
@@ -403,13 +405,62 @@ def invariant_distribution(P: StochasticMatrix) -> Distribution:
     return Distribution(pi / pi.sum())
 
 
-def sample_next(P: StochasticMatrix, x: int, rng: np.random.Generator) -> int:
-    """Draw the next state from row x by inverse-CDF sampling.
+class _SupportLayout:
+    """Where a support pattern's entries sit: entry i of the row-major
+    list of the pattern's nonzeros is column ``col[i]`` of row ``row[i]``
+    and the ``slot[i]``-th entry of that row; ``width`` is the widest row
+    support, and ``columns[x, s]`` is the column of slot s of row x."""
 
-    Deterministic given the generator state; the returned index always has
-    positive probability under row x.
-    """
-    if not 0 <= x < P.n:
-        raise IndexError(f"state index {x} out of range for n={P.n}")
-    cdf = np.cumsum(P.rows[x])
-    return pick_from_cdf(cdf, rng.random())
+    def __init__(self, pattern: np.ndarray):
+        self.n = pattern.shape[0]
+        self.row, self.col = np.nonzero(pattern)
+        counts = np.bincount(self.row, minlength=self.n)
+        self.slot = np.arange(self.row.size) - (np.cumsum(counts) - counts)[self.row]
+        self.width = int(counts.max())
+        self.columns = np.zeros((self.n, self.width), dtype=np.intp)
+        self.columns[self.row, self.slot] = self.col
+
+    def slots(self, weights: np.ndarray) -> np.ndarray:
+        """Stacked entries (K, m) as zero-padded per-row slots (K, n, width)."""
+        out = np.zeros((weights.shape[0], self.n, self.width))
+        out[:, self.row, self.slot] = weights
+        return out
+
+    def dense(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write stacked entries (..., m) into ``out`` as dense kernels (..., n, n)."""
+        out.fill(0.0)
+        out[..., self.row, self.col] = weights
+        return out
+
+    def draw(self, rng: np.random.Generator, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fill the stacked ``kernels`` with rows that are flat Dirichlet
+        draws over the pattern's row supports; return their entries (K, m)
+        and a mask of the kernels whose positive pattern is the pattern.
+
+        Bit for bit the rows of ``rng.dirichlet(np.ones(k))`` called row by
+        row: numpy's alpha = 1 Dirichlet takes k standard exponentials, sums
+        them left to right and multiplies each by the reciprocal of the sum.
+        """
+        count = kernels.shape[0]
+        slots = self.slots(rng.standard_exponential(count * self.row.size).reshape(count, -1))
+        total = slots[:, :, 0].copy()
+        for j in range(1, self.width):  # padding zeros leave the sum exact
+            total += slots[:, :, j]
+        slots *= (1.0 / total)[:, :, np.newaxis]
+        weights = slots[:, self.row, self.slot]
+        self.dense(weights, kernels)
+        return weights, (weights > 0).all(axis=1)
+
+
+def draw_table(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(bounds, columns)`` of P for ``_accel.markov_path``: row x's
+    support in column order is ``columns[x]``, and ``bounds[x]`` its
+    ``draw_bounds``, equal to the dense row's CDF at those columns bit for
+    bit. Read-only, and memoized on the (immutable) kernel."""
+    cached = getattr(P, "_draw_table_cache", None)
+    if cached is None:
+        layout = _SupportLayout(P.rows > 0)
+        bounds = draw_bounds(layout.slots(P.rows[None, layout.row, layout.col]))[0]
+        cached = (frozen_copy(bounds), frozen_copy(layout.columns, np.intp))
+        object.__setattr__(P, "_draw_table_cache", cached)
+    return cached

@@ -13,8 +13,9 @@ draw with the passive's positive pattern is unichain by structure, so
 the sampler accepts it without a stationarity solve. The pool is kept
 stacked over the passive's nonzeros (``PolicyPool``): it is drawn,
 checked and priced in blocks, holds every row's inverse-CDF bounds once
-for all runs, and is raced in blocks of walks stepped together; a dense
-``KlPolicy`` is built only for a policy that is asked for.
+for all runs, and is raced in blocks of walks stepped together by
+``_accel.markov_paths``, the walker that also moves the agent and the
+target; a dense ``KlPolicy`` is built only for a policy that is asked for.
 
 ``ExperimentSpec`` describes the whole replicated experiment, from the
 graph to the run count, pool size and base seed; the CLI's JSON config
@@ -36,6 +37,7 @@ from .chains import (
     CostFunction,
     FrozenArrays,
     StochasticMatrix,
+    _SupportLayout,
     check_stochastic_rows,
     frozen_copy,
     has_single_closed_class,
@@ -154,53 +156,6 @@ def best_in_hindsight(
     the steady-state optimum over all stationary unichain policies."""
     fmat = _cost_matrix(costs)
     return optimal_policy(passive, CostFunction(fmat.mean(axis=0)), settings)
-
-
-class _SupportLayout:
-    """Where a support pattern's entries sit: entry i of the row-major
-    list of the pattern's nonzeros is column ``col[i]`` of row ``row[i]``
-    and the ``slot[i]``-th entry of that row; ``width`` is the widest row
-    support, and ``columns[x, s]`` is the column of slot s of row x."""
-
-    def __init__(self, pattern: np.ndarray):
-        self.n = pattern.shape[0]
-        self.row, self.col = np.nonzero(pattern)
-        counts = np.bincount(self.row, minlength=self.n)
-        self.slot = np.arange(self.row.size) - (np.cumsum(counts) - counts)[self.row]
-        self.width = int(counts.max())
-        self.columns = np.zeros((self.n, self.width), dtype=np.intp)
-        self.columns[self.row, self.slot] = self.col
-
-    def slots(self, weights: np.ndarray) -> np.ndarray:
-        """Stacked entries (K, m) as zero-padded per-row slots (K, n, width)."""
-        out = np.zeros((weights.shape[0], self.n, self.width))
-        out[:, self.row, self.slot] = weights
-        return out
-
-    def dense(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write stacked entries (..., m) into ``out`` as dense kernels (..., n, n)."""
-        out.fill(0.0)
-        out[..., self.row, self.col] = weights
-        return out
-
-    def draw(self, rng: np.random.Generator, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fill the stacked ``kernels`` with rows that are flat Dirichlet
-        draws over the pattern's row supports; return their entries (K, m)
-        and a mask of the kernels whose positive pattern is the pattern.
-
-        Bit for bit the rows of ``rng.dirichlet(np.ones(k))`` called row by
-        row: numpy's alpha = 1 Dirichlet takes k standard exponentials, sums
-        them left to right and multiplies each by the reciprocal of the sum.
-        """
-        count = kernels.shape[0]
-        slots = self.slots(rng.standard_exponential(count * self.row.size).reshape(count, -1))
-        total = slots[:, :, 0].copy()
-        for j in range(1, self.width):  # padding zeros leave the sum exact
-            total += slots[:, :, j]
-        slots *= (1.0 / total)[:, :, np.newaxis]
-        weights = slots[:, self.row, self.slot]
-        self.dense(weights, kernels)
-        return weights, (weights > 0).all(axis=1)
 
 
 class PolicyPool(collections.abc.Sequence):
@@ -327,7 +282,6 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
 
 def pool_best_realized_cost(
     pool: Sequence[KlPolicy],
-    passive: StochasticMatrix,
     costs: Sequence[CostFunction],
     start: int,
     seed: int,
@@ -543,14 +497,13 @@ def run_experiment(
 
     pool_regret = None
     if spec.pool_size > 0:
-        passive = spec.passive()
         shared_pool = sample_policy_pool(
-            passive, spec.pool_size, split_seed(spec.base_seed, _POOL_STREAM)
+            spec.passive(), spec.pool_size, split_seed(spec.base_seed, _POOL_STREAM)
         )
         rows = []
         for (_, costs, _), run_seed, trace in zip(outcomes, seeds, traces):
             _, comparator_cost = pool_best_realized_cost(
-                shared_pool, passive, costs, spec.start, split_seed(run_seed, _POOL_SIM_STREAM)
+                shared_pool, costs, spec.start, split_seed(run_seed, _POOL_SIM_STREAM)
             )
             rows.append(trace.cumulative - comparator_cost)
         pool_regret = np.stack(rows)

@@ -7,6 +7,10 @@ resulting twisted kernel is frozen for the whole phase. Costs revealed
 mid-phase accumulate in a buffer that is merged only when the phase
 closes, so the policy never peeks at the current phase.
 
+``advance`` plays a run of costs inside one phase, walking it in one go
+from the phase policy's ``draw_table``. ``step`` is ``advance`` on a
+one-cost run, and ``run_episode`` calls it once per phase.
+
 The environment is oblivious by construction: a cost stream exposes only
 ``next() -> CostFunction`` and never receives states or actions.
 """
@@ -15,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .chains import CostFunction, FrozenArrays, StochasticMatrix, frozen_copy, sample_next
+from . import _accel
+from .chains import CostFunction, FrozenArrays, StochasticMatrix, draw_table, frozen_copy
 from .errors import DimensionMismatchError
 from .policy import KlPolicy, optimal_policy
 from .spectral import SolverSettings
@@ -195,39 +200,53 @@ def begin_phase(state: StrategyState) -> StrategyState:
     )
 
 
+def advance(
+    state: StrategyState, costs: Sequence[CostFunction], rng: np.random.Generator
+) -> tuple[StrategyState, np.ndarray, np.ndarray, np.ndarray]:
+    """Play a run of revealed costs, one per step, inside the current phase.
+
+    Each cost must fit the chain and, when enforced, the cost cap. The run
+    is walked with one ``rng.random(k)``, the same doubles as k
+    ``rng.random()`` calls. Step t pays f_t and the control cost at the
+    state occupied when the policy was applied; f_t joins the phase buffer
+    in step order, so it shapes later phases only. A run that completes
+    the phase solves the next. Returns the new state and, per step, the
+    state occupied, its state cost and its control cost.
+    """
+    phase_length = state.schedule.phase_length(state.current_phase)
+    left = phase_length - state.phase_step
+    if not 1 <= len(costs) <= left:
+        raise ValueError(f"a run of {len(costs)} costs does not fit the {left} steps left")
+    phase_cost_sum = state.phase_cost_sum
+    for f_t in costs:
+        if f_t.n != state.passive.n:
+            raise DimensionMismatchError(f"cost has {f_t.n} states, chain has {state.passive.n}")
+        if state.enforce_cost_cap and f_t.max() > state.cost_cap + 1e-12:
+            raise ValueError(
+                f"state cost peaks at {f_t.max()}, above the admissible cap {state.cost_cap}; "
+                "construct the strategy with enforce_cost_cap=False to override"
+            )
+        phase_cost_sum = phase_cost_sum + f_t.values
+    table = draw_table(state.policy.kernel)
+    path = _accel.markov_path(table, state.current_state, rng.random(len(costs)))
+    visited = path[:-1]
+    state_costs = np.array([f_t.values[x] for f_t, x in zip(costs, visited)])
+    control_costs = state.policy.control_cost[visited]
+    state = replace(state, current_state=int(path[-1]), phase_step=state.phase_step + len(costs),
+                    phase_cost_sum=phase_cost_sum)
+    if state.phase_step == phase_length:
+        state = begin_phase(state)
+    return state, visited, state_costs, control_costs
+
+
 def step(
     state: StrategyState, f_t: CostFunction, rng: np.random.Generator
 ) -> tuple[StrategyState, StepRecord]:
-    """Charge the revealed cost at the current state, then transition.
-
-    The realized cost pairs f_t with the state occupied when the policy
-    was applied; the cost itself only influences policies of later phases.
-    Closing step of a phase triggers the next phase's solve.
-    """
-    if f_t.n != state.passive.n:
-        raise DimensionMismatchError(f"cost has {f_t.n} states, chain has {state.passive.n}")
-    if state.enforce_cost_cap and f_t.max() > state.cost_cap + 1e-12:
-        raise ValueError(
-            f"state cost peaks at {f_t.max()}, above the admissible cap "
-            f"{state.cost_cap}; construct the strategy with enforce_cost_cap=False to override"
-        )
-    x = state.current_state
-    record = StepRecord(
-        phase=state.current_phase,
-        state=x,
-        state_cost=float(f_t.values[x]),
-        control_cost=float(state.policy.control_cost[x]),
-    )
-    next_state = sample_next(state.policy.kernel, x, rng)
-    state = replace(
-        state,
-        current_state=next_state,
-        phase_step=state.phase_step + 1,
-        phase_cost_sum=state.phase_cost_sum + f_t.values,
-    )
-    if state.phase_step == state.schedule.phase_length(state.current_phase):
-        state = begin_phase(state)
-    return state, record
+    """Charge the revealed cost at the current state, then transition:
+    ``advance`` on a one-cost run."""
+    phase = state.current_phase
+    state, visited, state_costs, control_costs = advance(state, [f_t], rng)
+    return state, StepRecord(phase, int(visited[0]), float(state_costs[0]), float(control_costs[0]))
 
 
 @dataclass(frozen=True)
@@ -256,7 +275,9 @@ class RunTrace(FrozenArrays):
         return self.states.shape[0]
 
     def phase_of_step(self, t: int) -> int:
-        """1-based phase number acting at step index t."""
+        """1-based phase number acting at step index t in [0, horizon)."""
+        if not 0 <= t < self.horizon:
+            raise IndexError(f"step {t} out of range for horizon {self.horizon}")
         return int(np.searchsorted(self.phase_boundaries, t, side="right"))
 
     def step_phases(self) -> np.ndarray:
@@ -286,25 +307,17 @@ def run_episode(
         passive, schedule, start, settings, cost_cap=cost_cap, enforce_cost_cap=enforce_cost_cap
     )
     rng = np.random.default_rng(seed)
-    states = np.empty(horizon, dtype=np.int64)
-    state_costs = np.empty(horizon)
-    control_costs = np.empty(horizon)
-    boundaries = [0]
-    previous_phase = state.current_phase
-    for t in range(horizon):
-        f_t = env.next()
-        state, record = step(state, f_t, rng)
-        states[t] = record.state
-        state_costs[t] = record.state_cost
-        control_costs[t] = record.control_cost
-        if state.current_phase != previous_phase:
-            previous_phase = state.current_phase
-            if t + 1 < horizon:
-                boundaries.append(t + 1)
+    # the schedule stops once it covers the horizon: only the last phase is cut
+    boundaries = np.concatenate(([0], schedule.tau_cum[:-1]))
+    runs = []
+    for length in np.diff(boundaries, append=horizon):
+        state, *run = advance(state, [env.next() for _ in range(length)], rng)
+        runs.append(run)
+    states, state_costs, control_costs = (np.concatenate(part) for part in zip(*runs))
     return RunTrace(
         states=states,
         state_costs=state_costs,
         control_costs=control_costs,
         cumulative=np.cumsum(state_costs + control_costs),
-        phase_boundaries=np.array(boundaries, dtype=np.int64),
+        phase_boundaries=boundaries,
     )

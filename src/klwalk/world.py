@@ -6,7 +6,8 @@ column, which keeps the kernel irreducible, aperiodic and strictly
 Dobrushin-contractive. The tracked target walks the same graph with its
 own (randomly sampled) kernel; its whole trajectory is simulated before
 the agent ever moves, so the resulting cost sequence cannot depend on the
-agent's behaviour.
+agent's behaviour. It is one ``_accel.markov_path`` walk over the target
+kernel's ``draw_table``, the walker and draw that move the agent too.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import _accel
-from .chains import CostFunction, StochasticMatrix
+from .chains import CostFunction, StochasticMatrix, draw_table
 from .errors import GraphError
 
 _KERNEL_STREAM = 0x6B65726E  # distinct child-stream tags for one env seed
@@ -184,8 +185,8 @@ class TrackingEnv:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         rng = np.random.default_rng([self.seed, _PATH_STREAM])
-        cdf = np.cumsum(self.target_kernel.rows, axis=1)
-        positions = _accel.markov_path(cdf, self.target_state, rng.random(horizon - 1))
+        table = draw_table(self.target_kernel)
+        positions = _accel.markov_path(table, self.target_state, rng.random(horizon - 1))
         return ReplayCostStream([tracking_cost(self, int(s)) for s in positions])
 
 

@@ -28,17 +28,17 @@ from klwalk import (
     grid_graph,
     invariant_distribution,
     kl_divergence,
-    sample_next,
     span_seminorm,
     total_variation,
 )
 from klwalk import chains
-from klwalk._accel import markov_path
+from klwalk._accel import markov_path, markov_paths
 from klwalk.chains import (
     INVARIANT_RESIDUAL_TOL,
     _component_periods,
     _pattern_graph,
     _scc_labels,
+    draw_table,
     has_single_closed_class,
 )
 
@@ -589,34 +589,66 @@ def lstsq_invariant_distribution(rows: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def draw_next(P, x, rng):
+    """One next-state draw from row x, as the online strategy makes it:
+    the walker over the kernel's draw table, one uniform."""
+    return int(markov_path(draw_table(P), x, rng.random(1))[1])
+
+
 class TestSampleNext:
     def test_point_mass(self):
         p = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
         for seed in (0, 1, 99):
-            assert sample_next(p, 0, np.random.default_rng(seed)) == 1
+            assert draw_next(p, 0, np.random.default_rng(seed)) == 1
 
     def test_determinism(self):
         p = StochasticMatrix([[0.25, 0.75], [0.6, 0.4]])
-        a = [sample_next(p, 0, np.random.default_rng(42)) for _ in range(5)]
-        b = [sample_next(p, 0, np.random.default_rng(42)) for _ in range(5)]
+        a = [draw_next(p, 0, np.random.default_rng(42)) for _ in range(5)]
+        b = [draw_next(p, 0, np.random.default_rng(42)) for _ in range(5)]
         assert a == b
 
     def test_out_of_range(self):
         p = StochasticMatrix([[1.0]])
-        with pytest.raises(IndexError):
-            sample_next(p, 3, np.random.default_rng(0))
+        for x in (3, -1):
+            with pytest.raises(IndexError):
+                draw_next(p, x, np.random.default_rng(0))
+            with pytest.raises(IndexError):  # also before any step is taken
+                markov_path(draw_table(p), x, np.empty(0))
 
     def test_never_lands_off_support(self, rng):
         row = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
         p = StochasticMatrix([row] * 5)
-        draws = {sample_next(p, 0, np.random.default_rng(s)) for s in range(200)}
+        draws = {draw_next(p, 0, np.random.default_rng(s)) for s in range(200)}
         assert draws <= {1, 3}
 
     def test_law_of_large_numbers(self):
-        # frequencies over 1e6 draws from the row (0.25, 0.75)
-        rows = np.array([[0.25, 0.75], [0.25, 0.75]])
-        cdf = np.cumsum(rows, axis=1)
-        u = np.random.default_rng(7).random(10**6)
-        states = markov_path(cdf, 0, u)
-        freq = np.bincount(states[1:], minlength=2) / 10**6
+        # frequencies over 1e6 draws from the row (0.25, 0.75): 1000 walks
+        # of 1000 steps, walked in lock step
+        bounds, columns = draw_table(StochasticMatrix([[0.25, 0.75], [0.25, 0.75]]))
+        u = np.random.default_rng(7).random(10**6).reshape(1000, 1000)
+        states = markov_paths(np.broadcast_to(bounds, (1000, *bounds.shape)), columns, 0, u)
+        freq = np.bincount(states[:, 1:].ravel(), minlength=2) / 10**6
         np.testing.assert_allclose(freq, [0.25, 0.75], atol=0.005)
+
+
+class TestDrawTable:
+    def test_bounds_are_the_dense_cdf_on_the_support(self, rng):
+        rows = rng.dirichlet(np.ones(6), size=6) * (rng.random((6, 6)) < 0.6)
+        rows[:, 0] += 1e-3
+        p = StochasticMatrix.renormalized(rows)
+        bounds, columns = draw_table(p)
+        cdf = np.cumsum(p.rows, axis=1)
+        for x in range(p.n):
+            support = np.flatnonzero(p.rows[x] > 0)
+            assert columns[x, :support.size].tolist() == support.tolist()
+            finite = np.isfinite(bounds[x])
+            assert np.array_equal(bounds[x, finite], cdf[x, support][:finite.sum()])
+
+    def test_memoized_read_only_and_frozen_across_pickle(self):
+        p = StochasticMatrix([[0.25, 0.75], [0.6, 0.4]])
+        table = draw_table(p)
+        assert draw_table(p) is table
+        restored = draw_table(pickle.loads(pickle.dumps(p)))
+        for arr, back in zip(table, restored):
+            assert not arr.flags.writeable and not back.flags.writeable
+            assert np.array_equal(arr, back)

@@ -434,17 +434,45 @@ class TestCmdPlot:
         assert "href" not in svg and "script" not in svg
 
 
-def test_benchmark_trace_points_resolve(monkeypatch):
-    # the benchmark's tracer wraps these (module, attribute) names; each must
-    # still exist for the per-layer metrics to mean anything
+def load_benchmark_spans(monkeypatch):
+    """The benchmark's tracer module, ``perfbench/spans.py``."""
     spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_trace_points_resolve(monkeypatch):
+    # the benchmark's tracer wraps these (module, attribute) names; each must
+    # still exist for the per-layer metrics to mean anything
+    spans = load_benchmark_spans(monkeypatch)
     assert spans.PATCH_POINTS
     for module_name, attr, _ in spans.PATCH_POINTS:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attr)
+
+
+def test_benchmark_tracer_reads_a_traced_track_run(tmp_path, monkeypatch):
+    # the wrappers must also read the arguments of the calls they see
+    spans = load_benchmark_spans(monkeypatch)
+    from klwalk import _accel
+
+    walker = _accel.markov_path
+    cfg = write(tmp_path / "c.json", json.dumps(SMOKE_CONFIG))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("cli.main"):
+            assert main(["track", "--config", cfg, "--output-dir", str(tmp_path / "out"),
+                         "--workers", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    assert _accel.markov_path is walker
+    metrics = spans.layer_metrics(tracer.spans, ops=1)
+    assert all(math.isfinite(value) for value, _ in metrics.values())
+    assert metrics["accel.markov_path.calls"][0] > 0
+    assert metrics["accel.markov_path.steps"][0] > 0

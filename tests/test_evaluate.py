@@ -36,11 +36,16 @@ from klwalk import (
     summarize,
 )
 from klwalk import _accel, evaluate
-from klwalk._accel import markov_path, pick_from_cdf
-from klwalk.chains import dobrushin_coefficient
+from klwalk.chains import dobrushin_coefficient, draw_table
 from klwalk.policy import KlPolicy
 
-from conftest import random_cost, random_ergodic_kernel, run_within
+from conftest import (
+    dense_markov_path,
+    pick_from_cdf,
+    random_cost,
+    random_ergodic_kernel,
+    run_within,
+)
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 TWO_STATE_COST = CostFunction([0.0, math.log(2)])
@@ -267,8 +272,7 @@ def reference_race(pool, costs, start, seed):
     best_index, best_per_step, best_total = None, None, math.inf
     for i, candidate in enumerate(pool):
         rng = np.random.default_rng(split_seed(seed, i))
-        cdf = np.cumsum(candidate.kernel.rows, axis=1)
-        states = markov_path(cdf, start, rng.random(horizon - 1))
+        states = dense_markov_path(candidate.kernel.rows, start, rng.random(horizon - 1))
         per_step = fmat[steps, states] + candidate.control_cost[states]
         total = float(per_step.sum())
         if total < best_total:
@@ -324,9 +328,10 @@ class TestVectorizedPick:
         pool = evaluate.PolicyPool.packed([KlPolicy(kernel=kernel, control_cost=np.zeros(12))])
         uniforms = np.random.default_rng(5).random((3, 500))
         got = _accel.markov_paths(np.repeat(pool.bounds, 3, axis=0), pool.layout.columns, 4, uniforms)
-        cdf = np.cumsum(kernel.rows, axis=1)
         for walk, u in zip(got, uniforms):
-            assert np.array_equal(walk, markov_path(cdf, 4, u))
+            want = dense_markov_path(kernel.rows, 4, u)
+            assert np.array_equal(walk, want)
+            assert np.array_equal(_accel.markov_path(draw_table(kernel), 4, u), want)
 
     def test_horizon_one_has_no_uniforms(self):
         kernel = crafted_pick_kernel()
@@ -354,7 +359,7 @@ class TestPoolRaceOracle:
         for horizon, start, seed in ((40, 0, 3), (1, 1, 4)):
             costs = make_costs(passive.n, horizon)
             want_index, want_trace = reference_race(pool, costs, start, seed)
-            best, trace = pool_best_realized_cost(pool, passive, costs, start, seed)
+            best, trace = pool_best_realized_cost(pool, costs, start, seed)
             assert best is pool[want_index]
             assert np.array_equal(trace, want_trace)
 
@@ -366,7 +371,7 @@ class TestPoolRaceOracle:
         pool = [passive_policy(passive)] + sampled[:40] + [passive_policy(passive)] + sampled[40:]
         for costs in (make_costs(passive.n, 30), [CostFunction(np.zeros(passive.n))] * 30):
             want_index, want_trace = reference_race(pool, costs, 0, 9)
-            best, trace = pool_best_realized_cost(pool, passive, costs, 0, 9)
+            best, trace = pool_best_realized_cost(pool, costs, 0, 9)
             assert best is pool[want_index]
             assert np.array_equal(trace, want_trace)
         assert want_index == 0  # the zero-cost tie between the two passives
@@ -377,7 +382,7 @@ class TestPoolBestRealizedCost:
         p = random_ergodic_kernel(rng, 3)
         pool = [passive_policy(p)] + list(sample_policy_pool(p, 4, seed=9))
         costs = [CostFunction(np.zeros(3))] * 10
-        best, trace = pool_best_realized_cost(pool, p, costs, start=0, seed=3)
+        best, trace = pool_best_realized_cost(pool, costs, start=0, seed=3)
         assert best is pool[0]
         np.testing.assert_array_equal(trace, 0.0)
 
@@ -386,14 +391,14 @@ class TestPoolBestRealizedCost:
         p = random_ergodic_kernel(rng, 3)
         pool = [passive_policy(p), passive_policy(p)]
         costs = [CostFunction(np.zeros(3))] * 8
-        best, _ = pool_best_realized_cost(pool, p, costs, start=0, seed=6)
+        best, _ = pool_best_realized_cost(pool, costs, start=0, seed=6)
         assert best is pool[0]
 
     def test_singleton_pool(self, rng):
         p = random_ergodic_kernel(rng, 3)
         pool = sample_policy_pool(p, 1, seed=4)
         costs = [random_cost(rng, 3) for _ in range(5)]
-        best, trace = pool_best_realized_cost(pool, p, costs, start=0, seed=3)
+        best, trace = pool_best_realized_cost(pool, costs, start=0, seed=3)
         assert best is pool[0]
         assert trace.shape == (5,)
         assert np.all(np.diff(trace) >= -1e-12)
@@ -406,10 +411,10 @@ class TestPoolBestRealizedCost:
         env = make_tracking_env(spec_graph, seed=31)
         costs = env.stream(60).costs
         pool = sample_policy_pool(p, 100, seed=17)
-        best, best_trace = pool_best_realized_cost(pool, p, costs, start=0, seed=23)
+        best, best_trace = pool_best_realized_cost(pool, costs, start=0, seed=23)
         totals = []
         for i, pol in enumerate(pool):
-            _, tr = pool_best_realized_cost([pol], p, costs, start=0,
+            _, tr = pool_best_realized_cost([pol], costs, start=0,
                                             seed=split_seed(23, i))
             totals.append(tr[-1])
         # the winner's realized total is at or below the pool median

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from klwalk import (
     CostFunction,
     ReplayCostStream,
     StochasticMatrix,
+    advance,
     begin_phase,
+    build_passive,
+    grid_graph,
     kernel_sup_distance,
     make_schedule,
     run_episode,
@@ -15,7 +19,7 @@ from klwalk import (
     step,
 )
 
-from conftest import random_ergodic_kernel
+from conftest import pick_from_cdf, random_ergodic_kernel
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 
@@ -28,6 +32,46 @@ class ConstantStream:
 
     def next(self):
         return self._f
+
+
+def reference_episode(passive, costs, epsilon, start, seed):
+    """The phased strategy one step at a time: a scalar ``pick_from_cdf``
+    draw on the dense CDF of the acting row, and the strategy state
+    replaced at every step. Returns the ``RunTrace`` fields as a dict."""
+    horizon = len(costs)
+    state = start_strategy(passive, make_schedule(epsilon, horizon), start,
+                           enforce_cost_cap=False)
+    rng = np.random.default_rng(seed)
+    states, state_costs, control_costs, boundaries = [], [], [], [0]
+    for t, f_t in enumerate(costs):
+        x = state.current_state
+        states.append(x)
+        state_costs.append(float(f_t.values[x]))
+        control_costs.append(float(state.policy.control_cost[x]))
+        next_state = pick_from_cdf(np.cumsum(state.policy.kernel.rows[x]), rng.random())
+        state = replace(state, current_state=next_state, phase_step=state.phase_step + 1,
+                        phase_cost_sum=state.phase_cost_sum + f_t.values)
+        if state.phase_step == state.schedule.phase_length(state.current_phase):
+            state = begin_phase(state)
+            if t + 1 < horizon:
+                boundaries.append(t + 1)
+    state_costs, control_costs = np.array(state_costs), np.array(control_costs)
+    return {
+        "states": np.array(states, dtype=np.int64),
+        "state_costs": state_costs,
+        "control_costs": control_costs,
+        "cumulative": np.cumsum(state_costs + control_costs),
+        "phase_boundaries": np.array(boundaries, dtype=np.int64),
+    }
+
+
+def sparse_ergodic_kernel(rng, n):
+    """Random rows with about half their entries zero, kept primitive by a
+    cycle through every state and one self-loop."""
+    rows = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    rows[np.arange(n), (np.arange(n) + 1) % n] += 0.3
+    rows[0, 0] += 0.3
+    return StochasticMatrix.renormalized(rows)
 
 
 class TestMakeSchedule:
@@ -216,6 +260,15 @@ class TestRunEpisode:
         with pytest.raises(RuntimeError):
             run_episode(TWO_STATE, stream, horizon=5, epsilon=0.05, start=0, seed=0)
 
+    def test_phase_of_step_rejects_steps_outside_the_trace(self):
+        trace = run_episode(TWO_STATE, ConstantStream([0, 0]), horizon=5, epsilon=0.05,
+                            start=0, seed=2)
+        assert trace.phase_boundaries.tolist() == [0, 1, 3]
+        assert [trace.phase_of_step(t) for t in range(5)] == [1, 2, 2, 3, 3]
+        for t in (-1, 5, 99):
+            with pytest.raises(IndexError):
+                trace.phase_of_step(t)
+
     def test_phase_of_step(self, rng):
         p = random_ergodic_kernel(rng, 3)
         trace = run_episode(p, ConstantStream([0, 0, 0]), horizon=20, epsilon=0.05,
@@ -229,3 +282,58 @@ class TestRunEpisode:
                 assert trace.phase_of_step(t) == m
                 t += 1
         assert trace.step_phases().tolist() == [trace.phase_of_step(t) for t in range(20)]
+
+
+# horizons with epsilon 0.05: phases end at steps 1, 3, 5, ..., 54, 57, 60,
+# so horizons 1, 3 and 57 end on a phase boundary, and 2, 4, 58 and 59
+# cut their last phase short
+ORACLE_HORIZONS = (1, 2, 3, 4, 57, 58, 59)
+ORACLE_KERNELS = {
+    "dense": lambda rng: random_ergodic_kernel(rng, 5),
+    "sparse": lambda rng: sparse_ergodic_kernel(rng, 6),
+    "grid": lambda rng: build_passive(grid_graph(3, 4), 0.01, 0.01, home=0),
+}
+
+
+class TestEpisodeOracle:
+    def test_horizons_cover_boundary_and_truncation(self):
+        tau_cum = make_schedule(0.05, 60).tau_cum.tolist()
+        assert {1, 3, 57} <= set(tau_cum) and not {2, 4, 58, 59} & set(tau_cum)
+
+    @pytest.mark.parametrize("horizon", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+    def test_run_episode_matches_step_by_step_reference(self, name, horizon):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, horizon])
+            passive = ORACLE_KERNELS[name](rng)
+            costs = [CostFunction(rng.random(passive.n)) for _ in range(horizon)]
+            got = run_episode(passive, ReplayCostStream(costs), horizon, 0.05,
+                              start=seed % passive.n, seed=seed)
+            want = reference_episode(passive, costs, 0.05, seed % passive.n, seed)
+            for field, value in want.items():
+                assert np.array_equal(getattr(got, field), value), (field, seed)
+
+    def test_step_matches_advance_over_a_phase(self, rng):
+        p = sparse_ergodic_kernel(rng, 5)
+        state = start_strategy(p, make_schedule(0.05, 100), start=2)
+        for _ in range(3):  # into phase 3, which is two steps long
+            state, _ = step(state, CostFunction(rng.random(5)), np.random.default_rng(1))
+        costs = [CostFunction(rng.random(5)) for _ in range(2)]
+        stepped, records = state, []
+        gen = np.random.default_rng(4)
+        for f_t in costs:
+            stepped, record = step(stepped, f_t, gen)
+            records.append(record)
+        run, visited, state_costs, control_costs = advance(state, costs, np.random.default_rng(4))
+        assert [r.state for r in records] == visited.tolist()
+        assert [r.state_cost for r in records] == state_costs.tolist()
+        assert [r.control_cost for r in records] == control_costs.tolist()
+        assert run.current_phase == stepped.current_phase == 4
+        assert run.current_state == stepped.current_state
+        assert np.array_equal(run.cost_sum, stepped.cost_sum)
+
+    def test_run_must_fit_the_phase(self, rng):
+        state = start_strategy(TWO_STATE, make_schedule(0.05, 100), start=0)
+        for costs in ([], [CostFunction([0.0, 0.1])] * 2):
+            with pytest.raises(ValueError):
+                advance(state, costs, np.random.default_rng(0))

@@ -15,6 +15,9 @@ from klwalk import (
     make_tracking_env,
     tracking_cost,
 )
+from klwalk.world import _PATH_STREAM
+
+from conftest import dense_markov_path
 
 
 def floyd_warshall(n, edges):
@@ -256,6 +259,17 @@ class TestTrackingEnv:
         upfront = [c.values.copy() for c in stream.costs]
         served = [stream.next().values for _ in range(20)]
         np.testing.assert_array_equal(np.stack(upfront), np.stack(served))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 300])
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 6), (1, 5)])
+    def test_stream_matches_dense_cdf_walk(self, shape, horizon):
+        # the target is the one state at distance zero from itself
+        for seed in range(3):
+            env = make_tracking_env(grid_graph(*shape), seed=seed, dirichlet_alpha=0.3)
+            positions = [int(np.flatnonzero(c.values == 0)[0]) for c in env.stream(horizon).costs]
+            uniforms = np.random.default_rng([seed, _PATH_STREAM]).random(horizon - 1)
+            want = dense_markov_path(env.target_kernel.rows, env.target_state, uniforms)
+            assert positions == want.tolist()
 
 
 class TestTrackingCost:
