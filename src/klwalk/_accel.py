@@ -12,7 +12,8 @@ positive and normal in float64 takes the power step A V instead. When
 e^{-f} or an iterate has an entry that is zero, subnormal or not finite
 in float64 (costs spanning more than about 700), the run starts again
 from V = 1 with power steps on log V, A V taken as a row-wise
-log-sum-exp. ``linear_power_iteration`` is the plain power iteration on
+log-sum-exp over P's nonzeros (``logsumexp_rows``, the library's one
+log-partition). ``linear_power_iteration`` is the plain power iteration on
 V, kept as the reference the tests hold the log domain against.
 
 ``markov_paths``, the one chain walker, walks a block of chains in lock
@@ -34,22 +35,15 @@ _TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max)
 
 
-def log_rows(rows: np.ndarray) -> np.ndarray:
-    """Entrywise log of a nonnegative matrix, -inf where the entry is 0."""
-    out = np.full(rows.shape, -np.inf)
-    np.log(rows, out=out, where=rows > 0)
-    return out
-
-
-def log_matvec(log_rows_: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of ``log_rows_ + w``, i.e. log(exp(L) @ exp(w)).
-
-    Every row is assumed to contain at least one finite entry (true for
-    the log of any stochastic matrix), so the max-shift is always finite.
-    """
-    b = log_rows_ + w[np.newaxis, :]
-    mx = b.max(axis=1)
-    return mx + np.log(np.exp(b - mx[:, np.newaxis]).sum(axis=1))
+def logsumexp_rows(layout, log_entries: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log(P e^w) row by row, for ``log_entries`` the logs of P's entries at
+    the nonzeros of ``layout`` (a ``chains._SupportLayout``). Each row is
+    shifted by its largest term and summed over a dense row with zeros
+    elsewhere, so the result is bit for bit the dense log-sum-exp."""
+    terms = log_entries + w[layout.col]
+    top = np.maximum.reduceat(terms, layout.indptr()[:-1])
+    shifted = layout.dense(np.exp(terms - top[layout.row]), np.empty((layout.n, layout.n)))
+    return top + np.log(shifted.sum(axis=1))
 
 
 def _collatz_loop(matvec, ratio, to_linear, floor, ceil, update, x, pin, tol, max_iter):
@@ -179,22 +173,24 @@ def inverse_iteration(rows, f_shifted, pin, tol, max_iter):
     return _linear_loop(rows, scale, noda_update, pin, tol, max_iter)
 
 
-def log_power_iteration(rows, f_shifted, pin, tol, max_iter):
+def log_power_iteration(rows, layout, f_shifted, pin, tol, max_iter):
     """Certified power iteration on w = log V, with log(A V) a row-wise
-    log-sum-exp. Starts from w = 0. Returns (w, lo, hi, iterations, converged).
+    log-sum-exp over the nonzeros of ``rows``, which ``layout`` locates.
+    Starts from w = 0. Returns (w, lo, hi, iterations, converged).
     """
-    log_p = log_rows(rows)
+    log_p = np.log(rows[layout.row, layout.col])
     return _collatz_loop(
-        lambda w: log_matvec(log_p, w) - f_shifted, np.subtract, math.exp, -_HUGE, _HUGE,
-        _power_update, np.zeros(rows.shape[0]), pin, tol, max_iter,
+        lambda w: logsumexp_rows(layout, log_p, w) - f_shifted, np.subtract, math.exp,
+        -_HUGE, _HUGE, _power_update, np.zeros(rows.shape[0]), pin, tol, max_iter,
     )
 
 
-def mpe_power_iteration(rows, f_shifted, pin, tol, max_iter):
+def mpe_power_iteration(rows, layout, f_shifted, pin, tol, max_iter):
     """Certified solve of the Perron eigenpair of A = e^{-f} P for a
     nonnegative shifted cost.
 
-    ``rows`` is the passive kernel and ``f_shifted`` the cost minus its
+    ``rows`` is the passive kernel, ``layout`` where its nonzeros sit
+    (``chains.support_layout``) and ``f_shifted`` the cost minus its
     minimum (so e^{-f} lies in (0, 1]). Runs the inverse iteration in the
     linear domain, and reruns with power steps in log space when the
     linear domain cannot hold e^{-f} or an iterate. Both start from V = 1
@@ -206,7 +202,7 @@ def mpe_power_iteration(rows, f_shifted, pin, tol, max_iter):
     try:
         return inverse_iteration(rows, f_shifted, pin, tol, max_iter)
     except FloatingPointError:
-        return log_power_iteration(rows, f_shifted, pin, tol, max_iter)
+        return log_power_iteration(rows, layout, f_shifted, pin, tol, max_iter)
 
 
 def draw_bounds(slots: np.ndarray) -> np.ndarray:

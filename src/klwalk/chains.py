@@ -17,8 +17,9 @@ Uniqueness of the invariant distribution is a pattern property too: a
 kernel is unichain exactly when its pattern has one closed communicating
 class. Given that, ``invariant_distribution`` certifies the law with one
 sparse LU solve of the stationarity system, held to a residual bound; it
-is the library's only stationarity solve. Each kernel's pattern is
-labelled into strongly connected components once.
+is the library's only stationarity solve. A kernel's nonzeros are found
+once, as its ``support_layout``; its pattern graph (labelled into strongly
+connected components once) and ``draw_table`` are derived from it.
 
 All containers are immutable after construction (the backing arrays are
 marked read-only), so they can be shared freely across threads. Next
@@ -29,6 +30,7 @@ there is no hidden global randomness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,6 +52,21 @@ def frozen_copy(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def memoized(build):
+    """Decorator: ``build(P)`` runs once per (immutable) object and is kept
+    on it under ``key``, so pickle carries it along."""
+    key = f"_{build.__name__}_memo"
+
+    @functools.wraps(build)
+    def memo(P):
+        if key not in P.__dict__:
+            P.__dict__[key] = build(P)
+        return P.__dict__[key]
+
+    memo.key = key
+    return memo
 
 
 class FrozenArrays:
@@ -141,12 +158,18 @@ class StochasticMatrix(FrozenArrays):
             raise ValueError("cannot renormalize a row with nonpositive total mass")
         return cls(raw / sums)
 
+    @classmethod
+    def on_layout(cls, layout: "_SupportLayout", entries: np.ndarray) -> "StochasticMatrix":
+        """The kernel with ``entries`` (m,) at ``layout``'s nonzeros; when they
+        are all positive, ``layout`` is the kernel's own ``support_layout``."""
+        kernel = cls(layout.dense(entries, np.empty((layout.n, layout.n))))
+        if entries.min() > 0:
+            kernel.__dict__[support_layout.key] = layout
+        return kernel
+
     @property
     def n(self) -> int:
         return self.rows.shape[0]
-
-    def row(self, x: int) -> np.ndarray:
-        return self.rows[x]
 
 
 @dataclass(frozen=True)
@@ -239,25 +262,12 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
     return 0.5 * worst
 
 
-def _pattern_graph(P: StochasticMatrix) -> csr_matrix:
-    """The positive pattern of P as a sparse 0/1 graph.
-
-    Built from the flat indices of the positive entries, which are already
-    in row-major (CSR) order; that is several times faster than converting
-    the dense matrix.
-    """
-    pattern = P.rows > 0
-    flat = np.flatnonzero(pattern)
-    indptr = np.concatenate([[0], np.cumsum(pattern.sum(axis=1))])
-    return csr_matrix((np.ones(flat.size, np.int8), flat % P.n, indptr), shape=pattern.shape)
-
-
-def _scc_labels(graph: csr_matrix) -> tuple[int, np.ndarray]:
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+def _scc_labels(layout: "_SupportLayout") -> tuple[int, np.ndarray]:
+    n_comp, labels = connected_components(layout.graph(), directed=True, connection="strong")
     return int(n_comp), labels
 
 
-def _component_periods(graph: csr_matrix, n_comp: int, labels: np.ndarray) -> np.ndarray:
+def _component_periods(layout: "_SupportLayout", n_comp: int, labels: np.ndarray) -> np.ndarray:
     """gcd of cycle lengths inside each strongly connected component.
 
     Levels are BFS hop distances from one root per component, over the
@@ -268,10 +278,9 @@ def _component_periods(graph: csr_matrix, n_comp: int, labels: np.ndarray) -> np
     component without an inner edge (a transient singleton) gets 0, which
     by convention fails aperiodicity.
     """
-    n = graph.shape[0]
-    src, dst = graph.nonzero()
-    inner = labels[src] == labels[dst]
-    src, dst = src[inner], dst[inner]
+    n = layout.n
+    inner = labels[layout.row] == labels[layout.col]
+    src, dst = layout.row[inner], layout.col[inner]
     roots = np.unique(labels, return_index=True)[1]
     links = np.ones(src.size + n_comp, dtype=np.int8)
     rooted = csr_matrix(
@@ -284,18 +293,16 @@ def _component_periods(graph: csr_matrix, n_comp: int, labels: np.ndarray) -> np
     return periods
 
 
-def _pattern_analysis(P: StochasticMatrix) -> tuple[csr_matrix, int, np.ndarray]:
-    """The positive pattern of P with its component count and SCC labels,
+@memoized
+def _pattern_analysis(P: StochasticMatrix) -> tuple["_SupportLayout", int, np.ndarray]:
+    """The support layout of P with its component count and SCC labels,
     memoized on the (immutable) kernel, so each kernel's pattern is
     labelled once whichever structural question is asked first."""
-    cached = getattr(P, "_pattern_cache", None)
-    if cached is None:
-        graph = _pattern_graph(P)
-        cached = (graph, *_scc_labels(graph))
-        object.__setattr__(P, "_pattern_cache", cached)
-    return cached
+    layout = support_layout(P)
+    return (layout, *_scc_labels(layout))
 
 
+@memoized
 def graph_verdict(P: StochasticMatrix) -> tuple[bool, bool]:
     """``(irreducible, aperiodic)`` for the positive pattern of P.
 
@@ -304,14 +311,8 @@ def graph_verdict(P: StochasticMatrix) -> tuple[bool, bool]:
     primitive, which is the solver's standing assumption. Memoized on the
     (immutable) kernel, like ``ergodicity_report``, which builds on it.
     """
-    cached = getattr(P, "_graph_verdict_cache", None)
-    if cached is not None:
-        return cached
-    graph, n_comp, labels = _pattern_analysis(P)
-    periods = _component_periods(graph, n_comp, labels)
-    verdict = (n_comp == 1, bool(np.all(periods == 1)))
-    object.__setattr__(P, "_graph_verdict_cache", verdict)
-    return verdict
+    layout, n_comp, labels = _pattern_analysis(P)
+    return n_comp == 1, bool(np.all(_component_periods(layout, n_comp, labels) == 1))
 
 
 def has_single_closed_class(P: StochasticMatrix) -> bool:
@@ -321,13 +322,13 @@ def has_single_closed_class(P: StochasticMatrix) -> bool:
     This is a property of the pattern alone, so every kernel with the same
     positive pattern is unichain too: it has one invariant distribution.
     """
-    graph, n_comp, labels = _pattern_analysis(P)
-    src, dst = graph.nonzero()
-    leaving = labels[src] != labels[dst]
-    open_classes = np.unique(labels[src[leaving]])
+    layout, n_comp, labels = _pattern_analysis(P)
+    leaving = labels[layout.row] != labels[layout.col]
+    open_classes = np.unique(labels[layout.row[leaving]])
     return n_comp - open_classes.size == 1
 
 
+@memoized
 def ergodicity_report(P: StochasticMatrix) -> ErgodicityReport:
     """Irreducibility, aperiodicity, Dobrushin coefficient and, when the
     kernel is ergodic, the smallest all-positive power and its minimum entry.
@@ -338,15 +339,6 @@ def ergodicity_report(P: StochasticMatrix) -> ErgodicityReport:
     primitivity bound n^2 - 2n + 2, which a primitive kernel never
     exceeds. The result is memoized on the (immutable) kernel.
     """
-    cached = getattr(P, "_ergodicity_cache", None)
-    if cached is not None:
-        return cached
-    report = _ergodicity_report_uncached(P)
-    object.__setattr__(P, "_ergodicity_cache", report)
-    return report
-
-
-def _ergodicity_report_uncached(P: StochasticMatrix) -> ErgodicityReport:
     rows = P.rows
     n = P.n
     irreducible, aperiodic = graph_verdict(P)
@@ -405,20 +397,31 @@ def invariant_distribution(P: StochasticMatrix) -> Distribution:
     return Distribution(pi / pi.sum())
 
 
-class _SupportLayout:
+class _SupportLayout(FrozenArrays):
     """Where a support pattern's entries sit: entry i of the row-major
     list of the pattern's nonzeros is column ``col[i]`` of row ``row[i]``
     and the ``slot[i]``-th entry of that row; ``width`` is the widest row
-    support, and ``columns[x, s]`` is the column of slot s of row x."""
+    support, and ``columns[x, s]`` is the column of slot s of row x (all
+    read-only)."""
 
     def __init__(self, pattern: np.ndarray):
         self.n = pattern.shape[0]
         self.row, self.col = np.nonzero(pattern)
-        counts = np.bincount(self.row, minlength=self.n)
-        self.slot = np.arange(self.row.size) - (np.cumsum(counts) - counts)[self.row]
-        self.width = int(counts.max())
+        self.slot = np.arange(self.row.size) - self.indptr()[self.row]
+        self.width = int(self.slot.max()) + 1
         self.columns = np.zeros((self.n, self.width), dtype=np.intp)
         self.columns[self.row, self.slot] = self.col
+        for arr in (self.row, self.col, self.slot, self.columns):
+            arr.setflags(write=False)
+
+    def indptr(self) -> np.ndarray:
+        """The CSR row pointer: where each row's entries start, then m."""
+        return np.searchsorted(self.row, np.arange(self.n + 1))
+
+    def graph(self) -> csr_matrix:
+        """The pattern as a sparse 0/1 graph."""
+        ones = np.ones(self.row.size, np.int8)
+        return csr_matrix((ones, self.col, self.indptr()), shape=(self.n, self.n))
 
     def slots(self, weights: np.ndarray) -> np.ndarray:
         """Stacked entries (K, m) as zero-padded per-row slots (K, n, width)."""
@@ -452,15 +455,19 @@ class _SupportLayout:
         return weights, (weights > 0).all(axis=1)
 
 
+@memoized
+def support_layout(P: StochasticMatrix) -> _SupportLayout:
+    """Where P's nonzeros sit, found once per kernel (or handed over by
+    ``StochasticMatrix.on_layout``)."""
+    return _SupportLayout(P.rows > 0)
+
+
+@memoized
 def draw_table(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
     """``(bounds, columns)`` of P for ``_accel.markov_path``: row x's
     support in column order is ``columns[x]``, and ``bounds[x]`` its
     ``draw_bounds``, equal to the dense row's CDF at those columns bit for
     bit. Read-only, and memoized on the (immutable) kernel."""
-    cached = getattr(P, "_draw_table_cache", None)
-    if cached is None:
-        layout = _SupportLayout(P.rows > 0)
-        bounds = draw_bounds(layout.slots(P.rows[None, layout.row, layout.col]))[0]
-        cached = (frozen_copy(bounds), frozen_copy(layout.columns, np.intp))
-        object.__setattr__(P, "_draw_table_cache", cached)
-    return cached
+    layout = support_layout(P)
+    bounds = draw_bounds(layout.slots(P.rows[None, layout.row, layout.col]))[0]
+    return frozen_copy(bounds), layout.columns

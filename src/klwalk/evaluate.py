@@ -42,6 +42,8 @@ from .chains import (
     frozen_copy,
     has_single_closed_class,
     invariant_distribution,
+    memoized,
+    support_layout,
 )
 from .errors import DimensionMismatchError, NotUnichainError
 from .online import RunTrace, run_episode
@@ -217,8 +219,8 @@ class PolicyPool(collections.abc.Sequence):
         i = range(len(self))[index]
         policy = self._policies[i]
         if policy is None:
-            rows = self.layout.dense(self.weights[i], np.empty((self.n, self.n)))
-            policy = KlPolicy(kernel=StochasticMatrix(rows), control_cost=self.control_cost[i])
+            kernel = StochasticMatrix.on_layout(self.layout, self.weights[i])
+            policy = KlPolicy(kernel=kernel, control_cost=self.control_cost[i])
             self._policies[i] = policy
         return policy
 
@@ -255,7 +257,7 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
             "no policy supported inside it is unichain"
         )
     rng = np.random.default_rng([seed, _POOL_STREAM])
-    layout = _SupportLayout(passive.rows > 0)
+    layout = support_layout(passive)
     passive_entries = passive.rows[layout.row, layout.col]
     # reused by every block, so block temporaries do not fragment the heap
     kernels_buf = np.empty((min(_POOL_BLOCK, pool_size), passive.n, passive.n))
@@ -268,9 +270,8 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
         if np.any(costs < 0):
             raise ValueError("control costs must be nonnegative")
         for i in np.flatnonzero(~keep):
-            kernel = StochasticMatrix(layout.dense(block[i], np.empty((passive.n, passive.n))))
             try:
-                invariant_distribution(kernel)
+                invariant_distribution(StochasticMatrix.on_layout(layout, block[i]))
             except NotUnichainError:
                 continue
             keep[i] = True
@@ -414,14 +415,11 @@ class ExperimentSpec:
             if not ok(value):
                 raise ValueError(f"{name}: {what}, got {value!r}")
 
+    @memoized
     def passive(self) -> StochasticMatrix:
         """The passive kernel, built on first use and kept on the spec, so
         every stage of a run shares it and its memoized ergodicity verdict."""
-        kernel = self.__dict__.get("_passive")
-        if kernel is None:
-            kernel = build_passive(self.graph, self.stay_prob, self.delta, self.home)
-            object.__setattr__(self, "_passive", kernel)
-        return kernel
+        return build_passive(self.graph, self.stay_prob, self.delta, self.home)
 
 
 def run_tracking_once(spec: ExperimentSpec, run_seed: int) -> tuple[RunTrace, tuple]:

@@ -4,7 +4,8 @@ A policy here is a full transition kernel; its per-state control cost is
 the KL divergence of each row against the passive row. The optimal policy
 for a state cost f is the passive kernel reweighted by e^{-h_f} and
 renormalized (the "twisted" kernel), which this module builds in log
-space so that the passive support is preserved exactly.
+space on the passive's nonzeros, so that it shares the passive's support
+(and, unless an entry underflows to zero, its ``support_layout``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .chains import (
     frozen_copy,
     invariant_distribution,
     span_seminorm,
+    support_layout,
 )
 from .errors import DimensionMismatchError, NotErgodicError
 from .spectral import MpeSolution, SolverSettings, solve_mpe
@@ -108,29 +110,32 @@ def rows_kl_at(a: np.ndarray, b: np.ndarray, row, col, out: np.ndarray) -> np.nd
 def twisted_kernel(passive: StochasticMatrix, phi) -> KlPolicy:
     """Reweight each passive row by e^{-phi} and renormalize.
 
-    Computed in log space; a constant phi is short-circuited to the
-    passive kernel itself (the normalization provably cancels constants,
-    and the shortcut keeps that identity exact). The support of every
-    output row equals the support of the matching passive row, so the
-    control cost is always finite; it is evaluated through the closed form
-    -E_row[phi] - log(P e^{-phi}) rather than generic summation.
+    Computed in log space on the passive's nonzeros; a constant phi is
+    short-circuited to the passive kernel itself (the normalization
+    provably cancels constants, and the shortcut keeps that identity
+    exact). The support of every output row lies inside the support of the
+    matching passive row, so the control cost is always finite; it is
+    evaluated through the closed form -E_row[phi] - log(P e^{-phi}) rather
+    than generic summation.
     """
+    return _twist(passive, phi)[0]
+
+
+def _twist(passive: StochasticMatrix, phi) -> tuple[KlPolicy, np.ndarray]:
+    """``twisted_kernel(passive, phi)`` and its normalizer log(P e^{-phi})."""
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (passive.n,):
         raise DimensionMismatchError(f"phi has shape {phi.shape}, expected ({passive.n},)")
     if not np.all(np.isfinite(phi)):
         raise ValueError("twisting function must be finite")
+    layout = support_layout(passive)
+    log_p = np.log(passive.rows[layout.row, layout.col])
+    log_z = _accel.logsumexp_rows(layout, log_p, -phi)
     if span_seminorm(phi) == 0.0:
-        return KlPolicy(
-            kernel=passive,
-            control_cost=np.zeros(passive.n),
-            source_h=phi,
-        )
-    log_passive = _accel.log_rows(passive.rows)
-    log_z = _accel.log_matvec(log_passive, -phi)
-    rows = np.exp(log_passive - phi[np.newaxis, :] - log_z[:, np.newaxis])
-    control = np.maximum(-(rows @ phi) - log_z, 0.0)
-    return KlPolicy(kernel=StochasticMatrix(rows), control_cost=control, source_h=phi)
+        return KlPolicy(kernel=passive, control_cost=np.zeros(passive.n), source_h=phi), log_z
+    kernel = StochasticMatrix.on_layout(layout, np.exp(log_p - phi[layout.col] - log_z[layout.row]))
+    control = np.maximum(-(kernel.rows @ phi) - log_z, 0.0)
+    return KlPolicy(kernel=kernel, control_cost=control, source_h=phi), log_z
 
 
 def twisted_pair_kl(passive: StochasticMatrix, phi_a, phi_b) -> np.ndarray:
@@ -141,15 +146,13 @@ def twisted_pair_kl(passive: StochasticMatrix, phi_a, phi_b) -> np.ndarray:
     summation over the kernels agrees and serves as a cross-check in
     tests.
     """
-    pa = twisted_kernel(passive, phi_a)
-    phi_a = np.asarray(phi_a, dtype=np.float64)
+    pa, log_za = _twist(passive, phi_a)
     phi_b = np.asarray(phi_b, dtype=np.float64)
     if phi_b.shape != (passive.n,):
         raise DimensionMismatchError(f"phi_b has shape {phi_b.shape}, expected ({passive.n},)")
-    log_passive = _accel.log_rows(passive.rows)
-    log_za = _accel.log_matvec(log_passive, -phi_a)
-    log_zb = _accel.log_matvec(log_passive, -phi_b)
-    diff = pa.kernel.rows @ (phi_b - phi_a)
+    layout = support_layout(passive)
+    log_zb = _accel.logsumexp_rows(layout, np.log(passive.rows[layout.row, layout.col]), -phi_b)
+    diff = pa.kernel.rows @ (phi_b - pa.source_h)
     return np.maximum(diff + log_zb - log_za, 0.0)
 
 
@@ -216,8 +219,8 @@ def bound_constants(passive: StochasticMatrix, cost_cap: float = 1.0) -> BoundCo
     alpha = report.dobrushin
     if not alpha < 1.0:
         raise NotErgodicError(f"Dobrushin coefficient must be < 1, got {alpha}")
-    rows = passive.rows
-    p_star = min(float(row[row > 0].min()) for row in rows)
+    layout = support_layout(passive)
+    p_star = float(passive.rows[layout.row, layout.col].min())
     return BoundConstants(
         k0=cost_cap + math.log(1.0 / p_star),
         k1=math.log(1.0 / report.theta) + report.nbar * cost_cap,

@@ -22,9 +22,10 @@ span.
 The standing assumption, an irreducible and aperiodic P, is checked on the
 positive pattern alone (``chains.graph_verdict``); the Dobrushin
 coefficient and the other bound constants are never computed here.
-``acoe_residual`` checks a solution independently in log-sum-exp form,
-and ``eigen_oracle`` recomputes the same eigenpair by repeated squaring
-and exists purely to cross-examine the solver in tests.
+``acoe_residual`` checks a solution independently in log-sum-exp form
+over the passive's nonzeros (``_accel.logsumexp_rows``), and
+``eigen_oracle`` recomputes the same eigenpair by repeated squaring and
+exists purely to cross-examine the solver in tests.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from . import _accel
 from .chains import CostFunction, FrozenArrays, StochasticMatrix, frozen_copy, graph_verdict
+from .chains import support_layout
 from .chains import ergodicity_report  # noqa: F401  (public name; tracers patch it here)
 from .errors import ConvergenceError, DimensionMismatchError, NotErgodicError
 
@@ -150,8 +152,8 @@ def solve_mpe(
     fv = f.values
     base = float(fv.min())
     w, lo, hi, iterations, converged = _accel.mpe_power_iteration(
-        passive.rows, fv - base, settings.pin_index, settings.tolerance,
-        settings.max_iterations,
+        passive.rows, support_layout(passive), fv - base, settings.pin_index,
+        settings.tolerance, settings.max_iterations,
     )
     scale = math.exp(-base)
     bracket = (lo * scale, hi * scale)
@@ -176,8 +178,9 @@ def acoe_residual(passive: StochasticMatrix, f: CostFunction, sol: MpeSolution) 
     """
     if f.n != passive.n or sol.h.shape[0] != passive.n:
         raise DimensionMismatchError("passive, cost and solution dimensions disagree")
-    log_lambda_h = _accel.log_matvec(_accel.log_rows(passive.rows), -sol.h)
-    return float(np.abs(sol.h + sol.lam - f.values + log_lambda_h).max())
+    layout = support_layout(passive)
+    log_z = _accel.logsumexp_rows(layout, np.log(passive.rows[layout.row, layout.col]), -sol.h)
+    return float(np.abs(sol.h + sol.lam - f.values + log_z).max())
 
 
 def eigen_oracle(passive: StochasticMatrix, f: CostFunction) -> tuple[float, np.ndarray]:

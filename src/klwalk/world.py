@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import _accel
-from .chains import CostFunction, StochasticMatrix, draw_table
+from .chains import CostFunction, StochasticMatrix, draw_table, memoized
 from .errors import GraphError
 
 _KERNEL_STREAM = 0x6B65726E  # distinct child-stream tags for one env seed
@@ -40,6 +40,9 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 1:
             raise GraphError(f"graph needs at least one vertex, got n={n}")
+        edges = list(edges)
+        if len(edges) < n - 1:  # before any per-vertex state, so a huge n fails at once
+            raise GraphError(f"graph is disconnected: {len(edges)} edges cannot join {n} vertices")
         seen = set()
         normalized = []
         neighbours = [set() for _ in range(n)]
@@ -64,15 +67,12 @@ class Graph:
             raise GraphError("graph is disconnected")
         return graph
 
+    @memoized
     def _adjacency_csr(self) -> csr_matrix:
         """Each edge once, as a CSR matrix for csgraph's undirected
         searches; built on first use and kept on the (immutable) graph."""
-        cached = self.__dict__.get("_adjacency_csr_cache")
-        if cached is None:
-            u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
-            cached = csr_matrix((np.ones(u.shape[0]), (u, v)), shape=(self.n, self.n))
-            object.__setattr__(self, "_adjacency_csr_cache", cached)
-        return cached
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        return csr_matrix((np.ones(u.shape[0]), (u, v)), shape=(self.n, self.n))
 
     def degree(self, x: int) -> int:
         return len(self.adjacency[x])

@@ -1,9 +1,11 @@
+import math
 import threading
 
 import numpy as np
 import pytest
 
-from klwalk import CostFunction, StochasticMatrix
+from klwalk import CostFunction, StochasticMatrix, build_passive, grid_graph
+from klwalk import _accel
 
 
 def random_ergodic_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:
@@ -36,6 +38,56 @@ def dense_markov_path(rows: np.ndarray, start: int, uniforms: np.ndarray) -> np.
     for u in uniforms:
         states.append(pick_from_cdf(cdf[states[-1]], u))
     return np.array(states, dtype=np.int64)
+
+
+def dense_log_rows(rows: np.ndarray) -> np.ndarray:
+    """Entrywise log of a nonnegative matrix, -inf where the entry is 0."""
+    out = np.full(rows.shape, -np.inf)
+    np.log(rows, out=out, where=rows > 0)
+    return out
+
+
+def dense_log_matvec(log_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of ``log_rows + w`` over dense n x n rows: the
+    oracle of the library's log-sum-exp over a kernel's entries."""
+    b = log_rows + w[np.newaxis, :]
+    mx = b.max(axis=1)
+    return mx + np.log(np.exp(b - mx[:, np.newaxis]).sum(axis=1))
+
+
+def dense_twist(passive_rows: np.ndarray, phi: np.ndarray):
+    """The twisted kernel of a non-constant ``phi`` over dense rows:
+    ``(rows, control_cost)``, the oracle of ``twisted_kernel``."""
+    log_p = dense_log_rows(passive_rows)
+    log_z = dense_log_matvec(log_p, -phi)
+    rows = np.exp(log_p - phi[np.newaxis, :] - log_z[:, np.newaxis])
+    return rows, np.maximum(-(rows @ phi) - log_z, 0.0)
+
+
+def dense_log_power_iteration(rows, f_shifted, pin, tol, max_iter):
+    """``_accel.log_power_iteration`` with its log-sum-exp over dense rows."""
+    log_p = dense_log_rows(rows)
+    return _accel._collatz_loop(
+        lambda w: dense_log_matvec(log_p, w) - f_shifted, np.subtract, math.exp,
+        -_accel._HUGE, _accel._HUGE, _accel._power_update, np.zeros(rows.shape[0]),
+        pin, tol, max_iter,
+    )
+
+
+def half_zero_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:
+    """About half the entries zero, kept primitive by a cycle and one self-loop."""
+    rows = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.4)
+    rows[np.arange(n), (np.arange(n) + 1) % n] += 0.3
+    rows[0, 0] += 0.3
+    return StochasticMatrix.renormalized(rows)
+
+
+# the kernels the sparse log-domain paths are held to their dense oracles on
+ORACLE_KERNELS = {
+    "dense-12": lambda: random_ergodic_kernel(np.random.default_rng(31), 12),
+    "half-zero-12": lambda: half_zero_kernel(np.random.default_rng(32), 12),
+    "grid-10x10": lambda: build_passive(grid_graph(10, 10), 0.01, 0.01, home=0),
+}
 
 
 def run_within(seconds: float, fn, *args):

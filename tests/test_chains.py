@@ -36,10 +36,10 @@ from klwalk._accel import markov_path, markov_paths
 from klwalk.chains import (
     INVARIANT_RESIDUAL_TOL,
     _component_periods,
-    _pattern_graph,
     _scc_labels,
     draw_table,
     has_single_closed_class,
+    support_layout,
 )
 
 from conftest import random_ergodic_kernel, run_within
@@ -445,10 +445,10 @@ class TestGraphVerdict:
     @settings(max_examples=100, deadline=None)
     def test_component_periods_match_bfs(self, p):
         pattern = p.rows > 0
-        graph = _pattern_graph(p)
-        np.testing.assert_array_equal(graph.toarray(), pattern)
-        n_comp, labels = _scc_labels(graph)
-        periods = _component_periods(graph, n_comp, labels)
+        layout = support_layout(p)
+        np.testing.assert_array_equal(layout.graph().toarray(), pattern)
+        n_comp, labels = _scc_labels(layout)
+        periods = _component_periods(layout, n_comp, labels)
         for comp in range(n_comp):
             members = np.flatnonzero(labels == comp)
             assert periods[comp] == bfs_component_period(pattern, members)
@@ -459,10 +459,10 @@ class TestGraphVerdict:
         coords = np.array([(r, c) for r in range(side) for c in range(side)])
         adjacent = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2) == 1
         p = StochasticMatrix.renormalized(adjacent.astype(float))
-        graph = _pattern_graph(p)
-        n_comp, labels = _scc_labels(graph)
+        layout = support_layout(p)
+        n_comp, labels = _scc_labels(layout)
         assert n_comp == 1
-        assert _component_periods(graph, n_comp, labels).tolist() == [2]
+        assert _component_periods(layout, n_comp, labels).tolist() == [2]
         assert bfs_component_period(p.rows > 0, np.arange(p.n)) == 2
         assert graph_verdict(p) == (True, False)
 

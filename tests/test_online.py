@@ -14,10 +14,12 @@ from klwalk import (
     grid_graph,
     kernel_sup_distance,
     make_schedule,
+    make_tracking_env,
     run_episode,
     start_strategy,
     step,
 )
+from klwalk import chains
 
 from conftest import pick_from_cdf, random_ergodic_kernel
 
@@ -190,6 +192,24 @@ class TestStep:
 
 
 class TestRunEpisode:
+    def test_one_support_layout_per_episode(self, monkeypatch):
+        # every phase policy is the passive twisted on its nonzeros, so the
+        # passive's layout is found once and shared by every phase's walk
+        graph = grid_graph(10, 10)
+        stream = make_tracking_env(graph, seed=4).stream(300)
+        built = []
+        init = chains._SupportLayout.__init__
+
+        def counting_init(layout, pattern):
+            built.append(pattern.shape)
+            init(layout, pattern)
+
+        monkeypatch.setattr(chains._SupportLayout, "__init__", counting_init)
+        passive = build_passive(graph, 0.01, 0.01, home=0)
+        trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
+        assert trace.phase_boundaries.size > 20
+        assert built == [(100, 100)]
+
     def test_zero_costs_zero_cumulative(self, rng):
         p = random_ergodic_kernel(rng, 3)
         trace = run_episode(p, ConstantStream([0, 0, 0]), horizon=50, epsilon=0.05,

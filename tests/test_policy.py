@@ -6,6 +6,9 @@ import pytest
 from klwalk import (
     CostFunction,
     NotErgodicError,
+    bfs_distances,
+    build_passive,
+    grid_graph,
     NotUnichainError,
     StochasticMatrix,
     bound_constants,
@@ -24,7 +27,18 @@ from klwalk import (
     twisted_pair_kl,
 )
 
-from conftest import random_cost, random_ergodic_kernel
+from klwalk._accel import markov_path
+from klwalk.chains import draw_table, support_layout
+
+from conftest import (
+    ORACLE_KERNELS,
+    dense_log_matvec,
+    dense_log_rows,
+    dense_markov_path,
+    dense_twist,
+    random_cost,
+    random_ergodic_kernel,
+)
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 TWO_STATE_COST = CostFunction([0.0, math.log(2)])
@@ -106,6 +120,52 @@ class TestTwistedKernelBounds:
             p = random_ergodic_kernel(rng, n)
             pol = twisted_kernel(p, rng.normal(size=n))
             assert dobrushin_coefficient(pol.kernel) < 1.0
+
+
+class TestSparseTwistMatchesDense:
+    """The twisted kernel and its log-partition run over the passive's
+    nonzeros; each result equals the dense n x n computation bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+    def test_rows_control_cost_and_pair_kl(self, name):
+        passive = ORACLE_KERNELS[name]()
+        phi, psi = np.random.default_rng(7).normal(size=(2, passive.n)) * 3
+        pol = twisted_kernel(passive, phi)
+        rows, control = dense_twist(passive.rows, phi)
+        assert np.array_equal(pol.kernel.rows, rows)
+        assert np.array_equal(pol.control_cost, control)
+        assert support_layout(pol.kernel) is support_layout(passive)
+        log_p = dense_log_rows(passive.rows)
+        # a constant phi_a twists to the passive kernel itself
+        for phi_a, rows_a in ((phi, rows), (np.full(passive.n, 2.5), passive.rows)):
+            log_za, log_zb = (dense_log_matvec(log_p, -phi_a), dense_log_matvec(log_p, -psi))
+            want = np.maximum(rows_a @ (psi - phi_a) + log_zb - log_za, 0.0)
+            assert np.array_equal(twisted_pair_kl(passive, phi_a, psi), want)
+
+    def test_shared_layout_gives_the_kernels_own_draw_table(self):
+        passive = ORACLE_KERNELS["grid-10x10"]()
+        pol = twisted_kernel(passive, np.random.default_rng(8).normal(size=passive.n))
+        own = draw_table(StochasticMatrix(pol.kernel.rows))
+        for shared, fresh in zip(draw_table(pol.kernel), own):
+            assert np.array_equal(shared, fresh)
+
+    def test_underflowed_entries_leave_the_passive_layout(self):
+        # span 800 > 745: staying far from home loses to the teleport by
+        # e^-800, which is 0 in float64
+        graph = grid_graph(10, 10)
+        passive = build_passive(graph, 0.01, 0.01, home=0)
+        dist, diameter = bfs_distances(graph)
+        phi = 800.0 * dist[0] / diameter
+        pol = twisted_kernel(passive, phi)
+        rows, control = dense_twist(passive.rows, phi)
+        assert np.array_equal(pol.kernel.rows, rows)
+        assert np.array_equal(pol.control_cost, control)
+        assert np.count_nonzero(rows) < np.count_nonzero(passive.rows)
+        assert support_layout(pol.kernel) is not support_layout(passive)
+        uniforms = np.random.default_rng(9).random(2000)
+        for start in (0, 55, 99):
+            got = markov_path(draw_table(pol.kernel), start, uniforms)
+            assert np.array_equal(got, dense_markov_path(rows, start, uniforms))
 
 
 class TestStateActionCost:

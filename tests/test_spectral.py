@@ -22,8 +22,16 @@ from klwalk import (
     span_seminorm,
 )
 from klwalk import _accel
+from klwalk.chains import support_layout
 
-from conftest import random_cost, random_ergodic_kernel
+from conftest import (
+    ORACLE_KERNELS,
+    dense_log_matvec,
+    dense_log_power_iteration,
+    dense_log_rows,
+    random_cost,
+    random_ergodic_kernel,
+)
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 TWO_STATE_COST = CostFunction([0.0, math.log(2)])
@@ -131,8 +139,8 @@ class TestDomains:
         f = random_cost(rng, n, cap=3.0).values
         fs = f - f.min()
         pin = int(rng.integers(n))
-        runs = [path(p.rows, fs, pin, 1e-12, 100_000)
-                for path in (_accel.linear_power_iteration, _accel.log_power_iteration)]
+        runs = [_accel.linear_power_iteration(p.rows, fs, pin, 1e-12, 100_000),
+                _accel.log_power_iteration(p.rows, support_layout(p), fs, pin, 1e-12, 100_000)]
         (w_lin, lo_lin, hi_lin, _, ok_lin), (w_log, lo_log, hi_log, _, ok_log) = runs
         assert ok_lin and ok_log
         lam_lin = -math.log(0.5 * (lo_lin + hi_lin))
@@ -178,6 +186,27 @@ class TestDomains:
                 sol.v
 
 
+class TestSparseLogDomainMatchesDense:
+    """The log-domain iteration and the residual check take their
+    log-sum-exp over the kernel's entries, bit for bit the dense one."""
+
+    @pytest.mark.parametrize("span", [3.0, 800.0])
+    @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+    def test_log_power_iteration_and_acoe_residual(self, name, span):
+        passive = ORACLE_KERNELS[name]()
+        f = CostFunction(np.random.default_rng(6).random(passive.n) * span)
+        fs = f.values - f.values.min()
+        got = _accel.log_power_iteration(passive.rows, support_layout(passive), fs, 0, 1e-12,
+                                         100_000)
+        want = dense_log_power_iteration(passive.rows, fs, 0, 1e-12, 100_000)
+        assert got[4] and np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        sol = solve_mpe(passive, f)
+        log_z = dense_log_matvec(dense_log_rows(passive.rows), -sol.h)
+        assert acoe_residual(passive, f, sol) == float(
+            np.abs(sol.h + sol.lam - f.values + log_z).max()
+        )
+
+
 def grid_phase_problem():
     """10x10 grid passive and a phase cost: the mean normalized distance to
     a few target positions. Power iteration takes 570+ steps here."""
@@ -198,8 +227,8 @@ class TestInverseIteration:
         fs = f - f.min()
         pin = int(rng.integers(n))
         tol = 1e-12
-        runs = [path(p.rows, fs, pin, tol, 100_000)
-                for path in (_accel.inverse_iteration, _accel.log_power_iteration)]
+        runs = [_accel.inverse_iteration(p.rows, fs, pin, tol, 100_000),
+                _accel.log_power_iteration(p.rows, support_layout(p), fs, pin, tol, 100_000)]
         (w_inv, lo_inv, hi_inv, _, ok_inv), (w_log, lo_log, hi_log, _, ok_log) = runs
         assert ok_inv and ok_log
         assert hi_inv - lo_inv <= tol
@@ -268,8 +297,9 @@ class TestInverseIteration:
                 sigma = np.diag(m) + np.diag(a)
                 np.testing.assert_allclose(sigma, sigma[0], rtol=0, atol=1e-15)
                 assert sigma[0] >= hi
+            layout = support_layout(StochasticMatrix(rows))
             w_log, lo_log, hi_log, _, _ = _accel.log_power_iteration(
-                rows, fs - fs.min(), 0, 1e-12, 1_000_000
+                rows, layout, fs - fs.min(), 0, 1e-12, 1_000_000
             )
             np.testing.assert_allclose(w, w_log, rtol=0, atol=1e-9)
 

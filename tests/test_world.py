@@ -85,6 +85,14 @@ class TestLoadGraph:
         with pytest.raises(GraphError, match="disconnected"):
             load_graph("0 1\n2 3")
 
+    def test_too_few_edges_fail_before_any_per_vertex_state(self):
+        # n - 1 edges are needed to connect n vertices; per-vertex state for
+        # 10**12 vertices would not fit in memory
+        with pytest.raises(GraphError, match="disconnected"):
+            Graph.from_edges(10**12, [(0, 1)])
+        with pytest.raises(GraphError, match="disconnected"):
+            load_graph("0 1\n0 1000000000000")
+
     def test_empty_edge_list(self):
         with pytest.raises(GraphError):
             load_graph("# nothing here\n")
