@@ -27,6 +27,11 @@ class ConvergenceError(RuntimeError):
         self.bracket = bracket
         self.iterations = iterations
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the message alone), which
+        # this constructor rejects, so a worker's error would break its pool
+        return type(self), (self.args[0], self.bracket, self.iterations)
+
 
 class ParseError(ValueError):
     """Malformed text input (CSV, JSON config, edge list)."""

@@ -3,9 +3,11 @@
 Two comparators are supported: the best stationary policy in hindsight
 (solved against the average of all revealed costs, charged at its steady
 state) and the best of a pool of randomly sampled stationary policies
-(charged at its realized cost on the shared cost sequence). Replications
-are embarrassingly parallel; each run owns its seeds, and summaries are
-reduced in run order so results are reproducible bit for bit.
+(charged at its realized cost on the shared cost sequence). Each run is
+one job that owns its seeds: it plays the episode, bills the hindsight
+comparator and races the pool, which a worker draws once from the base
+seed (``ExperimentSpec.pool``). Summaries are reduced in run order, so
+results are reproducible bit for bit for any worker count.
 
 The hindsight comparator's steady state comes from
 ``chains.invariant_distribution``. The pool needs no steady state: a
@@ -160,7 +162,7 @@ def best_in_hindsight(
     return optimal_policy(passive, CostFunction(fmat.mean(axis=0)), settings)
 
 
-class PolicyPool(collections.abc.Sequence):
+class PolicyPool(FrozenArrays, collections.abc.Sequence):
     """Stationary policies stacked over one support pattern.
 
     ``weights[i]`` holds policy i's transition probabilities at the
@@ -170,7 +172,7 @@ class PolicyPool(collections.abc.Sequence):
     shape (K, n, W), built once (see ``_accel.draw_bounds``), so races on
     many cost sequences share them. ``pool[i]`` builds policy i's
     ``KlPolicy`` on first access and keeps it, so ``pool[i] is pool[i]``.
-    The arrays are read-only.
+    The arrays are read-only, and stay so across pickle.
     """
 
     def __init__(self, layout: _SupportLayout, weights: np.ndarray, control_cost: np.ndarray):
@@ -421,6 +423,12 @@ class ExperimentSpec:
         every stage of a run shares it and its memoized ergodicity verdict."""
         return build_passive(self.graph, self.stay_prob, self.delta, self.home)
 
+    @memoized
+    def pool(self) -> PolicyPool:
+        """The pool every run races, drawn on first use and kept like ``passive``."""
+        return sample_policy_pool(self.passive(), self.pool_size,
+                                  split_seed(self.base_seed, _POOL_STREAM))
+
 
 def run_tracking_once(spec: ExperimentSpec, run_seed: int) -> tuple[RunTrace, tuple]:
     """One full episode against a freshly sampled target; returns the
@@ -441,11 +449,16 @@ def run_tracking_once(spec: ExperimentSpec, run_seed: int) -> tuple[RunTrace, tu
 
 
 def _tracking_worker(args: tuple) -> tuple:
+    """One run: its trace, hindsight regret and pool regret (or None)."""
     spec, run_seed = args
     trace, costs = run_tracking_once(spec, run_seed)
     comparator = best_in_hindsight(spec.passive(), costs)
     hindsight = trace.cumulative - steady_state_comparator_cost(comparator, costs)
-    return trace, costs, hindsight
+    if spec.pool_size == 0:
+        return trace, hindsight, None
+    race_seed = split_seed(run_seed, _POOL_SIM_STREAM)
+    _, comparator_cost = pool_best_realized_cost(spec.pool(), costs, spec.start, race_seed)
+    return trace, hindsight, trace.cumulative - comparator_cost
 
 
 @dataclass(frozen=True)
@@ -472,11 +485,11 @@ def run_experiment(
 
     Run i draws its environment and agent streams from
     ``split_seed(spec.base_seed, i)``, or from ``seeds[i]`` when given.
-    With ``spec.pool_size > 0`` a single policy pool (seeded from the base
-    seed, shared by all runs) is additionally raced against each run's
-    cost sequence. ``workers`` bounds the number of parallel replication
-    processes; the reduction is in run order either way, so output does
-    not depend on the worker count.
+    Each run is one job (``_tracking_worker``); with ``spec.pool_size > 0``
+    the job also races the shared ``spec.pool()`` on the run's costs.
+    ``workers`` bounds the number of processes, each handed one chunk of
+    runs, so each unpickles the spec and draws the pool once. The
+    reduction is in run order, so output does not depend on the workers.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -485,33 +498,20 @@ def run_experiment(
     elif len(seeds) != spec.runs:
         raise ValueError(f"got {len(seeds)} explicit seeds for {spec.runs} runs")
     jobs = [(spec, int(s)) for s in seeds]
-    if workers > 1 and spec.runs > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, spec.runs)) as pool_exec:
-            outcomes = list(pool_exec.map(_tracking_worker, jobs))
+    workers = min(workers, spec.runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
+            chunk = -(-spec.runs // workers)
+            outcomes = list(pool_exec.map(_tracking_worker, jobs, chunksize=chunk))
     else:
         outcomes = [_tracking_worker(job) for job in jobs]
-    traces = tuple(out[0] for out in outcomes)
-    hindsight = np.stack([out[2] for out in outcomes])
-
-    pool_regret = None
-    if spec.pool_size > 0:
-        shared_pool = sample_policy_pool(
-            spec.passive(), spec.pool_size, split_seed(spec.base_seed, _POOL_STREAM)
-        )
-        rows = []
-        for (_, costs, _), run_seed, trace in zip(outcomes, seeds, traces):
-            _, comparator_cost = pool_best_realized_cost(
-                shared_pool, costs, spec.start, split_seed(run_seed, _POOL_SIM_STREAM)
-            )
-            rows.append(trace.cumulative - comparator_cost)
-        pool_regret = np.stack(rows)
-
+    traces, hindsight, pool_rows = zip(*outcomes)
     return ExperimentResult(
         spec=spec,
         seeds=tuple(int(s) for s in seeds),
         traces=traces,
-        hindsight_regret=hindsight,
-        pool_regret=pool_regret,
+        hindsight_regret=np.stack(hindsight),
+        pool_regret=np.stack(pool_rows) if spec.pool_size > 0 else None,
     )
 
 

@@ -210,7 +210,9 @@ def advance(
     ``rng.random()`` calls. Step t pays f_t and the control cost at the
     state occupied when the policy was applied; f_t joins the phase buffer
     in step order, so it shapes later phases only. A run that completes
-    the phase solves the next. Returns the new state and, per step, the
+    the phase solves the next while the horizon has steps left; the last
+    phase is not followed by a solve, and a run past the horizon raises
+    the run-length ValueError. Returns the new state and, per step, the
     state occupied, its state cost and its control cost.
     """
     phase_length = state.schedule.phase_length(state.current_phase)
@@ -234,7 +236,8 @@ def advance(
     control_costs = state.policy.control_cost[visited]
     state = replace(state, current_state=int(path[-1]), phase_step=state.phase_step + len(costs),
                     phase_cost_sum=phase_cost_sum)
-    if state.phase_step == phase_length:
+    played = state.steps_seen + state.phase_step
+    if state.phase_step == phase_length and played < state.schedule.horizon:
         state = begin_phase(state)
     return state, visited, state_costs, control_costs
 

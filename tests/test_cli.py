@@ -476,3 +476,6 @@ def test_benchmark_tracer_reads_a_traced_track_run(tmp_path, monkeypatch):
     assert all(math.isfinite(value) for value, _ in metrics.values())
     assert metrics["accel.markov_path.calls"][0] > 0
     assert metrics["accel.markov_path.steps"][0] > 0
+    # the pool is drawn and raced inside the run's job, which the tracer still sees
+    assert metrics["evaluate.sample_policy_pool.share"][0] > 0
+    assert metrics["evaluate.pool_race.share"][0] > 0

@@ -1,4 +1,9 @@
+import collections
 import math
+import multiprocessing
+import os
+import pickle
+import time
 import warnings
 from dataclasses import replace
 
@@ -255,6 +260,18 @@ class TestSamplePolicyPool:
             assert not arr.flags.writeable
         with pytest.raises(AttributeError):
             pool.weights = None
+
+    def test_read_only_across_pickle(self, rng):
+        pool = sample_policy_pool(random_ergodic_kernel(rng, 4), 3, seed=5)
+        restored = pickle.loads(pickle.dumps(pool))
+        for name in ("weights", "control_cost", "bounds"):
+            arr = getattr(restored, name)
+            assert np.array_equal(arr, getattr(pool, name)) and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            restored.weights[0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            restored.weights = None
+        assert np.array_equal(restored[2].kernel.rows, pool[2].kernel.rows)
 
     def test_mean_control_cost_positive(self, rng):
         p = random_ergodic_kernel(rng, 5)
@@ -542,6 +559,33 @@ class TestMonteCarlo:
         b = run_experiment(spec, workers=2)
         np.testing.assert_array_equal(a.hindsight_regret, b.hindsight_regret)
         np.testing.assert_array_equal(a.pool_regret, b.pool_regret)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched functions reach the workers by fork")
+    def test_workers_draw_and_race_the_pool(self, tmp_path, monkeypatch):
+        spec = replace(self.spec(runs=3, base_seed=5), pool_size=5)
+        want = run_experiment(replace(spec), workers=1)  # a copy: the pool is kept on it
+        parent, log = os.getpid(), tmp_path / "calls.log"
+
+        def workers_only(name, real, pause):
+            def wrapper(*args):
+                if os.getpid() == parent:
+                    raise AssertionError(f"{name} ran in the parent")
+                with open(log, "a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                time.sleep(pause)  # holds this worker, so the other takes its own chunk
+                return real(*args)
+            return wrapper
+
+        for name, pause in (("sample_policy_pool", 0.2), ("pool_best_realized_cost", 0.0)):
+            monkeypatch.setattr(evaluate, name, workers_only(name, getattr(evaluate, name), pause))
+        got = run_experiment(spec, workers=2)
+        calls = collections.Counter(log.read_text().splitlines())
+        draws = [n for call, n in calls.items() if call.startswith("sample_policy_pool")]
+        assert draws and max(draws) == 1
+        assert sum(n for call, n in calls.items() if call.startswith("pool_best")) == 3
+        np.testing.assert_array_equal(got.hindsight_regret, want.hindsight_regret)
+        np.testing.assert_array_equal(got.pool_regret, want.pool_regret)
 
     def test_traces_from_workers_stay_read_only(self):
         spec = replace(self.SPEC, horizon=5, runs=2)

@@ -19,7 +19,7 @@ from klwalk import (
     start_strategy,
     step,
 )
-from klwalk import chains
+from klwalk import chains, online
 
 from conftest import pick_from_cdf, random_ergodic_kernel
 
@@ -209,6 +209,25 @@ class TestRunEpisode:
         trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
         assert trace.phase_boundaries.size > 20
         assert built == [(100, 100)]
+
+    @pytest.mark.parametrize("horizon, solves", [(57, 23), (58, 24)])
+    def test_one_solve_per_phase_in_the_horizon(self, monkeypatch, horizon, solves):
+        # T=57 ends on the boundary of phase 23; T=58 starts phase 24
+        calls = []
+        real = online.optimal_policy
+        monkeypatch.setattr(online, "optimal_policy",
+                            lambda *args: calls.append(1) or real(*args))
+        passive = build_passive(grid_graph(3, 3), 0.01, 0.01, home=0)
+        stream = make_tracking_env(grid_graph(3, 3), seed=2).stream(horizon)
+        trace = run_episode(passive, stream, horizon=horizon, epsilon=0.05, start=0, seed=1)
+        assert trace.phase_boundaries.size == solves and len(calls) == solves
+
+    def test_run_past_the_horizon_rejected(self):
+        state = start_strategy(TWO_STATE, make_schedule(0.05, 3), start=0)
+        state, *_ = advance(state, [CostFunction([0.0, 0.1])], np.random.default_rng(0))
+        state, *_ = advance(state, [CostFunction([0.0, 0.1])] * 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="does not fit the 0 steps left"):
+            advance(state, [CostFunction([0.0, 0.1])], np.random.default_rng(0))
 
     def test_zero_costs_zero_cumulative(self, rng):
         p = random_ergodic_kernel(rng, 3)

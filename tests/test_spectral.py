@@ -1,5 +1,7 @@
 import math
+import pickle
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -100,6 +102,21 @@ class TestSolveMpe:
         assert err.iterations == 1
         lo, hi = err.bracket
         assert lo <= 0.75 <= hi
+
+    def test_convergence_error_survives_pickle(self):
+        err = pickle.loads(pickle.dumps(ConvergenceError("m", bracket=(0.1, 0.2), iterations=7)))
+        assert type(err) is ConvergenceError and str(err) == "m"
+        assert err.bracket == (0.1, 0.2) and err.iterations == 7
+
+    def test_no_convergence_in_a_worker_reaches_the_caller(self):
+        # an error that does not survive pickle breaks the pool instead
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            future = pool.submit(solve_mpe, TWO_STATE, TWO_STATE_COST,
+                                 SolverSettings(max_iterations=1))
+            with pytest.raises(ConvergenceError) as exc_info:
+                future.result()
+        lo, hi = exc_info.value.bracket
+        assert lo <= 0.75 <= hi and exc_info.value.iterations == 1
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
