@@ -8,13 +8,18 @@ the rule is a parameter of the loop. ``inverse_iteration`` holds V itself,
 takes A V as a BLAS matrix-vector product and makes the next iterate by
 Noda's inverse step, a sparse LU solve of (sigma I - A) z = V with sigma
 the step's upper Collatz bound; a step whose solve fails or whose z is not
-positive and normal in float64 takes the power step A V instead. When
-e^{-f} or an iterate has an entry that is zero, subnormal or not finite
-in float64 (costs spanning more than about 700), the run starts again
-from V = 1 with power steps on log V, A V taken as a row-wise
-log-sum-exp over P's nonzeros (``logsumexp_rows``, the library's one
-log-partition). ``linear_power_iteration`` is the plain power iteration on
-V, kept as the reference the tests hold the log domain against.
+positive and normal in float64 takes the power step A V instead. The
+sparsity of sigma I - A is P's alone: it comes from P's support layout,
+built once per kernel (``_SupportLayout.shifted_pattern``), and a solve
+only fills in the values. Nothing here scans a dense kernel for its
+nonzeros; the matrix-vector product stays dense, since its BLAS sums fix
+the bits of every result. When e^{-f} or an iterate has an entry that is
+zero, subnormal or not finite in float64 (costs spanning more than about
+700), the run starts again from V = 1 with power steps on log V, A V
+taken as a row-wise log-sum-exp over P's nonzeros (``logsumexp_rows``,
+the library's one log-partition). ``linear_power_iteration`` is the plain
+power iteration on V, kept as the reference the tests hold the log
+domain against.
 
 ``markov_paths``, the one chain walker, walks a block of chains in lock
 step over the inverse-CDF bounds of each row's support (``draw_bounds``).
@@ -132,7 +137,7 @@ def linear_power_iteration(rows, f_shifted, pin, tol, max_iter):
     return _linear_loop(rows, _linear_scale(f_shifted), _power_update, pin, tol, max_iter)
 
 
-def inverse_iteration(rows, f_shifted, pin, tol, max_iter):
+def inverse_iteration(rows, layout, f_shifted, pin, tol, max_iter):
     """Certified Noda inverse iteration on V, with A = e^{-f} P.
 
     Each step takes A V = e^{-f} * (P @ V) and its Collatz bounds, exactly
@@ -140,25 +145,20 @@ def inverse_iteration(rows, f_shifted, pin, tol, max_iter):
     sigma = max (AV)(x)/V(x) > rho(A) (T. Noda, Numer. Math. 17, 1971).
     sigma I - A is then a nonsingular M-matrix with a positive inverse, so
     z is positive and the iteration converges superlinearly. The solve is
-    a sparse LU (SuperLU) over the nonzeros of P and the diagonal: it runs
-    on one thread, where a dense LAPACK LU of n >= 100 starts BLAS threads
-    that stall when processes share the cores. A step whose factorization
-    fails, or whose z has an entry that is not positive, finite and
-    normal, takes the power step instead.
+    a sparse LU (SuperLU) over the nonzeros of P and the diagonal, whose
+    CSC pattern is ``layout.shifted_pattern()``, built once per layout: it
+    runs on one thread, where a dense LAPACK LU of n >= 100 starts BLAS
+    threads that stall when processes share the cores. A step whose
+    factorization fails, or whose z has an entry that is not positive,
+    finite and normal, takes the power step instead.
 
     Starts from V = 1 and raises FloatingPointError like
     ``linear_power_iteration``. Returns (log V, lo, hi, iterations, converged).
     """
     scale = _linear_scale(f_shifted)
-    n = rows.shape[0]
-    # -A in CSC form with every diagonal entry stored; a step only rewrites
-    # the diagonal to sigma - A(x, x)
-    stored = rows.T != 0
-    stored[np.diag_indices(n)] = True
-    col, row = np.nonzero(stored)
-    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
-    shifted = sparse.csc_matrix((-scale[row] * rows[row, col], row, indptr), shape=(n, n))
-    diag = np.flatnonzero(row == col)
+    # -A on the pattern; a step only rewrites the diagonal to sigma - A(x, x)
+    row, col, indptr, diag = layout.shifted_pattern()
+    shifted = sparse.csc_matrix((-scale[row] * rows[row, col], row, indptr), shape=rows.shape)
     minus_a_diag = shifted.data[diag].copy()
 
     def noda_update(x, x_power, sigma):
@@ -200,7 +200,7 @@ def mpe_power_iteration(rows, layout, f_shifted, pin, tol, max_iter):
     the certified bracket on the dominant eigenvalue of A.
     """
     try:
-        return inverse_iteration(rows, f_shifted, pin, tol, max_iter)
+        return inverse_iteration(rows, layout, f_shifted, pin, tol, max_iter)
     except FloatingPointError:
         return log_power_iteration(rows, layout, f_shifted, pin, tol, max_iter)
 

@@ -19,7 +19,9 @@ class. Given that, ``invariant_distribution`` certifies the law with one
 sparse LU solve of the stationarity system, held to a residual bound; it
 is the library's only stationarity solve. A kernel's nonzeros are found
 once, as its ``support_layout``; its pattern graph (labelled into strongly
-connected components once) and ``draw_table`` are derived from it.
+connected components once), its ``draw_table`` and the sparsity of the
+phase solver's shifted matrix sigma I - e^{-f} P
+(``_SupportLayout.shifted_pattern``) are derived from it.
 
 All containers are immutable after construction (the backing arrays are
 marked read-only), so they can be shared freely across threads. Next
@@ -417,6 +419,16 @@ class _SupportLayout(FrozenArrays):
     def indptr(self) -> np.ndarray:
         """The CSR row pointer: where each row's entries start, then m."""
         return np.searchsorted(self.row, np.arange(self.n + 1))
+
+    @memoized
+    def shifted_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, col, indptr, diag)``: the pattern's nonzeros and every
+        diagonal entry in column-major (CSC) order, the CSC column pointer
+        and where the diagonal entries sit; the sparsity of sigma I - A for
+        A = e^{-f} P, whatever f and sigma. Memoized on the layout."""
+        keys = np.union1d(self.col * self.n + self.row, np.arange(self.n) * (self.n + 1))
+        col, row = np.divmod(keys, self.n)
+        return row, col, np.searchsorted(col, np.arange(self.n + 1)), np.flatnonzero(row == col)
 
     def graph(self) -> csr_matrix:
         """The pattern as a sparse 0/1 graph."""

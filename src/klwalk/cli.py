@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional, TextIO, get_type_hints
 
 import numpy as np
 
@@ -229,16 +229,25 @@ def read_vector_csv(path: str, expected_n: Optional[int] = None) -> np.ndarray:
     return vec
 
 
+def _open_output(path) -> TextIO:
+    """``path`` opened for writing text; a path that cannot be written is
+    a ParseError that names it."""
+    try:
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write: {exc.strerror}") from None
+
+
 def write_matrix_csv(path: Path, rows: np.ndarray):
     rows = np.atleast_2d(rows)
     line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def write_vector_csv(path: Path, vec: np.ndarray):
     line = _FLOAT_FMT + "\n"
-    with open(path, "w", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.writelines(line % v for v in np.asarray(vec).tolist())
 
 
@@ -246,16 +255,26 @@ def write_vector_csv(path: Path, vec: np.ndarray):
 # subcommands
 
 
+# each SolverSettings field and the ``solve`` flag that sets it
+_SOLVER_FLAGS = {"tolerance": "--tolerance", "max_iterations": "--max-iterations",
+                 "pin_index": "--pin"}
+
+
 def cmd_solve(args) -> int:
+    try:
+        settings = SolverSettings(
+            tolerance=args.tolerance, max_iterations=args.max_iterations, pin_index=args.pin
+        )
+    except ValueError as exc:  # each message begins with the field's name
+        raise ParseError(f"{_SOLVER_FLAGS[str(exc).split()[0]]}: {exc}") from None
     passive = read_matrix_csv(args.passive_csv)
+    if args.pin >= passive.n:
+        raise ParseError(f"--pin: state {args.pin} out of range for n={passive.n}")
     raw_cost = read_vector_csv(args.cost_csv, expected_n=passive.n)
     try:
         cost = CostFunction(raw_cost)
     except ValueError as exc:
         raise ParseError(f"{args.cost_csv}: {exc}")
-    settings = SolverSettings(
-        tolerance=args.tolerance, max_iterations=args.max_iterations, pin_index=args.pin
-    )
     sol = solve_mpe(passive, cost, settings)
     pol = twisted_kernel(passive, twisting_function(cost, sol))
     residual = acoe_residual(passive, cost, sol)
@@ -278,7 +297,7 @@ def _write_trace_csv(path: Path, trace):
     line = f"%d,%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
     columns = (np.arange(1, trace.horizon + 1), trace.states, trace.state_costs,
                trace.control_costs, trace.cumulative, trace.step_phases())
-    with open(path, "w", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.write("t,state,state_cost,control_cost,cum_cost,phase\n")
         fh.writelines(line % fields for fields in zip(*(c.tolist() for c in columns)))
 
@@ -289,7 +308,7 @@ def _write_summary_csv(path: Path, horizon: int, hindsight, pool):
     columns = (np.arange(1, horizon + 1), hindsight.mean, hindsight.stddev,
                pool.mean if pool is not None else missing,
                pool.stddev if pool is not None else missing)
-    with open(path, "w", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.write("t,mean_regret_hindsight,std_regret_hindsight,"
                  "mean_regret_pool,std_regret_pool\n")
         fh.writelines(line % fields for fields in zip(*(c.tolist() for c in columns)))
@@ -308,10 +327,15 @@ def cmd_track(args) -> int:
     if workers < 1:
         raise ParseError(f"--workers: must be a positive integer, got {workers}")
 
-    result = run_experiment(spec, workers=workers)
-
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(
+            f"{output_dir}: cannot create the output directory: {exc.strerror}"
+        ) from None
+
+    result = run_experiment(spec, workers=workers)
     for i, trace in enumerate(result.traces):
         _write_trace_csv(out_dir / f"trace_run{i:03d}.csv", trace)
     hindsight = summarize(result.hindsight_regret, result.seeds)
@@ -326,12 +350,15 @@ def cmd_track(args) -> int:
 
 
 def render_regret_svg(
-    t: np.ndarray, mean: np.ndarray, std: np.ndarray, title: str = "regret vs time"
+    t: np.ndarray, mean: np.ndarray, std: Optional[np.ndarray], title: str = "regret vs time"
 ) -> str:
+    """The mean regret as a line over a +-1 ``std`` band; no band when
+    ``std`` is None."""
     width, height = 800, 500
     ml, mr, mt, mb = 70, 20, 40, 55
-    lo = float(np.min(mean - std))
-    hi = float(np.max(mean + std))
+    spread = 0.0 if std is None else std
+    lo = float(np.min(mean - spread))
+    hi = float(np.max(mean + spread))
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
     x0, x1 = float(t[0]), float(t[-1])
@@ -347,7 +374,10 @@ def render_regret_svg(
     def pts(xs, ys):
         return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
 
-    band = pts(t, mean + std) + " " + pts(t[::-1], (mean - std)[::-1])
+    band = [] if std is None else [
+        f'<polygon points="{pts(t, mean + std)} {pts(t[::-1], (mean - std)[::-1])}" '
+        f'fill="#c8c8c8" stroke="none" opacity="0.8"/>'
+    ]
     line = pts(t, mean)
     xticks = np.linspace(x0, x1, 5)
     yticks = np.linspace(lo, hi, 5)
@@ -357,7 +387,7 @@ def render_regret_svg(
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
-        f'<polygon points="{band}" fill="#c8c8c8" stroke="none" opacity="0.8"/>',
+        *band,
         f'<polyline points="{line}" fill="none" stroke="#cc2222" stroke-width="1.5"/>',
         f'<line x1="{ml}" y1="{height - mb}" x2="{width - mr}" y2="{height - mb}" '
         f'stroke="black"/>',
@@ -420,7 +450,9 @@ def _read_summary(path: str, want_pool: bool):
         raise ParseError(f"{path}: no data rows")
     mean = np.array(mean)
     std = np.array(std)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+    if np.isnan(std).all():
+        std = None  # a summary of one run has no spread
+    if not (np.all(np.isfinite(mean)) and (std is None or np.all(np.isfinite(std)))):
         raise ParseError(f"{path}: selected columns contain non-finite values")
     return np.array(t), mean, std
 
@@ -428,8 +460,9 @@ def _read_summary(path: str, want_pool: bool):
 def cmd_plot(args) -> int:
     which = "pool" if args.pool else "best-in-hindsight"
     t, mean, std = _read_summary(args.summary_csv, want_pool=args.pool)
-    svg = render_regret_svg(t, mean, std, title=f"mean regret vs {which} (±1 stddev)")
-    with open(args.out_svg, "w", newline="\n") as fh:
+    band = "" if std is None else " (±1 stddev)"
+    svg = render_regret_svg(t, mean, std, title=f"mean regret vs {which}{band}")
+    with _open_output(args.out_svg) as fh:
         fh.write(svg + "\n")
     print(f"wrote {args.out_svg}")
     return 0

@@ -74,6 +74,18 @@ def dense_log_power_iteration(rows, f_shifted, pin, tol, max_iter):
     )
 
 
+def dense_shifted_pattern(rows: np.ndarray):
+    """The CSC pattern of sigma I - A found by scanning the dense kernel:
+    ``(row, col, indptr, diag)`` over P's nonzeros and the whole diagonal,
+    the oracle of ``_SupportLayout.shifted_pattern``."""
+    n = rows.shape[0]
+    stored = rows.T != 0
+    stored[np.diag_indices(n)] = True
+    col, row = np.nonzero(stored)
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    return row, col, indptr, np.flatnonzero(row == col)
+
+
 def half_zero_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:
     """About half the entries zero, kept primitive by a cycle and one self-loop."""
     rows = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.4)

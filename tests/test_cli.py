@@ -280,6 +280,24 @@ class TestCmdSolve:
         cost = write(tmp_path / "f.csv", "0.0\n0.5\n")
         assert main(["solve", passive, cost, "--max-iterations", "1"]) == 4
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--pin", "-1"), ("--pin", "5"), ("--tolerance", "0"), ("--tolerance", "nan"),
+        ("--max-iterations", "0"),
+    ])
+    def test_bad_solver_flag_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        passive = write(tmp_path / "p.csv", TWO_STATE_CSV)
+        cost = write(tmp_path / "f.csv", "0.0\n0.5\n")
+        assert main(["solve", passive, cost, flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("flag", ["--out-h", "--out-kernel"])
+    def test_unwritable_output_exit_2_naming_the_path(self, tmp_path, capsys, flag):
+        passive = write(tmp_path / "p.csv", TWO_STATE_CSV)
+        cost = write(tmp_path / "f.csv", "0.0\n0.5\n")
+        target = str(tmp_path / "missing" / "out.csv")
+        assert main(["solve", passive, cost, flag, target]) == 2
+        assert f"error: {target}: cannot write" in capsys.readouterr().err
+
 
 SMOKE_CONFIG = {
     "graph": {"grid": [3, 3]},
@@ -352,6 +370,18 @@ class TestCmdTrack:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_dir_that_is_a_file_exit_2_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the experiment ran before its output directory existed")
+
+        monkeypatch.setattr("klwalk.cli.run_experiment", refuse)
+        cfg = write(tmp_path / "c.json", json.dumps(SMOKE_CONFIG))
+        taken = write(tmp_path / "taken", "a file, not a directory\n")
+        assert main(["track", "--config", cfg, "--output-dir", taken, "--workers", "1"]) == 2
+        assert f"error: {taken}: cannot create the output directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
         cfg = write(tmp_path / "c.json", json.dumps(SMOKE_CONFIG))
@@ -422,6 +452,37 @@ class TestCmdPlot:
         path = write(tmp_path / "s.csv", self.summary_text([(1.0, 0.1), (3.0, 0.1)]))
         out = tmp_path / "plot.svg"
         assert main(["plot", path, str(out), "--pool"]) == 0
+
+    def test_single_run_summary_draws_the_mean_without_a_band(self, tmp_path):
+        cfg = write(tmp_path / "c.json", json.dumps(SMOKE_CONFIG))  # runs: 1
+        out = tmp_path / "out"
+        assert main(["track", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+        summary = out / "summary.csv"
+        assert summary.read_text().splitlines()[1].split(",")[2] == "nan"
+        svg_path = tmp_path / "plot.svg"
+        assert main(["plot", str(summary), str(svg_path)]) == 0
+        svg = svg_path.read_text()
+        polyline = svg.split("<polyline points=\"")[1].split("\"")[0]
+        assert len(polyline.split()) == SMOKE_CONFIG["horizon"]
+        assert "<polygon" not in svg and "stddev" not in svg
+
+    def test_partly_nan_std_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path / "s.csv", self.summary_text([(1.0, 0.5), (2.0, math.nan)]))
+        assert main(["plot", path, str(tmp_path / "x.svg")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_pool_columns_without_a_pool_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.json", json.dumps({**SMOKE_CONFIG, "pool_size": 0}))
+        out = tmp_path / "out"
+        assert main(["track", "--config", cfg, "--output-dir", str(out), "--workers", "1"]) == 0
+        assert main(["plot", str(out / "summary.csv"), str(tmp_path / "x.svg"), "--pool"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_unwritable_svg_path_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path / "s.csv", self.summary_text([(1.0, 0.5), (2.0, 0.25)]))
+        target = str(tmp_path / "missing" / "x.svg")
+        assert main(["plot", path, target]) == 2
+        assert f"error: {target}: cannot write" in capsys.readouterr().err
 
     def test_schema_mismatch_exit_code(self, tmp_path, capsys):
         path = write(tmp_path / "s.csv", "t,regret\n1,0.5\n")

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -209,6 +210,26 @@ class TestRunEpisode:
         trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
         assert trace.phase_boundaries.size > 20
         assert built == [(100, 100)]
+
+    def test_one_shifted_pattern_per_episode(self, monkeypatch):
+        # every phase solves on the passive, so the sparsity of sigma I - A
+        # is built once from its layout and reused by every phase solve
+        built = []
+        build = chains._SupportLayout.shifted_pattern.__wrapped__
+
+        @functools.wraps(build)
+        def counting_build(layout):
+            built.append(layout.n)
+            return build(layout)
+
+        monkeypatch.setattr(chains._SupportLayout, "shifted_pattern",
+                            chains.memoized(counting_build))
+        graph = grid_graph(10, 10)
+        stream = make_tracking_env(graph, seed=4).stream(300)
+        passive = build_passive(graph, 0.01, 0.01, home=0)
+        trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
+        assert trace.phase_boundaries.size > 20
+        assert built == [100]
 
     @pytest.mark.parametrize("horizon, solves", [(57, 23), (58, 24)])
     def test_one_solve_per_phase_in_the_horizon(self, monkeypatch, horizon, solves):

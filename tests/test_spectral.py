@@ -31,6 +31,7 @@ from conftest import (
     dense_log_matvec,
     dense_log_power_iteration,
     dense_log_rows,
+    dense_shifted_pattern,
     random_cost,
     random_ergodic_kernel,
 )
@@ -244,8 +245,9 @@ class TestInverseIteration:
         fs = f - f.min()
         pin = int(rng.integers(n))
         tol = 1e-12
-        runs = [_accel.inverse_iteration(p.rows, fs, pin, tol, 100_000),
-                _accel.log_power_iteration(p.rows, support_layout(p), fs, pin, tol, 100_000)]
+        layout = support_layout(p)
+        runs = [_accel.inverse_iteration(p.rows, layout, fs, pin, tol, 100_000),
+                _accel.log_power_iteration(p.rows, layout, fs, pin, tol, 100_000)]
         (w_inv, lo_inv, hi_inv, _, ok_inv), (w_log, lo_log, hi_log, _, ok_log) = runs
         assert ok_inv and ok_log
         assert hi_inv - lo_inv <= tol
@@ -259,7 +261,8 @@ class TestInverseIteration:
         passive, f = grid_phase_problem()
         fs = f.values - f.values.min()
         tol = 1e-12
-        w_ref = _accel.inverse_iteration(passive.rows, fs, 0, tol, 100_000)[0]
+        layout = support_layout(passive)
+        w_ref = _accel.inverse_iteration(passive.rows, layout, fs, 0, tol, 100_000)[0]
         power = _accel.linear_power_iteration(passive.rows, fs, 0, tol, 100_000)
         real_splu = _accel.splu
 
@@ -276,45 +279,69 @@ class TestInverseIteration:
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(_accel, "splu", singular if failure == "singular factor" else NegativeEntry)
-        w, lo, hi, it, ok = _accel.inverse_iteration(passive.rows, fs, 0, tol, 100_000)
+        w, lo, hi, it, ok = _accel.inverse_iteration(passive.rows, layout, fs, 0, tol, 100_000)
         assert ok and hi - lo <= tol
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9)
         # every step fell back, so the run is the power iteration itself
         assert it == power[3]
         np.testing.assert_array_equal(w, power[0])
 
+    @staticmethod
+    def zero_diagonal_kernel(rng):
+        # a sparse primitive kernel whose only nonzero diagonal entry is (0, 0)
+        n = int(rng.integers(3, 9))
+        rows = random_ergodic_kernel(rng, n).rows.copy()
+        rows[rng.random((n, n)) < 0.4] = 0.0
+        rows[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # keeps it irreducible
+        rows[0, 0] += 0.5  # and aperiodic
+        np.fill_diagonal(rows[1:, 1:], 0.0)
+        return StochasticMatrix.renormalized(rows)
+
+    def test_shifted_pattern_is_the_dense_scan(self, rng):
+        kernels = [make() for make in ORACLE_KERNELS.values()]
+        kernels += [self.zero_diagonal_kernel(rng) for _ in range(5)]
+        for p in kernels:
+            layout = support_layout(p)
+            view = layout.shifted_pattern()
+            assert layout.shifted_pattern() is view
+            for got, want in zip(view, dense_shifted_pattern(p.rows), strict=True):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
     def test_factored_matrix_is_sigma_i_minus_a(self, rng):
         # the sparse matrix stores P's nonzeros and the whole diagonal,
-        # including diagonal entries that P leaves at zero
+        # including diagonal entries that P leaves at zero, in the layout
+        # the dense scan finds
         seen = []
         real_splu = _accel.splu
 
         def checking_splu(matrix):
-            seen.append(matrix.toarray())
+            seen.append(matrix.copy())
             return real_splu(matrix)
 
         for _ in range(5):
-            n = int(rng.integers(3, 9))
-            rows = random_ergodic_kernel(rng, n).rows.copy()
-            rows[rng.random((n, n)) < 0.4] = 0.0
-            rows[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # keeps it irreducible
-            rows[0, 0] += 0.5  # and aperiodic
-            np.fill_diagonal(rows[1:, 1:], 0.0)
-            rows /= rows.sum(axis=1, keepdims=True)
+            p = self.zero_diagonal_kernel(rng)
+            rows, n, layout = p.rows, p.n, support_layout(p)
             fs = random_cost(rng, n).values
             seen.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_accel, "splu", checking_splu)
-                w, lo, hi, _, ok = _accel.inverse_iteration(rows, fs - fs.min(), 0, 1e-12, 1000)
+                w, lo, hi, _, ok = _accel.inverse_iteration(
+                    rows, layout, fs - fs.min(), 0, 1e-12, 1000
+                )
             assert ok and seen
             a = np.exp(-(fs - fs.min()))[:, None] * rows
+            row, col, indptr, _ = dense_shifted_pattern(rows)
             off = ~np.eye(n, dtype=bool)
-            for m in seen:
+            for matrix in seen:
+                np.testing.assert_array_equal(matrix.indices, row)
+                np.testing.assert_array_equal(matrix.indptr, indptr)
+                np.testing.assert_array_equal(matrix.data[row != col], -a[row, col][row != col])
+                m = matrix.toarray()
                 np.testing.assert_array_equal(m[off], -a[off])
                 sigma = np.diag(m) + np.diag(a)
                 np.testing.assert_allclose(sigma, sigma[0], rtol=0, atol=1e-15)
                 assert sigma[0] >= hi
-            layout = support_layout(StochasticMatrix(rows))
             w_log, lo_log, hi_log, _, _ = _accel.log_power_iteration(
                 rows, layout, fs - fs.min(), 0, 1e-12, 1_000_000
             )
