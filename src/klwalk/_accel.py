@@ -11,7 +11,10 @@ the step's upper Collatz bound; a step whose solve fails or whose z is not
 positive and normal in float64 takes the power step A V instead. The
 sparsity of sigma I - A is P's alone: it comes from P's support layout,
 built once per kernel (``_SupportLayout.shifted_pattern``), and a solve
-only fills in the values. Nothing here scans a dense kernel for its
+only fills in the values. SuperLU's column order is the pattern's too: the
+layout stores the pattern with its columns already in COLAMD's order, found
+once, so every factorization here skips the ordering
+(``permc_spec="NATURAL"``). Nothing here scans a dense kernel for its
 nonzeros; the matrix-vector product stays dense, since its BLAS sums fix
 the bits of every result. When e^{-f} or an iterate has an entry that is
 zero, subnormal or not finite in float64 (costs spanning more than about
@@ -152,19 +155,34 @@ def inverse_iteration(rows, layout, f_shifted, pin, tol, max_iter):
     factorization fails, or whose z has an entry that is not positive,
     finite and normal, takes the power step instead.
 
+    The pattern's columns come in ``order``, the column order SuperLU's
+    COLAMD ordering and elimination-tree postorder pick for it, computed
+    once per layout. Each step factors (sigma I - A)[:, order] with
+    ``permc_spec="NATURAL"``, which runs neither (scipy then sets SuperLU's
+    SymmetricMode), and scatters the solution back, z[order] = z'. The
+    factors, and so every z, are those of a COLAMD factorization of
+    sigma I - A bit for bit, except where a column's largest magnitudes
+    are exactly tied at pivot time: SuperLU's diagonal preference then
+    names row j of the permuted matrix rather than the true diagonal and
+    may pick another of the tied rows. That was seen only in integer
+    matrices built to have ties, and it cannot affect correctness: the
+    Collatz bracket certifies whatever positive iterate a step makes.
+
     Starts from V = 1 and raises FloatingPointError like
     ``linear_power_iteration``. Returns (log V, lo, hi, iterations, converged).
     """
     scale = _linear_scale(f_shifted)
-    # -A on the pattern; a step only rewrites the diagonal to sigma - A(x, x)
-    row, col, indptr, diag = layout.shifted_pattern()
+    # -A on the pattern, columns in factor order; a step only rewrites the
+    # diagonal to sigma - A(x, x)
+    row, col, indptr, diag, order = layout.shifted_pattern()
     shifted = sparse.csc_matrix((-scale[row] * rows[row, col], row, indptr), shape=rows.shape)
     minus_a_diag = shifted.data[diag].copy()
+    z = np.empty(rows.shape[0])
 
     def noda_update(x, x_power, sigma):
         shifted.data[diag] = minus_a_diag + sigma
         try:
-            z = splu(shifted).solve(x)
+            z[order] = splu(shifted, permc_spec="NATURAL").solve(x)
         except RuntimeError:  # SuperLU: the factor is exactly singular
             return x_power
         z_pinned = z / z[pin]

@@ -20,8 +20,9 @@ sparse LU solve of the stationarity system, held to a residual bound; it
 is the library's only stationarity solve. A kernel's nonzeros are found
 once, as its ``support_layout``; its pattern graph (labelled into strongly
 connected components once), its ``draw_table`` and the sparsity of the
-phase solver's shifted matrix sigma I - e^{-f} P
-(``_SupportLayout.shifted_pattern``) are derived from it.
+phase solver's shifted matrix sigma I - e^{-f} P, in the column order
+SuperLU factors it in (``_SupportLayout.shifted_pattern``), are derived
+from it.
 
 All containers are immutable after construction (the backing arrays are
 marked read-only), so they can be shared freely across threads. Next
@@ -56,15 +57,25 @@ def frozen_copy(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _freeze(value):
+    """Mark ``value`` read-only when it is an array, or each array of it
+    when it is a tuple (as memos are); returns ``value``."""
+    for arr in value if isinstance(value, tuple) else (value,):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return value
+
+
 def memoized(build):
     """Decorator: ``build(P)`` runs once per (immutable) object and is kept
-    on it under ``key``, so pickle carries it along."""
+    on it under ``key``, so pickle carries it along. The arrays it returns,
+    alone or in a tuple, are marked read-only as they are stored."""
     key = f"_{build.__name__}_memo"
 
     @functools.wraps(build)
     def memo(P):
         if key not in P.__dict__:
-            P.__dict__[key] = build(P)
+            P.__dict__[key] = _freeze(build(P))
         return P.__dict__[key]
 
     memo.key = key
@@ -75,16 +86,13 @@ class FrozenArrays:
     """Base of the frozen containers whose arrays are ``frozen_copy``s.
 
     Pickle restores numpy arrays writeable, so a container coming back
-    from a worker process or from ``copy`` marks its arrays read-only
-    again as it is restored.
+    from a worker process or from ``copy`` marks its arrays, and those of
+    its memos, read-only again as it is restored.
     """
 
     def __setstate__(self, state):
         for name, value in state.items():
-            for arr in value if isinstance(value, tuple) else (value,):  # memos are tuples
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _freeze(value))
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -421,14 +429,31 @@ class _SupportLayout(FrozenArrays):
         return np.searchsorted(self.row, np.arange(self.n + 1))
 
     @memoized
-    def shifted_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(row, col, indptr, diag)``: the pattern's nonzeros and every
-        diagonal entry in column-major (CSC) order, the CSC column pointer
-        and where the diagonal entries sit; the sparsity of sigma I - A for
-        A = e^{-f} P, whatever f and sigma. Memoized on the layout."""
-        keys = np.union1d(self.col * self.n + self.row, np.arange(self.n) * (self.n + 1))
-        col, row = np.divmod(keys, self.n)
-        return row, col, np.searchsorted(col, np.arange(self.n + 1)), np.flatnonzero(row == col)
+    def shifted_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, col, indptr, diag, order)``: the sparsity of sigma I - A
+        for A = e^{-f} P, whatever f and sigma (the pattern's nonzeros and
+        the whole diagonal), as the CSC pattern of (sigma I - A)[:, order].
+
+        ``order`` is the column order SuperLU factors sigma I - A in: its
+        COLAMD ordering followed by its elimination-tree postorder, both
+        properties of the pattern alone, read once from a factorization of
+        a nonsingular probe on it (diagonal n + 1, off-diagonal -1, strictly
+        diagonally dominant). Column j of the CSC pattern is column
+        ``order[j]`` of sigma I - A; stored entry i sits in row ``row[i]``
+        and column ``col[i]`` of sigma I - A (rows ascending within each
+        column), ``indptr`` is the column pointer and ``diag`` where the
+        diagonal entries sit. A solve of the permuted matrix, z', gives
+        z[order] = z'. Memoized on the layout."""
+        n = self.n
+        keys = np.union1d(self.col * n + self.row, np.arange(n) * (n + 1))
+        col, row = np.divmod(keys, n)
+        indptr = np.searchsorted(col, np.arange(n + 1))
+        probe = csc_matrix((np.where(row == col, n + 1.0, -1.0), row, indptr), shape=(n, n))
+        position = splu(probe).perm_c.astype(np.intp)  # where SuperLU puts each column
+        take = np.argsort(position[col] * n + row)  # column-major over the permuted columns
+        row, col = row[take], col[take]
+        indptr = np.searchsorted(position[col], np.arange(n + 1))
+        return row, col, indptr, np.flatnonzero(row == col), np.argsort(position)
 
     def graph(self) -> csr_matrix:
         """The pattern as a sparse 0/1 graph."""

@@ -60,8 +60,8 @@ class SolverSettings:
     pin_index: int = 0
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.pin_index < 0:

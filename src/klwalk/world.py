@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import _accel
-from .chains import CostFunction, StochasticMatrix, draw_table, memoized
+from .chains import CostFunction, FrozenArrays, StochasticMatrix, draw_table, memoized
 from .errors import GraphError
 
 _KERNEL_STREAM = 0x6B65726E  # distinct child-stream tags for one env seed
@@ -29,8 +29,11 @@ _PATH_STREAM = 0x70617468
 
 
 @dataclass(frozen=True)
-class Graph:
-    """A connected undirected graph without self-loops or repeated edges."""
+class Graph(FrozenArrays):
+    """A connected undirected graph without self-loops or repeated edges.
+
+    Its CSR adjacency and ``bfs_distances`` are memoized on it; pickle
+    carries them along, the distance table read-only."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -121,16 +124,16 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
+@memoized
 def bfs_distances(graph: Graph) -> tuple[np.ndarray, int]:
-    """All-pairs hop counts, by scipy's unweighted shortest paths from
-    every source."""
+    """All-pairs hop counts and the diameter, by scipy's unweighted
+    shortest paths from every source; computed once per (immutable) graph
+    and kept on it, the table read-only."""
     hops = shortest_path(graph._adjacency_csr(), method="D", directed=False, unweighted=True)
     if not np.all(np.isfinite(hops)):
         raise GraphError("graph is disconnected")
     dist = hops.astype(np.int64)
-    diameter = int(dist.max())
-    dist.setflags(write=False)
-    return dist, diameter
+    return dist, int(dist.max())
 
 
 def build_passive(graph: Graph, stay_prob: float, delta: float, home: int) -> StochasticMatrix:

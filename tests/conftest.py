@@ -74,16 +74,19 @@ def dense_log_power_iteration(rows, f_shifted, pin, tol, max_iter):
     )
 
 
-def dense_shifted_pattern(rows: np.ndarray):
-    """The CSC pattern of sigma I - A found by scanning the dense kernel:
-    ``(row, col, indptr, diag)`` over P's nonzeros and the whole diagonal,
-    the oracle of ``_SupportLayout.shifted_pattern``."""
+def dense_shifted_pattern(rows: np.ndarray, order: np.ndarray):
+    """The CSC pattern of (sigma I - A)[:, order] found by scanning the
+    dense kernel: ``(row, col, indptr, diag, order)`` over P's nonzeros and
+    the whole diagonal, ``col`` the unpermuted column of each entry; the
+    oracle of ``_SupportLayout.shifted_pattern`` for a given order."""
     n = rows.shape[0]
     stored = rows.T != 0
     stored[np.diag_indices(n)] = True
-    col, row = np.nonzero(stored)
+    stored = stored[order]
+    slot, row = np.nonzero(stored)
+    col = order[slot]
     indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
-    return row, col, indptr, np.flatnonzero(row == col)
+    return row, col, indptr, np.flatnonzero(row == col), order
 
 
 def half_zero_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:

@@ -652,3 +652,29 @@ class TestDrawTable:
         for arr, back in zip(table, restored):
             assert not arr.flags.writeable and not back.flags.writeable
             assert np.array_equal(arr, back)
+
+
+class TestMemoized:
+    def test_stored_arrays_are_read_only(self):
+        class Holder:
+            pass
+
+        @chains.memoized
+        def pair(holder):
+            return np.arange(3), 7
+
+        @chains.memoized
+        def single(holder):
+            return np.zeros(2)
+
+        holder = Holder()
+        arr, count = pair(holder)
+        assert not arr.flags.writeable and count == 7 and pair(holder)[0] is arr
+        assert not single(holder).flags.writeable
+
+    def test_pattern_memos_read_only_on_a_fresh_kernel(self):
+        # no pickle round trip: read-only as first stored
+        p = build_passive(grid_graph(3, 3), 0.1, 0.1, home=0)
+        labels = chains._pattern_analysis(p)[2]
+        for arr in (*support_layout(p).shifted_pattern(), labels):
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable

@@ -282,7 +282,7 @@ class TestCmdSolve:
 
     @pytest.mark.parametrize("flag, value", [
         ("--pin", "-1"), ("--pin", "5"), ("--tolerance", "0"), ("--tolerance", "nan"),
-        ("--max-iterations", "0"),
+        ("--tolerance", "inf"), ("--max-iterations", "0"),
     ])
     def test_bad_solver_flag_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
         passive = write(tmp_path / "p.csv", TWO_STATE_CSV)

@@ -20,7 +20,7 @@ from klwalk import (
     start_strategy,
     step,
 )
-from klwalk import chains, online
+from klwalk import _accel, chains, online
 
 from conftest import pick_from_cdf, random_ergodic_kernel
 
@@ -230,6 +230,29 @@ class TestRunEpisode:
         trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
         assert trace.phase_boundaries.size > 20
         assert built == [100]
+
+    def test_one_colamd_ordering_per_episode(self, monkeypatch):
+        # the passive's layout orders sigma I - A once (COLAMD, in chains);
+        # every phase solve then factors in that order, skipping COLAMD
+        calls = []
+        real = {module: module.splu for module in (chains, _accel)}
+
+        def counting(module):
+            def splu(matrix, **options):
+                calls.append((module.__name__, options))
+                return real[module](matrix, **options)
+            return splu
+
+        for module in real:
+            monkeypatch.setattr(module, "splu", counting(module))
+        graph = grid_graph(10, 10)
+        stream = make_tracking_env(graph, seed=4).stream(300)
+        passive = build_passive(graph, 0.01, 0.01, home=0)
+        trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
+        assert trace.phase_boundaries.size > 20
+        assert calls[0] == ("klwalk.chains", {})
+        assert len(calls) > trace.phase_boundaries.size
+        assert all(call == ("klwalk._accel", {"permc_spec": "NATURAL"}) for call in calls[1:])
 
     @pytest.mark.parametrize("horizon, solves", [(57, 23), (58, 24)])
     def test_one_solve_per_phase_in_the_horizon(self, monkeypatch, horizon, solves):

@@ -20,6 +20,7 @@ from klwalk import (
     eigen_oracle,
     ergodicity_report,
     grid_graph,
+    make_tracking_env,
     solve_mpe,
     span_seminorm,
 )
@@ -122,6 +123,9 @@ class TestSolveMpe:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(tolerance=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                SolverSettings(tolerance=bad)
         with pytest.raises(ValueError):
             SolverSettings(max_iterations=0)
         with pytest.raises(ValueError):
@@ -267,15 +271,15 @@ class TestInverseIteration:
         real_splu = _accel.splu
 
         class NegativeEntry:
-            def __init__(self, matrix):
-                self.lu = real_splu(matrix)
+            def __init__(self, matrix, permc_spec):
+                self.lu = real_splu(matrix, permc_spec=permc_spec)
 
             def solve(self, b):
                 z = self.lu.solve(b)
                 z[len(z) // 2] = -1.0
                 return z
 
-        def singular(matrix):
+        def singular(matrix, permc_spec):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(_accel, "splu", singular if failure == "singular factor" else NegativeEntry)
@@ -304,20 +308,23 @@ class TestInverseIteration:
             layout = support_layout(p)
             view = layout.shifted_pattern()
             assert layout.shifted_pattern() is view
-            for got, want in zip(view, dense_shifted_pattern(p.rows), strict=True):
+            order = view[4]
+            assert np.array_equal(np.sort(order), np.arange(p.n))
+            for got, want in zip(view, dense_shifted_pattern(p.rows, order), strict=True):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
 
     def test_factored_matrix_is_sigma_i_minus_a(self, rng):
         # the sparse matrix stores P's nonzeros and the whole diagonal,
         # including diagonal entries that P leaves at zero, in the layout
-        # the dense scan finds
+        # the dense scan finds, its columns in the layout's factor order
         seen = []
         real_splu = _accel.splu
 
-        def checking_splu(matrix):
+        def checking_splu(matrix, permc_spec):
+            assert permc_spec == "NATURAL"
             seen.append(matrix.copy())
-            return real_splu(matrix)
+            return real_splu(matrix, permc_spec=permc_spec)
 
         for _ in range(5):
             p = self.zero_diagonal_kernel(rng)
@@ -331,13 +338,14 @@ class TestInverseIteration:
                 )
             assert ok and seen
             a = np.exp(-(fs - fs.min()))[:, None] * rows
-            row, col, indptr, _ = dense_shifted_pattern(rows)
+            order = layout.shifted_pattern()[4]
+            row, col, indptr, _, _ = dense_shifted_pattern(rows, order)
             off = ~np.eye(n, dtype=bool)
             for matrix in seen:
                 np.testing.assert_array_equal(matrix.indices, row)
                 np.testing.assert_array_equal(matrix.indptr, indptr)
                 np.testing.assert_array_equal(matrix.data[row != col], -a[row, col][row != col])
-                m = matrix.toarray()
+                m = matrix.toarray()[:, np.argsort(order)]  # columns back in natural order
                 np.testing.assert_array_equal(m[off], -a[off])
                 sigma = np.diag(m) + np.diag(a)
                 np.testing.assert_allclose(sigma, sigma[0], rtol=0, atol=1e-15)
@@ -346,6 +354,65 @@ class TestInverseIteration:
                 rows, layout, fs - fs.min(), 0, 1e-12, 1_000_000
             )
             np.testing.assert_allclose(w, w_log, rtol=0, atol=1e-9)
+
+    def factor_order_cases(self, rng):
+        """Kernels and costs the pre-ordered factor is held to COLAMD's on:
+        the oracle kernels with random costs, grid passives with distance
+        costs (one target: many tied costs) and target-stream phase costs,
+        and kernels whose diagonal is zero but for one entry."""
+        kernels = [make() for make in ORACLE_KERNELS.values()]
+        cases = [(p, random_cost(rng, p.n, cap=3.0).values) for p in kernels]
+        passive, f = grid_phase_problem()
+        cases.append((passive, f.values))
+        graph = grid_graph(10, 10)
+        passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
+        dist, diameter = bfs_distances(graph)
+        cases.append((passive, dist[:, 0] / diameter))
+        stream = np.array([c.values for c in make_tracking_env(graph, seed=7).stream(60).costs])
+        cases += [(passive, stream[:k].mean(axis=0)) for k in (1, 4, 13, 60)]
+        for _ in range(5):
+            p = self.zero_diagonal_kernel(rng)
+            cases.append((p, random_cost(rng, p.n).values))
+        return cases
+
+    def test_preordered_factor_is_colamds_bit_for_bit(self, rng):
+        # SuperLU on (sigma I - A)[:, order] in NATURAL order factors in
+        # the order its COLAMD run on sigma I - A itself picks, so every
+        # step's z and the whole run are the same bits
+        real_splu = _accel.splu
+        for p, f in self.factor_order_cases(rng):
+            layout = support_layout(p)
+            order = layout.shifted_pattern()[4]
+            natural_pattern = dense_shifted_pattern(p.rows, np.arange(p.n))
+            fs = f - f.min()
+            want = _accel.inverse_iteration(p.rows, layout, fs, 0, 1e-12, 100_000)
+            solves = []
+
+            class ColamdFactor:
+                # stands in for the pre-ordered factor: solves by plain
+                # COLAMD on sigma I - A and checks the real one against it
+                def __init__(self, matrix, permc_spec):
+                    assert permc_spec == "NATURAL"
+                    natural = matrix[:, np.argsort(order)]
+                    np.testing.assert_array_equal(natural.indices, natural_pattern[0])
+                    np.testing.assert_array_equal(natural.indptr, natural_pattern[2])
+                    self.plain = real_splu(natural)
+                    assert np.array_equal(np.argsort(self.plain.perm_c), order)
+                    self.preordered = real_splu(matrix, permc_spec=permc_spec)
+
+                def solve(self, b):
+                    z = self.plain.solve(b)
+                    z_pre = np.empty_like(z)
+                    z_pre[order] = self.preordered.solve(b)
+                    assert np.array_equal(z, z_pre)
+                    solves.append(b)
+                    return z[order]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_accel, "splu", ColamdFactor)
+                got = _accel.inverse_iteration(p.rows, layout, fs, 0, 1e-12, 100_000)
+            assert solves
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
     def test_grid_phase_cost_converges_in_few_steps(self):
         passive, f = grid_phase_problem()

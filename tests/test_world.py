@@ -1,3 +1,4 @@
+import pickle
 from collections import deque
 
 import numpy as np
@@ -163,6 +164,16 @@ class TestBfsDistances:
         assert dist.dtype == np.int64 and not dist.flags.writeable
         np.testing.assert_array_equal(dist, expected)
         assert diameter == int(expected.max())
+
+    def test_one_read_only_table_per_graph(self):
+        g = grid_graph(4, 4)
+        a, b = make_tracking_env(g, seed=1), make_tracking_env(g, seed=2)
+        assert a.distances is b.distances and bfs_distances(g)[0] is a.distances
+        assert not a.distances.flags.writeable
+        restored = pickle.loads(pickle.dumps(g))
+        dist, diameter = bfs_distances(restored)
+        assert not dist.flags.writeable and diameter == a.diameter
+        np.testing.assert_array_equal(dist, a.distances)
 
     def test_disconnected_graph_rejected(self):
         # from_edges refuses it; a Graph built field by field reaches here
