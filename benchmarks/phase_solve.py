@@ -8,9 +8,13 @@ is in it. Around the calls into the library the op counts and times:
 
 - ``solve_mpe``: the phase solves and their certified steps;
 - SuperLU factorizations (``splu`` as ``_accel`` and ``chains`` call it):
-  their number and seconds, and how many of them ran a COLAMD ordering
-  (every call not made with ``permc_spec="NATURAL"``);
+  their number and seconds, how many of them the solver made (``_accel``'s),
+  and how many ran a COLAMD ordering (every call not made with
+  ``permc_spec="NATURAL"``);
 - the episode's wall time.
+
+Each tree's summary also gives the steps and the solver's factorizations
+per solve.
 
 With ``--tree NAME=SRC`` given more than once, the ops alternate between
 the trees (the side that goes first alternates too), so a parent commit
@@ -37,7 +41,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COUNTS = ("solve_calls", "solver_steps", "factorizations", "colamd_orderings")
+COUNTS = ("solve_calls", "solver_steps", "factorizations", "solver_factorizations",
+          "colamd_orderings")
 TIMES = ("episode_s", "solve_s", "factor_s")
 
 
@@ -48,7 +53,9 @@ def measure_episode() -> dict:
 
     stats = dict.fromkeys(COUNTS + TIMES[1:], 0)
 
-    def counting_splu(real):
+    def counting_splu(module):
+        real = module.splu
+
         def splu(matrix, **options):
             t0 = time.perf_counter()
             try:
@@ -56,6 +63,7 @@ def measure_episode() -> dict:
             finally:
                 stats["factor_s"] += time.perf_counter() - t0
                 stats["factorizations"] += 1
+                stats["solver_factorizations"] += module is _accel
                 stats["colamd_orderings"] += options.get("permc_spec") != "NATURAL"
         return splu
 
@@ -70,7 +78,7 @@ def measure_episode() -> dict:
         return sol
 
     for module in (_accel, chains):
-        module.splu = counting_splu(module.splu)
+        module.splu = counting_splu(module)
     policy.solve_mpe = counting_solve
     spec = ExperimentSpec()
     t0 = time.perf_counter()
@@ -103,6 +111,9 @@ def summarize(ops: list[dict]) -> dict:
         summary[name] = values.pop() if len(values) == 1 else sorted(values)
     for name in TIMES:
         summary[name] = quartiles([op[name] for op in ops])
+    for name in ("solver_steps", "solver_factorizations"):
+        per_solve = {op[name] / op["solve_calls"] for op in ops}
+        summary[f"{name}_per_solve"] = per_solve.pop() if len(per_solve) == 1 else sorted(per_solve)
     return summary
 
 

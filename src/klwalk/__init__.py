@@ -81,7 +81,6 @@ from .spectral import (
     MpeSolution,
     SolverSettings,
     acoe_residual,
-    eigen_oracle,
     solve_mpe,
 )
 from .world import (

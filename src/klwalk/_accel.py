@@ -3,26 +3,31 @@
 ``mpe_power_iteration`` finds the Perron eigenpair of A = e^{-f} P with
 one certified loop, ``_collatz_loop``. Every step multiplies the iterate
 by A and takes the Collatz bounds from the product, so the running
-bracket certifies the eigenvalue whatever rule makes the next iterate;
-the rule is a parameter of the loop. ``inverse_iteration`` holds V itself,
-takes A V as a BLAS matrix-vector product and makes the next iterate by
-Noda's inverse step, a sparse LU solve of (sigma I - A) z = V with sigma
-the step's upper Collatz bound; a step whose solve fails or whose z is not
-positive and normal in float64 takes the power step A V instead. The
-sparsity of sigma I - A is P's alone: it comes from P's support layout,
-built once per kernel (``_SupportLayout.shifted_pattern``), and a solve
-only fills in the values. SuperLU's column order is the pattern's too: the
-layout stores the pattern with its columns already in COLAMD's order, found
-once, so every factorization here skips the ordering
-(``permc_spec="NATURAL"``). Nothing here scans a dense kernel for its
-nonzeros; the matrix-vector product stays dense, since its BLAS sums fix
-the bits of every result. When e^{-f} or an iterate has an entry that is
-zero, subnormal or not finite in float64 (costs spanning more than about
-700), the run starts again from V = 1 with power steps on log V, A V
-taken as a row-wise log-sum-exp over P's nonzeros (``logsumexp_rows``,
-the library's one log-partition). ``linear_power_iteration`` is the plain
-power iteration on V, kept as the reference the tests hold the log
-domain against.
+bracket certifies the eigenvalue whatever rule makes the next iterate
+and wherever it starts; the rule is a parameter of the loop.
+``inverse_iteration`` holds V itself, starting from the e^{-h} of a
+nearby problem's relative value function h when it is given and normal
+in float64 (the last phase's, in an episode), and from V = 1 otherwise.
+It takes A V as a BLAS matrix-vector product and makes the next iterate
+by a sparse LU solve of (sigma I - A) z = V, sigma an upper Collatz
+bound. It keeps one factor across steps: a step refactors at its own
+bound (Noda's step) only on the first step, after a failed step, or when
+the bracket shrank by less than a factor 1 / ``REFACTOR_SHRINK`` = 10 in
+the last step, and otherwise solves with the kept factor (Wielandt's
+shifted inverse iteration). A step whose solve fails or whose z is not
+positive and normal in float64 drops the factor and takes the power step
+A V instead. The sparsity of sigma I - A is P's alone: it comes from P's
+support layout, built once per kernel (``_SupportLayout.shifted_pattern``),
+and a factorization only fills in the values. SuperLU's column order is
+the pattern's too: the layout stores the pattern with its columns already
+in COLAMD's order, found once, so every factorization here skips the
+ordering (``permc_spec="NATURAL"``). Nothing here scans a dense kernel for
+its nonzeros; the matrix-vector product stays dense, since its BLAS sums
+fix the bits of every result. When e^{-f} or an iterate has an entry that
+is zero, subnormal or not finite in float64 (costs spanning more than
+about 700), the run starts again from V = 1, whatever the start, with
+power steps on log V, A V taken as a row-wise log-sum-exp over P's
+nonzeros (``logsumexp_rows``, the library's one log-partition).
 
 ``markov_paths``, the one chain walker, walks a block of chains in lock
 step over the inverse-CDF bounds of each row's support (``draw_bounds``).
@@ -41,6 +46,9 @@ from scipy.sparse.linalg import splu
 
 _TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max)
+# the inverse iteration keeps its factor while each step shrinks the
+# bracket to below this share of its width, and refactors otherwise
+REFACTOR_SHRINK = 0.1
 
 
 def logsumexp_rows(layout, log_entries: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -66,10 +74,11 @@ def _collatz_loop(matvec, ratio, to_linear, floor, ceil, update, x, pin, tol, ma
 
     The loop stops as soon as the bracket is narrower than ``tol`` and
     then returns the normalized A x. Otherwise ``update(x, x_power,
-    sigma)`` makes the next iterate, normalized to V(pin) = 1: ``x_power``
-    is the power step A x / (A x)(pin) and ``sigma`` this step's upper
-    bound max (AV)(x)/V(x) in the linear domain, which is at least the
-    eigenvalue and, since convergence is tested first, above it.
+    sigma, width)`` makes the next iterate, normalized to V(pin) = 1:
+    ``x_power`` is the power step A x / (A x)(pin), ``sigma`` this step's
+    upper bound max (AV)(x)/V(x) in the linear domain, which is at least
+    the eigenvalue and, since convergence is tested first, above it, and
+    ``width`` the running bracket's width.
 
     Raises FloatingPointError as soon as A x or the power step has an
     entry outside [floor, ceil] (or NaN). Returns
@@ -99,11 +108,11 @@ def _collatz_loop(matvec, ratio, to_linear, floor, ceil, update, x, pin, tol, ma
         it += 1
         if hi_cert - lo_cert <= tol:
             return x_power, lo_cert, hi_cert, it, True
-        x = update(x, x_power, sigma)
+        x = update(x, x_power, sigma, hi_cert - lo_cert)
     return x, lo_cert, hi_cert, it, False
 
 
-def _power_update(x, x_power, sigma):
+def _power_update(x, x_power, sigma, width):
     return x_power
 
 
@@ -121,45 +130,53 @@ def _linear_scale(f_shifted):
     return scale
 
 
-def _linear_loop(rows, scale, update, pin, tol, max_iter):
+def _start_vector(start, pin, n):
+    """V = e^{-(h - h(pin))} for a relative value function ``start``, or
+    V = 1 when there is none or that vector is not normal in float64."""
+    if start is None:
+        return np.ones(n)
+    with np.errstate(all="ignore"):
+        v = np.exp(-(start - start[pin]))
+    return v if _normal(v) else np.ones(n)
+
+
+def _linear_loop(rows, scale, update, pin, tol, max_iter, start):
     with np.errstate(all="ignore"):
         v, lo, hi, it, ok = _collatz_loop(
             lambda v: scale * (rows @ v), np.divide, float, _TINY, _HUGE, update,
-            np.ones(rows.shape[0]), pin, tol, max_iter,
+            _start_vector(start, pin, rows.shape[0]), pin, tol, max_iter,
         )
     return np.log(v), lo, hi, it, ok
 
 
-def linear_power_iteration(rows, f_shifted, pin, tol, max_iter):
-    """Certified power iteration on V, with A V = e^{-f} * (P @ V).
-
-    Starts from V = 1. Raises FloatingPointError when e^{-f} or an
-    iterate has an entry outside the normal float64 range.
-    Returns (log V, lo, hi, iterations, converged).
-    """
-    return _linear_loop(rows, _linear_scale(f_shifted), _power_update, pin, tol, max_iter)
-
-
-def inverse_iteration(rows, layout, f_shifted, pin, tol, max_iter):
+def inverse_iteration(rows, layout, f_shifted, pin, tol, max_iter, start=None):
     """Certified Noda inverse iteration on V, with A = e^{-f} P.
 
-    Each step takes A V = e^{-f} * (P @ V) and its Collatz bounds, exactly
-    as the power iteration does, then solves (sigma I - A) z = V with
-    sigma = max (AV)(x)/V(x) > rho(A) (T. Noda, Numer. Math. 17, 1971).
+    Each step takes A V = e^{-f} * (P @ V) and its Collatz bounds, then
+    solves (sigma I - A) z = V with sigma > rho(A) an upper Collatz bound.
     sigma I - A is then a nonsingular M-matrix with a positive inverse, so
-    z is positive and the iteration converges superlinearly. The solve is
-    a sparse LU (SuperLU) over the nonzeros of P and the diagonal, whose
-    CSC pattern is ``layout.shifted_pattern()``, built once per layout: it
-    runs on one thread, where a dense LAPACK LU of n >= 100 starts BLAS
-    threads that stall when processes share the cores. A step whose
-    factorization fails, or whose z has an entry that is not positive,
-    finite and normal, takes the power step instead.
+    z is positive. The solve is a sparse LU (SuperLU) over the nonzeros of
+    P and the diagonal, whose CSC pattern is ``layout.shifted_pattern()``,
+    built once per layout: it runs on one thread, where a dense LAPACK LU
+    of n >= 100 starts BLAS threads that stall when processes share the
+    cores.
+
+    One factor is kept across steps. A step factors sigma I - A at its own
+    upper bound, Noda's step (T. Noda, Numer. Math. 17, 1971), which
+    converges superlinearly, only when there is no factor yet or the
+    running bracket shrank by less than ``1 / REFACTOR_SHRINK`` in the last
+    step; otherwise it solves with the kept factor, whose shift is an
+    earlier step's bound, so the step is Wielandt's shifted inverse
+    iteration, contracting by about (sigma - rho) / (sigma - |lambda_2|).
+    A step whose factorization fails, or whose z has an entry that is not
+    positive, finite and normal, drops the factor and takes the power step
+    A V instead.
 
     The pattern's columns come in ``order``, the column order SuperLU's
     COLAMD ordering and elimination-tree postorder pick for it, computed
-    once per layout. Each step factors (sigma I - A)[:, order] with
+    once per layout. Each factorization is of (sigma I - A)[:, order] with
     ``permc_spec="NATURAL"``, which runs neither (scipy then sets SuperLU's
-    SymmetricMode), and scatters the solution back, z[order] = z'. The
+    SymmetricMode), and a solution is scattered back, z[order] = z'. The
     factors, and so every z, are those of a COLAMD factorization of
     sigma I - A bit for bit, except where a column's largest magnitudes
     are exactly tied at pivot time: SuperLU's diagonal preference then
@@ -168,27 +185,41 @@ def inverse_iteration(rows, layout, f_shifted, pin, tol, max_iter):
     matrices built to have ties, and it cannot affect correctness: the
     Collatz bracket certifies whatever positive iterate a step makes.
 
-    Starts from V = 1 and raises FloatingPointError like
-    ``linear_power_iteration``. Returns (log V, lo, hi, iterations, converged).
+    Starts from V = e^{-(h - h(pin))} for a relative value function
+    ``start`` when that vector is normal in float64, and from V = 1
+    otherwise. Raises FloatingPointError when e^{-f} or an iterate has an
+    entry outside the normal float64 range. Returns (log V, lo, hi,
+    iterations, converged).
     """
     scale = _linear_scale(f_shifted)
-    # -A on the pattern, columns in factor order; a step only rewrites the
-    # diagonal to sigma - A(x, x)
+    # -A on the pattern, columns in factor order; a factorization only
+    # rewrites the diagonal to sigma - A(x, x)
     row, col, indptr, diag, order = layout.shifted_pattern()
     shifted = sparse.csc_matrix((-scale[row] * rows[row, col], row, indptr), shape=rows.shape)
     minus_a_diag = shifted.data[diag].copy()
     z = np.empty(rows.shape[0])
+    factor = None
+    last_width = math.inf
 
-    def noda_update(x, x_power, sigma):
-        shifted.data[diag] = minus_a_diag + sigma
+    def noda_update(x, x_power, sigma, width):
+        nonlocal factor, last_width
+        stalled = width > REFACTOR_SHRINK * last_width
+        last_width = width
         try:
-            z[order] = splu(shifted, permc_spec="NATURAL").solve(x)
+            if factor is None or stalled:
+                shifted.data[diag] = minus_a_diag + sigma
+                factor = splu(shifted, permc_spec="NATURAL")
+            z[order] = factor.solve(x)
         except RuntimeError:  # SuperLU: the factor is exactly singular
+            factor = None
             return x_power
         z_pinned = z / z[pin]
-        return z_pinned if _normal(z) and _normal(z_pinned) else x_power
+        if _normal(z) and _normal(z_pinned):
+            return z_pinned
+        factor = None
+        return x_power
 
-    return _linear_loop(rows, scale, noda_update, pin, tol, max_iter)
+    return _linear_loop(rows, scale, noda_update, pin, tol, max_iter, start)
 
 
 def log_power_iteration(rows, layout, f_shifted, pin, tol, max_iter):
@@ -203,22 +234,23 @@ def log_power_iteration(rows, layout, f_shifted, pin, tol, max_iter):
     )
 
 
-def mpe_power_iteration(rows, layout, f_shifted, pin, tol, max_iter):
+def mpe_power_iteration(rows, layout, f_shifted, pin, tol, max_iter, start=None):
     """Certified solve of the Perron eigenpair of A = e^{-f} P for a
     nonnegative shifted cost.
 
     ``rows`` is the passive kernel, ``layout`` where its nonzeros sit
     (``chains.support_layout``) and ``f_shifted`` the cost minus its
     minimum (so e^{-f} lies in (0, 1]). Runs the inverse iteration in the
-    linear domain, and reruns with power steps in log space when the
-    linear domain cannot hold e^{-f} or an iterate. Both start from V = 1
-    and normalize to V(pin) = 1 at every step.
+    linear domain, from the relative value function ``start`` when one is
+    given (a nearby problem's h, say), and reruns with power steps in log
+    space from w = 0 when the linear domain cannot hold e^{-f} or an
+    iterate. Both normalize to V(pin) = 1 at every step.
 
     Returns (w, lo, hi, iterations, converged) with w = log V and [lo, hi]
     the certified bracket on the dominant eigenvalue of A.
     """
     try:
-        return inverse_iteration(rows, layout, f_shifted, pin, tol, max_iter)
+        return inverse_iteration(rows, layout, f_shifted, pin, tol, max_iter, start)
     except FloatingPointError:
         return log_power_iteration(rows, layout, f_shifted, pin, tol, max_iter)
 

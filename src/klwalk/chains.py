@@ -18,11 +18,13 @@ kernel is unichain exactly when its pattern has one closed communicating
 class. Given that, ``invariant_distribution`` certifies the law with one
 sparse LU solve of the stationarity system, held to a residual bound; it
 is the library's only stationarity solve. A kernel's nonzeros are found
-once, as its ``support_layout``; its pattern graph (labelled into strongly
-connected components once), its ``draw_table`` and the sparsity of the
-phase solver's shifted matrix sigma I - e^{-f} P, in the column order
-SuperLU factors it in (``_SupportLayout.shifted_pattern``), are derived
-from it.
+once, as its ``support_layout``; its ``draw_table`` is derived from it.
+What depends on the pattern alone is memoized on the layout, which every
+kernel built on a pattern with ``StochasticMatrix.on_layout`` shares: the
+strongly connected components, the ergodicity verdict, the closed-class
+count and the sparsity of the phase solver's shifted matrix
+sigma I - e^{-f} P, in the column order SuperLU factors it in
+(``_SupportLayout.shifted_pattern``).
 
 All containers are immutable after construction (the backing arrays are
 marked read-only), so they can be shared freely across threads. Next
@@ -303,26 +305,15 @@ def _component_periods(layout: "_SupportLayout", n_comp: int, labels: np.ndarray
     return periods
 
 
-@memoized
-def _pattern_analysis(P: StochasticMatrix) -> tuple["_SupportLayout", int, np.ndarray]:
-    """The support layout of P with its component count and SCC labels,
-    memoized on the (immutable) kernel, so each kernel's pattern is
-    labelled once whichever structural question is asked first."""
-    layout = support_layout(P)
-    return (layout, *_scc_labels(layout))
-
-
-@memoized
 def graph_verdict(P: StochasticMatrix) -> tuple[bool, bool]:
     """``(irreducible, aperiodic)`` for the positive pattern of P.
 
     Irreducible when the pattern is one strongly connected component,
     aperiodic when every component has period 1; both together make P
-    primitive, which is the solver's standing assumption. Memoized on the
-    (immutable) kernel, like ``ergodicity_report``, which builds on it.
+    primitive, which is the solver's standing assumption. Memoized on P's
+    support layout, which every kernel with P's pattern built on it shares.
     """
-    layout, n_comp, labels = _pattern_analysis(P)
-    return n_comp == 1, bool(np.all(_component_periods(layout, n_comp, labels) == 1))
+    return support_layout(P).verdict()
 
 
 def has_single_closed_class(P: StochasticMatrix) -> bool:
@@ -332,10 +323,7 @@ def has_single_closed_class(P: StochasticMatrix) -> bool:
     This is a property of the pattern alone, so every kernel with the same
     positive pattern is unichain too: it has one invariant distribution.
     """
-    layout, n_comp, labels = _pattern_analysis(P)
-    leaving = labels[layout.row] != labels[layout.col]
-    open_classes = np.unique(labels[layout.row[leaving]])
-    return n_comp - open_classes.size == 1
+    return support_layout(P).closed_classes() == 1
 
 
 @memoized
@@ -442,7 +430,8 @@ class _SupportLayout(FrozenArrays):
         ``order[j]`` of sigma I - A; stored entry i sits in row ``row[i]``
         and column ``col[i]`` of sigma I - A (rows ascending within each
         column), ``indptr`` is the column pointer and ``diag`` where the
-        diagonal entries sit. A solve of the permuted matrix, z', gives
+        diagonal entries sit; ``row`` and ``indptr`` are C ints, SuperLU's
+        index type. A solve of the permuted matrix, z', gives
         z[order] = z'. Memoized on the layout."""
         n = self.n
         keys = np.union1d(self.col * n + self.row, np.arange(n) * (n + 1))
@@ -453,7 +442,30 @@ class _SupportLayout(FrozenArrays):
         take = np.argsort(position[col] * n + row)  # column-major over the permuted columns
         row, col = row[take], col[take]
         indptr = np.searchsorted(position[col], np.arange(n + 1))
-        return row, col, indptr, np.flatnonzero(row == col), np.argsort(position)
+        diag = np.flatnonzero(row == col)
+        # SuperLU's index type, so that no factorization copies them
+        return row.astype(np.intc), col, indptr.astype(np.intc), diag, np.argsort(position)
+
+    @memoized
+    def components(self) -> tuple[int, np.ndarray]:
+        """The pattern's strongly connected components: their count and
+        each state's label, memoized on the layout, so a pattern is
+        labelled once whichever structural question is asked first."""
+        return _scc_labels(self)
+
+    @memoized
+    def verdict(self) -> tuple[bool, bool]:
+        """``graph_verdict`` of the pattern, memoized on the layout."""
+        n_comp, labels = self.components()
+        return n_comp == 1, bool(np.all(_component_periods(self, n_comp, labels) == 1))
+
+    @memoized
+    def closed_classes(self) -> int:
+        """How many communicating classes of the pattern no edge leaves,
+        memoized on the layout."""
+        n_comp, labels = self.components()
+        leaving = labels[self.row] != labels[self.col]
+        return n_comp - np.unique(labels[self.row[leaving]]).size
 
     def graph(self) -> csr_matrix:
         """The pattern as a sparse 0/1 graph."""

@@ -172,7 +172,9 @@ def begin_phase(state: StrategyState) -> StrategyState:
 
     Merges the phase buffer into the completed-phase totals, averages them
     into the empirical cost (zero before any step) and twists the passive
-    kernel by the solved relative value function.
+    kernel by the solved relative value function. The solve starts from
+    the last phase's relative value function, which the averaged costs of
+    consecutive phases keep close to the new one.
     """
     if state.current_phase > 0:
         expected = state.schedule.phase_length(state.current_phase)
@@ -188,7 +190,8 @@ def begin_phase(state: StrategyState) -> StrategyState:
         f_hat = CostFunction(cost_sum / steps_seen)
     else:
         f_hat = CostFunction(np.zeros(passive.n))
-    new_policy = optimal_policy(passive, f_hat, state.settings)
+    last_h = state.policy.source_h if state.policy is not None else None
+    new_policy = optimal_policy(passive, f_hat, state.settings, last_h)
     return replace(
         state,
         current_phase=state.current_phase + 1,

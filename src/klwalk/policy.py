@@ -178,12 +178,17 @@ def steady_state_cost(f: CostFunction, policy: KlPolicy) -> float:
 
 
 def optimal_policy(
-    passive: StochasticMatrix, f: CostFunction, settings: Optional[SolverSettings] = None
+    passive: StochasticMatrix,
+    f: CostFunction,
+    settings: Optional[SolverSettings] = None,
+    start: Optional[np.ndarray] = None,
 ) -> KlPolicy:
-    """Solve the eigenproblem for f and twist the passive kernel by its
-    relative value function (see ``twisting_function``). The solve runs
-    for a constant cost too, so its certificate is exercised uniformly."""
-    sol = solve_mpe(passive, f, settings)
+    """Solve the eigenproblem for f, from the relative value function
+    ``start`` when given (see ``solve_mpe``), and twist the passive kernel
+    by its relative value function (see ``twisting_function``). The solve
+    runs for a constant cost too, so its certificate is exercised
+    uniformly."""
+    sol = solve_mpe(passive, f, settings, start)
     return twisted_kernel(passive, twisting_function(f, sol))
 
 

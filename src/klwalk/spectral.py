@@ -13,19 +13,19 @@ than the requested tolerance; the bracket is part of the returned
 solution and is a machine-checkable optimality certificate. The
 iteration (``_accel.mpe_power_iteration``) is Noda's inverse iteration in
 the linear domain: each step multiplies by A for the bracket, then solves
-(sigma I - A) z = V with sigma the step's upper Collatz bound, and takes a
-plain power step instead whenever that solve fails or leaves the positive
-normal float64 range. When e^{-f} or an iterate leaves that range, the
-solve reruns with power steps in log space. The solution stores h only;
-V = e^{-h} is derived on demand, because it overflows for costs of large
-span.
+(sigma I - A) z = V with sigma an upper Collatz bound, keeping one sparse
+LU factor for as long as it contracts the bracket tenfold per step, and
+takes a plain power step instead whenever that solve fails or leaves the
+positive normal float64 range. A solve may start from a nearby problem's
+relative value function. When e^{-f} or an iterate leaves the normal
+range, the solve reruns with power steps in log space. The solution
+stores h only; V = e^{-h} is derived on demand, because it overflows for
+costs of large span.
 The standing assumption, an irreducible and aperiodic P, is checked on the
 positive pattern alone (``chains.graph_verdict``); the Dobrushin
 coefficient and the other bound constants are never computed here.
 ``acoe_residual`` checks a solution independently in log-sum-exp form
-over the passive's nonzeros (``_accel.logsumexp_rows``), and
-``eigen_oracle`` recomputes the same eigenpair by repeated squaring and
-exists purely to cross-examine the solver in tests.
+over the passive's nonzeros (``_accel.logsumexp_rows``).
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from .chains import CostFunction, FrozenArrays, StochasticMatrix, frozen_copy, g
 from .chains import support_layout
 from .chains import ergodicity_report  # noqa: F401  (public name; tracers patch it here)
 from .errors import ConvergenceError, DimensionMismatchError, NotErgodicError
-
-ORACLE_MAX_STATES = 12
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -130,6 +127,7 @@ def solve_mpe(
     passive: StochasticMatrix,
     f: CostFunction,
     settings: Optional[SolverSettings] = None,
+    start: Optional[np.ndarray] = None,
 ) -> MpeSolution:
     """Solve e^{-f} P V = e^{-lambda} V by certified inverse iteration.
 
@@ -139,21 +137,34 @@ def solve_mpe(
     (0, 1]; the reported bracket is rescaled back, so its width never
     exceeds the tolerance.
 
-    Starting from V = 1, each step bounds e^{-lambda} by the Collatz
-    quotients of A V and then takes Noda's inverse step, a sparse LU solve
-    of (sigma I - A) z = V with sigma the step's upper bound; a step whose
-    solve fails or gives an entry that is not positive and normal takes the
-    power step A V instead. Costs whose e^{-f} or iterates leave the normal
-    float64 range rerun with power steps in log space. ``iterations``
-    counts the steps of the run that produced the solution.
+    The iteration starts from V = e^{-h} for ``start``, a relative value
+    function h of a nearby problem (the last phase's, say), when that
+    vector is normal in float64, and from V = 1 otherwise. Each step bounds
+    e^{-lambda} by the Collatz quotients of A V and then solves
+    (sigma I - A) z = V by sparse LU, with sigma an upper bound: the step's
+    own when it refactors, which it does on the first step and whenever the
+    bracket shrank by less than 10x in the last step, and otherwise the
+    kept factor's. A step whose factorization fails or gives an entry that
+    is not positive and normal drops the factor and takes the power step
+    A V instead. Costs whose e^{-f} or iterates leave the normal float64
+    range rerun with power steps in log space, from V = 1 whatever
+    ``start``. The start changes how many steps a solve takes, never its
+    certificate. ``iterations`` counts the steps of the run that produced
+    the solution.
     """
     settings = settings or SolverSettings()
     _validate_inputs(passive, f, settings)
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (passive.n,):
+            raise DimensionMismatchError(
+                f"start has shape {start.shape}, expected ({passive.n},)"
+            )
     fv = f.values
     base = float(fv.min())
     w, lo, hi, iterations, converged = _accel.mpe_power_iteration(
         passive.rows, support_layout(passive), fv - base, settings.pin_index,
-        settings.tolerance, settings.max_iterations,
+        settings.tolerance, settings.max_iterations, start,
     )
     scale = math.exp(-base)
     bracket = (lo * scale, hi * scale)
@@ -181,27 +192,3 @@ def acoe_residual(passive: StochasticMatrix, f: CostFunction, sol: MpeSolution) 
     layout = support_layout(passive)
     log_z = _accel.logsumexp_rows(layout, np.log(passive.rows[layout.row, layout.col]), -sol.h)
     return float(np.abs(sol.h + sol.lam - f.values + log_z).max())
-
-
-def eigen_oracle(passive: StochasticMatrix, f: CostFunction) -> tuple[float, np.ndarray]:
-    """Brute-force dominant eigenpair of e^{-f} P for desk-scale checks.
-
-    Squares the matrix 60 times (renormalizing by the max entry) so the
-    column space collapses onto the dominant eigenvector, then takes one
-    Collatz bracket for the eigenvalue. Deliberately shares no code with
-    the iteration in ``solve_mpe``; guarded to n <= 12.
-    """
-    if passive.n > ORACLE_MAX_STATES:
-        raise ValueError(f"eigen_oracle is desk-scale only (n <= {ORACLE_MAX_STATES})")
-    if f.n != passive.n:
-        raise DimensionMismatchError(f"cost has {f.n} states, kernel has {passive.n}")
-    a = np.exp(-f.values)[:, None] * passive.rows
-    b = a / a.max()
-    for _ in range(60):
-        b = b @ b
-        b = b / b.max()
-    v = b @ np.ones(passive.n)
-    v = v / v[0]
-    ratios = (a @ v) / v
-    lam = -math.log(0.5 * (float(ratios.min()) + float(ratios.max())))
-    return lam, v

@@ -201,9 +201,15 @@ def make_tracking_env(graph: Graph, seed: int, dirichlet_alpha: float = 1.0) -> 
     rng = np.random.default_rng([seed, _KERNEL_STREAM])
     n = graph.n
     rows = np.zeros((n, n))
-    for x in range(n):
-        closed = (x,) + graph.adjacency[x]
-        rows[x, list(closed)] = rng.dirichlet(np.full(len(closed), dirichlet_alpha))
+    # one Dirichlet call per run of consecutive vertices whose closed
+    # neighbourhoods have the same size draws the doubles of one call per
+    # vertex, in the same order
+    sizes = np.array([1 + len(nb) for nb in graph.adjacency])
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        closed = [(x,) + graph.adjacency[x] for x in range(lo, hi)]
+        draws = rng.dirichlet(np.full(sizes[lo], dirichlet_alpha), size=hi - lo)
+        rows[np.arange(lo, hi)[:, np.newaxis], closed] = draws
     target0 = int(rng.integers(n))
     distances, diameter = bfs_distances(graph)
     return TrackingEnv(

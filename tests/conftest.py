@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from klwalk import CostFunction, StochasticMatrix, build_passive, grid_graph
+from klwalk import CostFunction, DimensionMismatchError, StochasticMatrix, build_passive, grid_graph
 from klwalk import _accel
 
 
@@ -74,11 +74,50 @@ def dense_log_power_iteration(rows, f_shifted, pin, tol, max_iter):
     )
 
 
+def linear_power_iteration(rows, f_shifted, pin, tol, max_iter):
+    """Certified power iteration on V, with A V = e^{-f} * (P @ V), from
+    V = 1: the library's linear-domain loop with the plain power step, the
+    reference the log domain and the inverse iteration are held against.
+    Raises FloatingPointError when e^{-f} or an iterate has an entry
+    outside the normal float64 range. Returns (log V, lo, hi, iterations,
+    converged)."""
+    return _accel._linear_loop(rows, _accel._linear_scale(f_shifted), _accel._power_update,
+                               pin, tol, max_iter, None)
+
+
+ORACLE_MAX_STATES = 12
+
+
+def eigen_oracle(passive: StochasticMatrix, f: CostFunction) -> tuple[float, np.ndarray]:
+    """Brute-force dominant eigenpair of e^{-f} P for desk-scale checks.
+
+    Squares the matrix 60 times (renormalizing by the max entry) so the
+    column space collapses onto the dominant eigenvector, then takes one
+    Collatz bracket for the eigenvalue. Deliberately shares no code with
+    the iteration in ``solve_mpe``; guarded to n <= 12.
+    """
+    if passive.n > ORACLE_MAX_STATES:
+        raise ValueError(f"eigen_oracle is desk-scale only (n <= {ORACLE_MAX_STATES})")
+    if f.n != passive.n:
+        raise DimensionMismatchError(f"cost has {f.n} states, kernel has {passive.n}")
+    a = np.exp(-f.values)[:, None] * passive.rows
+    b = a / a.max()
+    for _ in range(60):
+        b = b @ b
+        b = b / b.max()
+    v = b @ np.ones(passive.n)
+    v = v / v[0]
+    ratios = (a @ v) / v
+    lam = -math.log(0.5 * (float(ratios.min()) + float(ratios.max())))
+    return lam, v
+
+
 def dense_shifted_pattern(rows: np.ndarray, order: np.ndarray):
     """The CSC pattern of (sigma I - A)[:, order] found by scanning the
     dense kernel: ``(row, col, indptr, diag, order)`` over P's nonzeros and
-    the whole diagonal, ``col`` the unpermuted column of each entry; the
-    oracle of ``_SupportLayout.shifted_pattern`` for a given order."""
+    the whole diagonal, ``col`` the unpermuted column of each entry and
+    ``row`` and ``indptr`` C ints, as SuperLU takes them; the oracle of
+    ``_SupportLayout.shifted_pattern`` for a given order."""
     n = rows.shape[0]
     stored = rows.T != 0
     stored[np.diag_indices(n)] = True
@@ -86,7 +125,8 @@ def dense_shifted_pattern(rows: np.ndarray, order: np.ndarray):
     slot, row = np.nonzero(stored)
     col = order[slot]
     indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
-    return row, col, indptr, np.flatnonzero(row == col), order
+    diag = np.flatnonzero(row == col)
+    return row.astype(np.intc), col, indptr.astype(np.intc), diag, order
 
 
 def half_zero_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:

@@ -675,6 +675,6 @@ class TestMemoized:
     def test_pattern_memos_read_only_on_a_fresh_kernel(self):
         # no pickle round trip: read-only as first stored
         p = build_passive(grid_graph(3, 3), 0.1, 0.1, home=0)
-        labels = chains._pattern_analysis(p)[2]
+        labels = support_layout(p).components()[1]
         for arr in (*support_layout(p).shifted_pattern(), labels):
             assert isinstance(arr, np.ndarray) and not arr.flags.writeable

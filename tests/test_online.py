@@ -254,6 +254,41 @@ class TestRunEpisode:
         assert len(calls) > trace.phase_boundaries.size
         assert all(call == ("klwalk._accel", {"permc_spec": "NATURAL"}) for call in calls[1:])
 
+    def test_warm_started_phases_play_the_cold_episode(self, monkeypatch):
+        # each phase solve starts from the last phase's h; against solves
+        # from V = 1 the agent visits the same states, the costs agree to
+        # solver precision, and the solves factor less often
+        graph = grid_graph(10, 10)
+        passive = build_passive(graph, 0.01, 0.01, home=0)
+        counts = {"factor": 0, "solve": 0}
+        real_splu, real_policy = _accel.splu, online.optimal_policy
+
+        def counting_splu(matrix, permc_spec):
+            counts["factor"] += 1
+            return real_splu(matrix, permc_spec=permc_spec)
+
+        def counting_policy(passive, f, settings, start):
+            counts["solve"] += 1
+            return real_policy(passive, f, settings, start)
+
+        monkeypatch.setattr(_accel, "splu", counting_splu)
+        monkeypatch.setattr(online, "optimal_policy", counting_policy)
+        runs = {}
+        for mode in ("warm", "cold"):
+            if mode == "cold":
+                monkeypatch.setattr(online, "optimal_policy",
+                                    lambda passive, f, settings, start:
+                                    counting_policy(passive, f, settings, None))
+            counts.update(factor=0, solve=0)
+            stream = make_tracking_env(graph, seed=3).stream(1000)
+            trace = run_episode(passive, stream, horizon=1000, epsilon=0.05, start=0, seed=7)
+            runs[mode] = trace, counts["factor"] / counts["solve"]
+        (warm, warm_rate), (cold, cold_rate) = runs["warm"], runs["cold"]
+        assert warm.phase_boundaries.size == cold.phase_boundaries.size > 200
+        assert np.array_equal(warm.states, cold.states)
+        np.testing.assert_allclose(warm.cumulative, cold.cumulative, rtol=1e-12, atol=0)
+        assert warm_rate < cold_rate
+
     @pytest.mark.parametrize("horizon, solves", [(57, 23), (58, 24)])
     def test_one_solve_per_phase_in_the_horizon(self, monkeypatch, horizon, solves):
         # T=57 ends on the boundary of phase 23; T=58 starts phase 24

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from klwalk import (
     ConvergenceError,
     CostFunction,
+    DimensionMismatchError,
     NotErgodicError,
     SolverSettings,
     StochasticMatrix,
     acoe_residual,
     bfs_distances,
     build_passive,
-    eigen_oracle,
     ergodicity_report,
     grid_graph,
     make_tracking_env,
@@ -33,6 +33,8 @@ from conftest import (
     dense_log_power_iteration,
     dense_log_rows,
     dense_shifted_pattern,
+    eigen_oracle,
+    linear_power_iteration,
     random_cost,
     random_ergodic_kernel,
 )
@@ -161,7 +163,7 @@ class TestDomains:
         f = random_cost(rng, n, cap=3.0).values
         fs = f - f.min()
         pin = int(rng.integers(n))
-        runs = [_accel.linear_power_iteration(p.rows, fs, pin, 1e-12, 100_000),
+        runs = [linear_power_iteration(p.rows, fs, pin, 1e-12, 100_000),
                 _accel.log_power_iteration(p.rows, support_layout(p), fs, pin, 1e-12, 100_000)]
         (w_lin, lo_lin, hi_lin, _, ok_lin), (w_log, lo_log, hi_log, _, ok_log) = runs
         assert ok_lin and ok_log
@@ -175,7 +177,7 @@ class TestDomains:
         passive, f, cfg = large_span_problem()
         fs = f.values - f.values.min()
         with pytest.raises(FloatingPointError):
-            _accel.linear_power_iteration(
+            linear_power_iteration(
                 passive.rows, fs, cfg.pin_index, cfg.tolerance, cfg.max_iterations,
             )
         sol = solve_mpe(passive, f, cfg)
@@ -190,7 +192,7 @@ class TestDomains:
         f = CostFunction([0.0, 1.0, 1.0, 1.0])
         cfg = SolverSettings()
         with pytest.raises(FloatingPointError, match="at iteration"):
-            _accel.linear_power_iteration(
+            linear_power_iteration(
                 p.rows, f.values, 0, cfg.tolerance, cfg.max_iterations
             )
         sol = solve_mpe(p, f, cfg)
@@ -267,7 +269,7 @@ class TestInverseIteration:
         tol = 1e-12
         layout = support_layout(passive)
         w_ref = _accel.inverse_iteration(passive.rows, layout, fs, 0, tol, 100_000)[0]
-        power = _accel.linear_power_iteration(passive.rows, fs, 0, tol, 100_000)
+        power = linear_power_iteration(passive.rows, fs, 0, tol, 100_000)
         real_splu = _accel.splu
 
         class NegativeEntry:
@@ -420,6 +422,170 @@ class TestInverseIteration:
         assert sol.iterations <= 20
         assert sol.bracket_width <= SolverSettings().tolerance
         assert acoe_residual(passive, f, sol) <= 1e-8
+
+
+def warm_start_cases():
+    """Problems with a nearby problem's relative value function as start:
+    the oracle kernels with a random cost and a perturbed one, and grid
+    passives with consecutive averages of a target stream, as an episode's
+    phases solve them."""
+    rng = np.random.default_rng(18)
+    cases = []
+    for name in sorted(ORACLE_KERNELS):
+        p = ORACLE_KERNELS[name]()
+        f = random_cost(rng, p.n, cap=3.0)
+        nearby = CostFunction(f.values + 0.05 * rng.random(p.n))
+        cases.append(pytest.param(p, f, solve_mpe(p, nearby).h, id=name))
+    graph = grid_graph(10, 10)
+    passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
+    stream = np.array([c.values for c in make_tracking_env(graph, seed=7).stream(60).costs])
+    for k in (2, 13, 60):
+        f, last = CostFunction(stream[:k].mean(axis=0)), CostFunction(stream[:k - 1].mean(axis=0))
+        cases.append(pytest.param(passive, f, solve_mpe(passive, last).h, id=f"grid-phase-{k}"))
+    passive, f = grid_phase_problem()
+    cases.append(pytest.param(passive, f, np.zeros(passive.n), id="grid-phase-cost"))
+    return cases
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("passive, f, start", warm_start_cases())
+    def test_warm_solve_is_certified_like_a_cold_one(self, passive, f, start):
+        tol = SolverSettings().tolerance
+        cold = solve_mpe(passive, f)
+        warm = solve_mpe(passive, f, start=start)
+        for sol in (cold, warm):
+            assert sol.bracket_width <= tol
+            assert acoe_residual(passive, f, sol) <= 1e-8
+        # both brackets hold e^{-lambda}
+        assert max(cold.bracket[0], warm.bracket[0]) <= min(cold.bracket[1], warm.bracket[1])
+        np.testing.assert_allclose(warm.h, cold.h, rtol=0, atol=1e-9)
+        assert warm.h[0] == 0.0
+
+    def test_start_is_the_first_iterate(self, monkeypatch):
+        passive, f = grid_phase_problem()
+        start = solve_mpe(passive, CostFunction(0.9 * f.values)).h
+        firsts = []
+        real_loop = _accel._collatz_loop
+
+        def recording_loop(matvec, ratio, to_linear, floor, ceil, update, x, *rest):
+            firsts.append(x.copy())
+            return real_loop(matvec, ratio, to_linear, floor, ceil, update, x, *rest)
+
+        monkeypatch.setattr(_accel, "_collatz_loop", recording_loop)
+        solve_mpe(passive, f, start=start + 5.0)  # V is pinned whatever h(pin)
+        np.testing.assert_allclose(firsts[0], np.exp(-start), rtol=1e-12)
+        assert firsts[0][0] == 1.0
+
+    @pytest.mark.parametrize("start", [
+        np.r_[0.0, np.full(99, 800.0)],  # e^{-h} underflows
+        np.r_[0.0, np.full(99, -800.0)],  # e^{-h} overflows
+        np.r_[0.0, np.full(99, 710.0)],  # e^{-h} is subnormal
+        np.r_[0.0, np.nan, np.zeros(98)],
+    ], ids=["underflow", "overflow", "subnormal", "nan"])
+    def test_start_that_is_not_normal_falls_back_to_ones(self, start):
+        passive, f = grid_phase_problem()
+        fs = f.values - f.values.min()
+        layout = support_layout(passive)
+        got = _accel.inverse_iteration(passive.rows, layout, fs, 0, 1e-12, 100_000, start)
+        want = _accel.inverse_iteration(passive.rows, layout, fs, 0, 1e-12, 100_000)
+        assert got[4] and np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_log_domain_rerun_ignores_start(self):
+        # e^{-f} underflows, or e^{-f} is normal but the iterates leave the range
+        eps = 1e-150
+        rare = StochasticMatrix([[1 - eps, eps, 0, 0], [eps, 1 - 2 * eps, eps, 0],
+                                 [0, eps, 1 - 2 * eps, eps], [0, 0, eps, 1 - eps]])
+        problems = [large_span_problem(), (rare, CostFunction([0.0, 1.0, 1.0, 1.0]),
+                                           SolverSettings())]
+        for passive, f, cfg in problems:
+            cold = solve_mpe(passive, f, cfg)
+            for start in (np.zeros(passive.n), np.linspace(0.0, 3.0, passive.n)):
+                warm = solve_mpe(passive, f, cfg, start=start)
+                assert np.array_equal(warm.h, cold.h)
+                assert (warm.lam, warm.bracket, warm.iterations) == (
+                    cold.lam, cold.bracket, cold.iterations)
+
+    def test_start_of_the_wrong_shape_is_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="start"):
+            solve_mpe(TWO_STATE, TWO_STATE_COST, start=np.zeros(3))
+
+
+class TestKeptFactor:
+    @staticmethod
+    def logged_run(monkeypatch, fail):
+        """The grid phase problem's cold run with the steps and the
+        factorizations logged in order; ``fail(kind, count)`` says whether
+        the count-th factorization ("factor") or solve ("solve") fails."""
+        passive, f = grid_phase_problem()
+        fs = f.values - f.values.min()
+        events = []
+        real_splu, real_loop = _accel.splu, _accel._collatz_loop
+
+        class FlakyFactor:
+            def __init__(self, matrix, permc_spec):
+                events.append("factor")
+                if fail("factor", events.count("factor")):
+                    raise RuntimeError("Factor is exactly singular")
+                self.lu = real_splu(matrix, permc_spec=permc_spec)
+
+            def solve(self, b):
+                events.append("solve")
+                z = self.lu.solve(b)
+                if fail("solve", events.count("solve")):
+                    z[len(z) // 2] = -1.0
+                return z
+
+        def logging_loop(matvec, ratio, to_linear, floor, ceil, update, *rest):
+            def logged(*args):
+                events.append("step")
+                return update(*args)
+            return real_loop(matvec, ratio, to_linear, floor, ceil, logged, *rest)
+
+        monkeypatch.setattr(_accel, "splu", FlakyFactor)
+        monkeypatch.setattr(_accel, "_collatz_loop", logging_loop)
+        w, lo, hi, it, ok = _accel.inverse_iteration(
+            passive.rows, support_layout(passive), fs, 0, 1e-12, 100_000
+        )
+        assert ok and hi - lo <= 1e-12
+        return events
+
+    def test_steps_reuse_the_factor_until_the_bracket_stalls(self, monkeypatch):
+        events = self.logged_run(monkeypatch, lambda kind, count: False)
+        steps = events.count("step")
+        assert events[:2] == ["step", "factor"]
+        assert events.count("solve") == steps
+        # some steps solve with an earlier step's factor, and that saves work
+        assert 2 <= events.count("factor") < steps
+
+    @staticmethod
+    def assert_next_step_refactors(events, kind, count):
+        failed = [i for i, e in enumerate(events) if e == kind][count - 1]
+        # the failure came with a factor in hand, and the next step makes a new one
+        assert events[failed - 1] == "step" and "factor" in events[:failed - 1]
+        assert events[failed + 1:failed + 3] == ["step", "factor"]
+
+    def test_bad_z_drops_the_kept_factor(self, monkeypatch):
+        # with the stall rule switched off, only a failed step makes the next
+        # one refactor: here the third solve, made with the first step's
+        # factor, gives a z that is not normal
+        monkeypatch.setattr(_accel, "REFACTOR_SHRINK", math.inf)
+        events = self.logged_run(monkeypatch, lambda kind, count: (kind, count) == ("solve", 3))
+        assert events.count("factor") == 2
+        self.assert_next_step_refactors(events, "solve", 3)
+
+    def test_failed_refactorization_drops_the_kept_factor(self, monkeypatch):
+        # the second factorization refactors a stalled step while the first
+        # factor is kept, and fails; the stall rule is switched off from
+        # then on, so only the dropped factor makes the next step refactor
+        def fail(kind, count):
+            if (kind, count) != ("factor", 2):
+                return False
+            monkeypatch.setattr(_accel, "REFACTOR_SHRINK", math.inf)
+            return True
+
+        events = self.logged_run(monkeypatch, fail)
+        assert events.count("factor") == 3
+        self.assert_next_step_refactors(events, "factor", 2)
 
 
 class TestAcoeResidual:

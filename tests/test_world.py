@@ -16,7 +16,7 @@ from klwalk import (
     make_tracking_env,
     tracking_cost,
 )
-from klwalk.world import _PATH_STREAM
+from klwalk.world import _KERNEL_STREAM, _PATH_STREAM
 
 from conftest import dense_markov_path
 
@@ -239,6 +239,22 @@ class TestTrackingEnv:
         for x in range(g.n):
             closed = {x, *g.adjacency[x]}
             assert set(np.nonzero(rows[x])[0]) <= closed
+
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 3.0])
+    @pytest.mark.parametrize("graph", [grid_graph(10, 10), grid_graph(15, 15),
+                                       random_connected_graph(8)],
+                             ids=["grid-10x10", "grid-15x15", "edge-list-30"])
+    def test_target_kernel_is_the_per_row_draw(self, graph, alpha):
+        # one Dirichlet call per vertex, the draw the batched runs replace
+        for seed in range(2):
+            rng = np.random.default_rng([seed, _KERNEL_STREAM])
+            rows = np.zeros((graph.n, graph.n))
+            for x in range(graph.n):
+                closed = (x,) + graph.adjacency[x]
+                rows[x, list(closed)] = rng.dirichlet(np.full(len(closed), alpha))
+            env = make_tracking_env(graph, seed=seed, dirichlet_alpha=alpha)
+            assert np.array_equal(env.target_kernel.rows, rows)
+            assert env.target_state == int(rng.integers(graph.n))
 
     def test_determinism_across_calls(self):
         g = grid_graph(4, 4)
