@@ -29,20 +29,15 @@ from .errors import (
     ParseError,
 )
 from .evaluate import (
-    BEST_IN_HINDSIGHT,
-    FIXED_POLICY,
-    SAMPLED_POOL_BEST,
     ExperimentResult,
     ExperimentSpec,
     MonteCarloSummary,
     PolicyPool,
-    RegretTrace,
     best_in_hindsight,
     growth_exponent,
     monte_carlo,
     pool_best_realized_cost,
     realized_expected_comparator_cost,
-    regret_trace,
     run_experiment,
     run_tracking_once,
     sample_policy_pool,
@@ -67,12 +62,8 @@ from .policy import (
     BoundConstants,
     KlPolicy,
     bound_constants,
-    kernel_sup_distance,
     optimal_policy,
-    passive_policy,
-    policy_from_rows,
     rows_kl,
-    state_action_cost,
     steady_state_cost,
     twisted_kernel,
     twisted_pair_kl,

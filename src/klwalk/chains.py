@@ -386,7 +386,8 @@ def invariant_distribution(P: StochasticMatrix) -> Distribution:
         pi = splu(csc_matrix(system)).solve(rhs)
     except RuntimeError:  # SuperLU: the factor is exactly singular
         pi = np.full(P.n, np.nan)
-    residual = float(np.abs(pi @ P.rows - pi).sum())
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite pi fails the bounds below
+        residual = float(np.abs(pi @ P.rows - pi).sum())
     if not (np.isfinite(pi).all() and residual <= INVARIANT_RESIDUAL_TOL and pi.min() >= -1e-12):
         raise NotUnichainError(
             f"no reliable invariant distribution (fixed-point residual {residual:.3e})"

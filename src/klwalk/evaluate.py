@@ -50,13 +50,7 @@ from .chains import (
 from .errors import DimensionMismatchError, NotUnichainError
 from .online import RunTrace, run_episode
 from .policy import KlPolicy, optimal_policy, rows_kl_at
-from .spectral import SolverSettings
 from .world import Graph, build_passive, grid_graph, make_tracking_env
-
-BEST_IN_HINDSIGHT = "best-in-hindsight"
-FIXED_POLICY = "fixed-policy"
-SAMPLED_POOL_BEST = "sampled-pool-best"
-_COMPARATOR_KINDS = (BEST_IN_HINDSIGHT, FIXED_POLICY, SAMPLED_POOL_BEST)
 
 _MASK64 = (1 << 64) - 1
 _SPLIT_GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
@@ -76,24 +70,6 @@ def split_seed(base_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-@dataclass(frozen=True)
-class RegretTrace(FrozenArrays):
-    """Prefix regret of a run against one comparator."""
-
-    horizon: int
-    per_step: np.ndarray
-    comparator_kind: str
-    comparator_cost: np.ndarray
-
-    def __post_init__(self):
-        if self.comparator_kind not in _COMPARATOR_KINDS:
-            raise ValueError(f"unknown comparator kind {self.comparator_kind!r}")
-        for name in ("per_step", "comparator_cost"):
-            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
-        if self.per_step.shape != (self.horizon,) or self.comparator_cost.shape != (self.horizon,):
-            raise DimensionMismatchError("regret traces must match the horizon")
 
 
 @dataclass(frozen=True)
@@ -151,15 +127,11 @@ def realized_expected_comparator_cost(
     return np.cumsum(out)
 
 
-def best_in_hindsight(
-    passive: StochasticMatrix,
-    costs: Sequence[CostFunction],
-    settings: Optional[SolverSettings] = None,
-) -> KlPolicy:
+def best_in_hindsight(passive: StochasticMatrix, costs: Sequence[CostFunction]) -> KlPolicy:
     """The twisted-kernel policy solved against the average revealed cost;
     the steady-state optimum over all stationary unichain policies."""
     fmat = _cost_matrix(costs)
-    return optimal_policy(passive, CostFunction(fmat.mean(axis=0)), settings)
+    return optimal_policy(passive, CostFunction(fmat.mean(axis=0)))
 
 
 class PolicyPool(FrozenArrays, collections.abc.Sequence):
@@ -329,21 +301,6 @@ def pool_best_realized_cost(
     if best_index is None:
         raise ValueError("no pooled policy has a finite realized cost")
     return pool[best_index], np.cumsum(best_per_step)
-
-
-def regret_trace(run: RunTrace, comparator_cost, kind: str) -> RegretTrace:
-    """Prefix regret: the run's cumulative cost minus the comparator's."""
-    comparator_cost = np.asarray(comparator_cost, dtype=np.float64)
-    if comparator_cost.shape != run.cumulative.shape:
-        raise DimensionMismatchError(
-            f"comparator has {comparator_cost.shape[0]} steps, run has {run.horizon}"
-        )
-    return RegretTrace(
-        horizon=run.horizon,
-        per_step=run.cumulative - comparator_cost,
-        comparator_kind=kind,
-        comparator_cost=comparator_cost,
-    )
 
 
 def growth_exponent(trace, burn_in: Optional[int] = None) -> float:

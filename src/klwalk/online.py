@@ -12,7 +12,9 @@ from the phase policy's ``draw_table``. ``step`` is ``advance`` on a
 one-cost run, and ``run_episode`` calls it once per phase.
 
 The environment is oblivious by construction: a cost stream exposes only
-``next() -> CostFunction`` and never receives states or actions.
+``next() -> CostFunction`` and never receives states or actions. State
+costs lie in [0, ``COST_CAP``], the paper's standing assumption, and
+``advance`` rejects a cost above the cap.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from . import _accel
 from .chains import CostFunction, FrozenArrays, StochasticMatrix, draw_table, frozen_copy
 from .errors import DimensionMismatchError
 from .policy import KlPolicy, optimal_policy
-from .spectral import SolverSettings
 
+COST_CAP = 1.0  # every state cost lies in [0, COST_CAP]
 _CEIL_SNAP = 1e-9  # keep ceil exact when m^(1/3-eps) is an integer up to fp noise
 
 
@@ -121,14 +123,12 @@ class StrategyState:
 
     ``cost_sum``/``steps_seen`` cover completed phases only;
     ``phase_cost_sum`` buffers the running phase and is merged when it
-    closes. Owned by exactly one episode at a time.
+    closes. Every cost it has taken in is at most ``COST_CAP``. Owned by
+    exactly one episode at a time.
     """
 
     passive: StochasticMatrix
     schedule: PhaseSchedule
-    settings: SolverSettings
-    cost_cap: float
-    enforce_cost_cap: bool
     current_phase: int
     policy: Optional[KlPolicy]
     cost_sum: np.ndarray
@@ -138,24 +138,15 @@ class StrategyState:
     phase_step: int
 
 
-def start_strategy(
-    passive: StochasticMatrix,
-    schedule: PhaseSchedule,
-    start: int,
-    settings: Optional[SolverSettings] = None,
-    cost_cap: float = 1.0,
-    enforce_cost_cap: bool = True,
-) -> StrategyState:
+def start_strategy(passive: StochasticMatrix, schedule: PhaseSchedule, start: int) -> StrategyState:
     """A fresh strategy positioned at ``start`` with phase 1 already begun
-    (its policy is the passive kernel, solved from the zero cost)."""
+    (its policy is the passive kernel, solved from the zero cost). It
+    takes state costs up to ``COST_CAP``."""
     if not 0 <= start < passive.n:
         raise IndexError(f"start state {start} out of range for n={passive.n}")
     shell = StrategyState(
         passive=passive,
         schedule=schedule,
-        settings=settings or SolverSettings(),
-        cost_cap=cost_cap,
-        enforce_cost_cap=enforce_cost_cap,
         current_phase=0,
         policy=None,
         cost_sum=np.zeros(passive.n),
@@ -191,7 +182,7 @@ def begin_phase(state: StrategyState) -> StrategyState:
     else:
         f_hat = CostFunction(np.zeros(passive.n))
     last_h = state.policy.source_h if state.policy is not None else None
-    new_policy = optimal_policy(passive, f_hat, state.settings, last_h)
+    new_policy = optimal_policy(passive, f_hat, start=last_h)
     return replace(
         state,
         current_phase=state.current_phase + 1,
@@ -208,7 +199,7 @@ def advance(
 ) -> tuple[StrategyState, np.ndarray, np.ndarray, np.ndarray]:
     """Play a run of revealed costs, one per step, inside the current phase.
 
-    Each cost must fit the chain and, when enforced, the cost cap. The run
+    Each cost must fit the chain and peak at ``COST_CAP`` or below. The run
     is walked with one ``rng.random(k)``, the same doubles as k
     ``rng.random()`` calls. Step t pays f_t and the control cost at the
     state occupied when the policy was applied; f_t joins the phase buffer
@@ -226,10 +217,9 @@ def advance(
     for f_t in costs:
         if f_t.n != state.passive.n:
             raise DimensionMismatchError(f"cost has {f_t.n} states, chain has {state.passive.n}")
-        if state.enforce_cost_cap and f_t.max() > state.cost_cap + 1e-12:
+        if f_t.max() > COST_CAP + 1e-12:
             raise ValueError(
-                f"state cost peaks at {f_t.max()}, above the admissible cap {state.cost_cap}; "
-                "construct the strategy with enforce_cost_cap=False to override"
+                f"state cost peaks at {f_t.max()}, above the admissible cap {COST_CAP}"
             )
         phase_cost_sum = phase_cost_sum + f_t.values
     table = draw_table(state.policy.kernel)
@@ -298,9 +288,6 @@ def run_episode(
     epsilon: float,
     start: int,
     seed: int,
-    settings: Optional[SolverSettings] = None,
-    cost_cap: float = 1.0,
-    enforce_cost_cap: bool = True,
 ) -> RunTrace:
     """Run the phased strategy for ``horizon`` steps against a cost stream.
 
@@ -309,9 +296,7 @@ def run_episode(
     ``seed`` only.
     """
     schedule = make_schedule(epsilon, horizon)
-    state = start_strategy(
-        passive, schedule, start, settings, cost_cap=cost_cap, enforce_cost_cap=enforce_cost_cap
-    )
+    state = start_strategy(passive, schedule, start)
     rng = np.random.default_rng(seed)
     # the schedule stops once it covers the horizon: only the last phase is cut
     boundaries = np.concatenate(([0], schedule.tau_cum[:-1]))

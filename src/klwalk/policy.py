@@ -156,15 +156,6 @@ def twisted_pair_kl(passive: StochasticMatrix, phi_a, phi_b) -> np.ndarray:
     return np.maximum(diff + log_zb - log_za, 0.0)
 
 
-def state_action_cost(f: CostFunction, policy: KlPolicy, x: int) -> float:
-    """f(x) plus the policy's control cost at x; +inf saturates."""
-    if not 0 <= x < policy.n:
-        raise IndexError(f"state index {x} out of range for n={policy.n}")
-    if f.n != policy.n:
-        raise DimensionMismatchError(f"cost has {f.n} states, policy has {policy.n}")
-    return float(f.values[x] + policy.control_cost[x])
-
-
 def steady_state_cost(f: CostFunction, policy: KlPolicy) -> float:
     """Expected state-action cost under the policy's invariant distribution."""
     if f.n != policy.n:
@@ -234,24 +225,3 @@ def bound_constants(passive: StochasticMatrix, cost_cap: float = 1.0) -> BoundCo
         theta=report.theta,
         nbar=report.nbar,
     )
-
-
-def kernel_sup_distance(a: StochasticMatrix, b: StochasticMatrix) -> float:
-    """Largest L1 distance between matching rows; in [0, 2]."""
-    if a.n != b.n:
-        raise DimensionMismatchError(f"kernels have {a.n} and {b.n} states")
-    return float(np.abs(a.rows - b.rows).sum(axis=1).max())
-
-
-def policy_from_rows(passive: StochasticMatrix, rows) -> KlPolicy:
-    """Wrap explicit transition rows as a policy, pricing them against the
-    passive kernel."""
-    kernel = StochasticMatrix(rows)
-    if kernel.n != passive.n:
-        raise DimensionMismatchError(f"kernel has {kernel.n} states, passive has {passive.n}")
-    return KlPolicy(kernel=kernel, control_cost=rows_kl(kernel.rows, passive.rows))
-
-
-def passive_policy(passive: StochasticMatrix) -> KlPolicy:
-    """The passive dynamics viewed as a (zero control cost) policy."""
-    return KlPolicy(kernel=passive, control_cost=np.zeros(passive.n))

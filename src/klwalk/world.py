@@ -77,9 +77,6 @@ class Graph(FrozenArrays):
         u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
         return csr_matrix((np.ones(u.shape[0]), (u, v)), shape=(self.n, self.n))
 
-    def degree(self, x: int) -> int:
-        return len(self.adjacency[x])
-
 
 def load_graph(edge_list: str) -> Graph:
     """Parse a whitespace-separated edge list ('#' starts a comment).
@@ -245,17 +242,10 @@ class ReplayCostStream:
         self._costs = tuple(costs)
         self._cursor = 0
 
-    def __len__(self) -> int:
-        return len(self._costs)
-
     @property
     def costs(self) -> tuple[CostFunction, ...]:
         """The full pre-generated sequence (reading it does not consume it)."""
         return self._costs
-
-    @property
-    def remaining(self) -> int:
-        return len(self._costs) - self._cursor
 
     def next(self) -> CostFunction:
         if self._cursor >= len(self._costs):

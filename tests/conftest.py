@@ -4,7 +4,15 @@ import threading
 import numpy as np
 import pytest
 
-from klwalk import CostFunction, DimensionMismatchError, StochasticMatrix, build_passive, grid_graph
+from klwalk import (
+    CostFunction,
+    DimensionMismatchError,
+    KlPolicy,
+    StochasticMatrix,
+    build_passive,
+    grid_graph,
+    rows_kl,
+)
 from klwalk import _accel
 
 
@@ -15,6 +23,23 @@ def random_ergodic_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:
 
 def random_cost(rng: np.random.Generator, n: int, cap: float = 1.0) -> CostFunction:
     return CostFunction(rng.random(n) * cap)
+
+
+def passive_policy(passive: StochasticMatrix) -> KlPolicy:
+    """The passive dynamics viewed as a (zero control cost) policy."""
+    return KlPolicy(kernel=passive, control_cost=np.zeros(passive.n))
+
+
+def policy_from_rows(passive: StochasticMatrix, rows) -> KlPolicy:
+    """Explicit transition rows as a policy, priced against the passive
+    kernel by ``rows_kl``."""
+    kernel = StochasticMatrix(rows)
+    return KlPolicy(kernel=kernel, control_cost=rows_kl(kernel.rows, passive.rows))
+
+
+def kernel_sup_distance(a: StochasticMatrix, b: StochasticMatrix) -> float:
+    """Largest L1 distance between matching rows; in [0, 2]."""
+    return float(np.abs(a.rows - b.rows).sum(axis=1).max())
 
 
 def pick_from_cdf(cdf: np.ndarray, u: float) -> int:

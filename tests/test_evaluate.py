@@ -11,13 +11,9 @@ import numpy as np
 import pytest
 
 from klwalk import (
-    BEST_IN_HINDSIGHT,
     CostFunction,
-    DimensionMismatchError,
     ExperimentSpec,
-    FIXED_POLICY,
     NotUnichainError,
-    ReplayCostStream,
     StochasticMatrix,
     best_in_hindsight,
     bound_constants,
@@ -27,12 +23,9 @@ from klwalk import (
     invariant_distribution,
     monte_carlo,
     optimal_policy,
-    passive_policy,
     pool_best_realized_cost,
     realized_expected_comparator_cost,
-    regret_trace,
     rows_kl,
-    run_episode,
     make_tracking_env,
     run_experiment,
     sample_policy_pool,
@@ -46,6 +39,7 @@ from klwalk.policy import KlPolicy
 
 from conftest import (
     dense_markov_path,
+    passive_policy,
     pick_from_cdf,
     random_cost,
     random_ergodic_kernel,
@@ -436,51 +430,6 @@ class TestPoolBestRealizedCost:
             totals.append(tr[-1])
         # the winner's realized total is at or below the pool median
         assert best_trace[-1] <= np.median(totals)
-
-
-class TestRegretTrace:
-    def test_identical_traces_zero_regret(self, rng):
-        p = random_ergodic_kernel(rng, 3)
-        costs = [random_cost(rng, 3) for _ in range(20)]
-        trace = run_episode(p, ReplayCostStream(costs), 20, 0.05, 0, seed=1)
-        out = regret_trace(trace, trace.cumulative, FIXED_POLICY)
-        np.testing.assert_array_equal(out.per_step, 0.0)
-
-    def test_zero_comparator_equals_cumulative(self, rng):
-        p = random_ergodic_kernel(rng, 3)
-        costs = [random_cost(rng, 3) for _ in range(15)]
-        trace = run_episode(p, ReplayCostStream(costs), 15, 0.05, 0, seed=1)
-        out = regret_trace(trace, np.zeros(15), BEST_IN_HINDSIGHT)
-        np.testing.assert_array_equal(out.per_step, trace.cumulative)
-
-    def test_length_mismatch(self, rng):
-        p = random_ergodic_kernel(rng, 3)
-        costs = [random_cost(rng, 3) for _ in range(10)]
-        trace = run_episode(p, ReplayCostStream(costs), 10, 0.05, 0, seed=1)
-        with pytest.raises(DimensionMismatchError):
-            regret_trace(trace, np.zeros(9), BEST_IN_HINDSIGHT)
-
-    def test_invalid_kind(self, rng):
-        p = random_ergodic_kernel(rng, 3)
-        costs = [random_cost(rng, 3) for _ in range(5)]
-        trace = run_episode(p, ReplayCostStream(costs), 5, 0.05, 0, seed=1)
-        with pytest.raises(ValueError):
-            regret_trace(trace, np.zeros(5), "made-up")
-
-    def test_segment_concatenation_additivity(self, rng):
-        # prefix regret over a split sequence equals the concatenation of
-        # the segment regrets with the running offset carried over
-        p = random_ergodic_kernel(rng, 3)
-        costs = [random_cost(rng, 3) for _ in range(30)]
-        trace = run_episode(p, ReplayCostStream(costs), 30, 0.05, 0, seed=6)
-        comp = steady_state_comparator_cost(passive_policy(p), costs)
-        full = regret_trace(trace, comp, FIXED_POLICY).per_step
-        per_step_cost = np.diff(np.concatenate([[0.0], trace.cumulative]))
-        per_step_comp = np.diff(np.concatenate([[0.0], comp]))
-        split = 13
-        seg1 = np.cumsum(per_step_cost[:split] - per_step_comp[:split])
-        seg2 = np.cumsum(per_step_cost[split:] - per_step_comp[split:]) + seg1[-1]
-        np.testing.assert_allclose(np.concatenate([seg1, seg2]), full, atol=1e-10)
 
 
 class TestExperimentSpec:

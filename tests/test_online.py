@@ -13,7 +13,6 @@ from klwalk import (
     begin_phase,
     build_passive,
     grid_graph,
-    kernel_sup_distance,
     make_schedule,
     make_tracking_env,
     run_episode,
@@ -22,7 +21,7 @@ from klwalk import (
 )
 from klwalk import _accel, chains, online
 
-from conftest import pick_from_cdf, random_ergodic_kernel
+from conftest import kernel_sup_distance, pick_from_cdf, random_ergodic_kernel
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 
@@ -42,8 +41,7 @@ def reference_episode(passive, costs, epsilon, start, seed):
     draw on the dense CDF of the acting row, and the strategy state
     replaced at every step. Returns the ``RunTrace`` fields as a dict."""
     horizon = len(costs)
-    state = start_strategy(passive, make_schedule(epsilon, horizon), start,
-                           enforce_cost_cap=False)
+    state = start_strategy(passive, make_schedule(epsilon, horizon), start)
     rng = np.random.default_rng(seed)
     states, state_costs, control_costs, boundaries = [], [], [], [0]
     for t, f_t in enumerate(costs):
@@ -134,7 +132,7 @@ class TestBeginPhase:
     def test_constant_history_keeps_passive(self, rng):
         # constants shift the average cost only, never the kernel
         p = random_ergodic_kernel(rng, 3)
-        state = start_strategy(p, make_schedule(0.05, 100), start=0, cost_cap=1.0)
+        state = start_strategy(p, make_schedule(0.05, 100), start=0)
         rng_agent = np.random.default_rng(0)
         for _ in range(20):
             state, _ = step(state, CostFunction([0.4, 0.4, 0.4]), rng_agent)
@@ -143,7 +141,7 @@ class TestBeginPhase:
 
     def test_two_state_history_twists_to_derived_kernel(self):
         sched = make_schedule(0.05, 100)
-        state = start_strategy(TWO_STATE, sched, start=0, enforce_cost_cap=False)
+        state = start_strategy(TWO_STATE, sched, start=0)
         # phase 1 lasts exactly one step; its cost becomes the phase-2 average
         state, _ = step(state, CostFunction([0.0, math.log(2)]), np.random.default_rng(1))
         assert state.current_phase == 2
@@ -177,12 +175,18 @@ class TestStep:
 
     def test_cost_cap_enforcement_and_override(self):
         state = start_strategy(TWO_STATE, make_schedule(0.05, 10), start=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="above the admissible cap"):
             step(state, CostFunction([0.0, 1.5]), np.random.default_rng(0))
-        relaxed = start_strategy(
-            TWO_STATE, make_schedule(0.05, 10), start=0, enforce_cost_cap=False
-        )
-        step(relaxed, CostFunction([0.0, 1.5]), np.random.default_rng(0))
+        # the cap is a module constant: there is no override to pass
+        with pytest.raises(TypeError):
+            start_strategy(TWO_STATE, make_schedule(0.05, 10), start=0, enforce_cost_cap=False)
+
+    def test_cost_cap_tolerance(self):
+        # rounding of 1e-12 above the cap is let through, 1e-9 is not
+        state = start_strategy(TWO_STATE, make_schedule(0.05, 10), start=0)
+        step(state, CostFunction([0.0, online.COST_CAP + 1e-12]), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="above the admissible cap"):
+            step(state, CostFunction([0.0, online.COST_CAP + 1e-9]), np.random.default_rng(0))
 
     def test_cost_dimension_checked(self):
         state = start_strategy(TWO_STATE, make_schedule(0.05, 10), start=0)
@@ -267,7 +271,7 @@ class TestRunEpisode:
             counts["factor"] += 1
             return real_splu(matrix, permc_spec=permc_spec)
 
-        def counting_policy(passive, f, settings, start):
+        def counting_policy(passive, f, settings=None, start=None):
             counts["solve"] += 1
             return real_policy(passive, f, settings, start)
 
@@ -277,7 +281,7 @@ class TestRunEpisode:
         for mode in ("warm", "cold"):
             if mode == "cold":
                 monkeypatch.setattr(online, "optimal_policy",
-                                    lambda passive, f, settings, start:
+                                    lambda passive, f, settings=None, start=None:
                                     counting_policy(passive, f, settings, None))
             counts.update(factor=0, solve=0)
             stream = make_tracking_env(graph, seed=3).stream(1000)
@@ -295,7 +299,7 @@ class TestRunEpisode:
         calls = []
         real = online.optimal_policy
         monkeypatch.setattr(online, "optimal_policy",
-                            lambda *args: calls.append(1) or real(*args))
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         passive = build_passive(grid_graph(3, 3), 0.01, 0.01, home=0)
         stream = make_tracking_env(grid_graph(3, 3), seed=2).stream(horizon)
         trace = run_episode(passive, stream, horizon=horizon, epsilon=0.05, start=0, seed=1)
@@ -349,7 +353,7 @@ class TestRunEpisode:
         # ratio ||P(m+1)-P(m)||_inf * tau_{1:m}/tau_m stays finite (recorded)
         p = random_ergodic_kernel(rng, 3)
         sched = make_schedule(0.05, 120)
-        state = start_strategy(p, sched, start=0, enforce_cost_cap=False)
+        state = start_strategy(p, sched, start=0)
         gen = np.random.default_rng(9)
         cost_gen = np.random.default_rng(10)
         policies = []

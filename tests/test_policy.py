@@ -13,15 +13,11 @@ from klwalk import (
     StochasticMatrix,
     bound_constants,
     dobrushin_coefficient,
-    kernel_sup_distance,
     kl_divergence,
     optimal_policy,
-    passive_policy,
-    policy_from_rows,
     rows_kl,
     solve_mpe,
     span_seminorm,
-    state_action_cost,
     steady_state_cost,
     twisted_kernel,
     twisted_pair_kl,
@@ -36,6 +32,8 @@ from conftest import (
     dense_log_rows,
     dense_markov_path,
     dense_twist,
+    passive_policy,
+    policy_from_rows,
     random_cost,
     random_ergodic_kernel,
 )
@@ -169,32 +167,17 @@ class TestSparseTwistMatchesDense:
 
 
 class TestStateActionCost:
-    def test_passive_policy_charges_state_cost_only(self):
-        f = CostFunction([0.3, 0.8])
-        pol = passive_policy(TWO_STATE)
-        assert state_action_cost(f, pol, 0) == 0.3
-        assert state_action_cost(f, pol, 1) == 0.8
-
-    def test_zero_cost_zero_control(self):
-        pol = passive_policy(TWO_STATE)
-        assert state_action_cost(CostFunction([0.0, 0.0]), pol, 1) == 0.0
-
     def test_two_state_derived_value(self):
         pol = twisted_kernel(TWO_STATE, np.array([0.0, math.log(2)]))
         # KL((2/3,1/3) || (1/2,1/2)) by direct summation
         expected = (2 / 3) * math.log(4 / 3) + (1 / 3) * math.log(2 / 3)
-        got = state_action_cost(CostFunction([0.0, 1.0]), pol, 0)
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert pol.control_cost[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.056633, abs=1e-6)
 
     def test_infinite_control_propagates(self):
         pol = policy_from_rows(StochasticMatrix([[1.0, 0.0], [0.5, 0.5]]),
                                rows=[[0.5, 0.5], [0.5, 0.5]])
-        assert state_action_cost(CostFunction([0.0, 0.0]), pol, 0) == math.inf
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            state_action_cost(CostFunction([0.0, 0.0]), passive_policy(TWO_STATE), 7)
+        assert pol.control_cost[0] == math.inf
 
 
 class TestSteadyStateCost:
@@ -268,22 +251,6 @@ class TestBoundConstants:
             consts = bound_constants(p, cost_cap=1.0)
             f = random_cost(rng, n, cap=1.0)
             pol = optimal_policy(p, f)
-            worst = max(state_action_cost(f, pol, x) for x in range(n))
+            worst = (f.values + pol.control_cost).max()
             assert worst <= consts.k0 + 1e-12
             assert span_seminorm(solve_mpe(p, f).h) <= consts.k1 + 1e-12
-
-
-class TestKernelSupDistance:
-    def test_identical(self, rng):
-        p = random_ergodic_kernel(rng, 4)
-        assert kernel_sup_distance(p, p) == 0.0
-
-    def test_disjoint_rows(self):
-        ident = StochasticMatrix(np.eye(2))
-        swap = StochasticMatrix([[0, 1], [1, 0]])
-        assert kernel_sup_distance(ident, swap) == 2.0
-
-    def test_direct_evaluation(self):
-        a = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-        b = StochasticMatrix([[2 / 3, 1 / 3], [2 / 3, 1 / 3]])
-        assert kernel_sup_distance(a, b) == pytest.approx(1 / 3, abs=1e-15)

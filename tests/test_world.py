@@ -189,7 +189,7 @@ class TestBuildPassive:
         p = build_passive(g, stay_prob=0.2, delta=0.1, home=home)
         np.testing.assert_allclose(p.rows.sum(axis=1), 1.0, atol=1e-12)
         x = 0
-        deg = g.degree(x)
+        deg = len(g.adjacency[x])
         expected_self = 0.9 * 0.2
         expected_nb = 0.9 * 0.8 / deg
         assert p.rows[x, x] == pytest.approx(expected_self)
