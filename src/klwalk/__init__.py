@@ -49,14 +49,8 @@ from .online import (
     CostStream,
     PhaseSchedule,
     RunTrace,
-    StepRecord,
-    StrategyState,
-    advance,
-    begin_phase,
     make_schedule,
     run_episode,
-    start_strategy,
-    step,
 )
 from .policy import (
     BoundConstants,

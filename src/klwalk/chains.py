@@ -162,15 +162,6 @@ class StochasticMatrix(FrozenArrays):
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def renormalized(cls, rows) -> "StochasticMatrix":
-        """Explicitly rescale each row to sum to one (never done silently)."""
-        raw = np.asarray(rows, dtype=np.float64)
-        sums = raw.sum(axis=1, keepdims=True)
-        if np.any(sums <= 0):
-            raise ValueError("cannot renormalize a row with nonpositive total mass")
-        return cls(raw / sums)
-
-    @classmethod
     def on_layout(cls, layout: "_SupportLayout", entries: np.ndarray) -> "StochasticMatrix":
         """The kernel with ``entries`` (m,) at ``layout``'s nonzeros; when they
         are all positive, ``layout`` is the kernel's own ``support_layout``."""

@@ -117,15 +117,14 @@ def load_config(path: Optional[str], environ=os.environ) -> tuple[ExperimentSpec
             raise ParseError(f"config.{key}: unknown field")
 
     graph_spec = data.get("graph", {})
-    if graph_spec:
-        if not isinstance(graph_spec, dict) or not set(graph_spec) <= {"grid", "edge_list"}:
-            raise ParseError("config.graph: expected an object with 'grid' or 'edge_list'")
-        if "grid" in graph_spec and "edge_list" in graph_spec:
-            raise ParseError("config.graph: 'grid' and 'edge_list' are mutually exclusive")
-        if "grid" in graph_spec:
-            grid = _parse_grid(graph_spec["grid"], "graph.grid")
-        else:
-            edge_list = _want(graph_spec["edge_list"], "graph.edge_list", str)
+    if not isinstance(graph_spec, dict) or not set(graph_spec) <= {"grid", "edge_list"}:
+        raise ParseError("config.graph: expected an object with 'grid' or 'edge_list'")
+    if "grid" in graph_spec and "edge_list" in graph_spec:
+        raise ParseError("config.graph: 'grid' and 'edge_list' are mutually exclusive")
+    if "grid" in graph_spec:
+        grid = _parse_grid(graph_spec["grid"], "graph.grid")
+    elif "edge_list" in graph_spec:
+        edge_list = _want(graph_spec["edge_list"], "graph.edge_list", str)
 
     for name, kind in _SCALAR_FIELDS.items():
         if name in data:

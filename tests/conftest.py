@@ -16,6 +16,15 @@ from klwalk import (
 from klwalk import _accel
 
 
+def renormalized(rows) -> StochasticMatrix:
+    """Rescale each row to sum to one; a row with nonpositive mass raises."""
+    raw = np.asarray(rows, dtype=np.float64)
+    sums = raw.sum(axis=1, keepdims=True)
+    if np.any(sums <= 0):
+        raise ValueError("cannot renormalize a row with nonpositive total mass")
+    return StochasticMatrix(raw / sums)
+
+
 def random_ergodic_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:
     """Strictly positive rows (flat Dirichlet), hence primitive."""
     return StochasticMatrix(rng.dirichlet(np.ones(n), size=n))
@@ -159,7 +168,7 @@ def half_zero_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:
     rows = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.4)
     rows[np.arange(n), (np.arange(n) + 1) % n] += 0.3
     rows[0, 0] += 0.3
-    return StochasticMatrix.renormalized(rows)
+    return renormalized(rows)
 
 
 # the kernels the sparse log-domain paths are held to their dense oracles on

@@ -40,7 +40,7 @@ from klwalk.chains import (
     support_layout,
 )
 
-from conftest import random_ergodic_kernel, run_within
+from conftest import random_ergodic_kernel, renormalized, run_within
 
 
 def dist_pairs(min_n=2, max_n=6):
@@ -87,10 +87,10 @@ class TestContainers:
             StochasticMatrix([[0.5, 0.6], [0.5, 0.5]])
         with pytest.raises(ValueError):
             StochasticMatrix([[1.2, -0.2], [0.5, 0.5]])
-        fixed = StochasticMatrix.renormalized([[2.0, 2.0], [1.0, 3.0]])
+        fixed = renormalized([[2.0, 2.0], [1.0, 3.0]])
         np.testing.assert_allclose(fixed.rows, [[0.5, 0.5], [0.25, 0.75]])
         with pytest.raises(ValueError):
-            StochasticMatrix.renormalized([[0.0, 0.0], [1.0, 1.0]])
+            renormalized([[0.0, 0.0], [1.0, 1.0]])
 
     @pytest.mark.parametrize(
         "container, values",
@@ -311,7 +311,7 @@ class TestErgodicityReport:
             mask[0, :] = True
             np.fill_diagonal(mask, True)
             rows = rows * mask
-            p = StochasticMatrix.renormalized(rows)
+            p = renormalized(rows)
             report = ergodicity_report(p)
             assert report.irreducible and report.aperiodic
             power = np.linalg.matrix_power(p.rows, report.nbar)
@@ -377,7 +377,7 @@ def pattern_kernels(draw, max_n=7, weights=st.just(1.0)):
     for x in range(n):
         succ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
         raw[x, succ] = [draw(weights) for _ in succ]
-    return StochasticMatrix.renormalized(raw)
+    return renormalized(raw)
 
 
 # cycles of length 2 and 3 (periodic); two absorbing states (reducible, one
@@ -413,7 +413,7 @@ def reference_verdict(rows: np.ndarray) -> tuple[bool, bool]:
 class TestGraphVerdict:
     @pytest.mark.parametrize("pattern, expected", PATTERN_CASES)
     def test_known_patterns(self, pattern, expected):
-        p = StochasticMatrix.renormalized(np.array(pattern, dtype=float))
+        p = renormalized(np.array(pattern, dtype=float))
         assert graph_verdict(p) == expected
         assert reference_verdict(p.rows) == expected
 
@@ -453,7 +453,7 @@ class TestGraphVerdict:
         side = 16
         coords = np.array([(r, c) for r in range(side) for c in range(side)])
         adjacent = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2) == 1
-        p = StochasticMatrix.renormalized(adjacent.astype(float))
+        p = renormalized(adjacent.astype(float))
         layout = support_layout(p)
         n_comp, labels = _scc_labels(layout)
         assert n_comp == 1
@@ -636,7 +636,7 @@ class TestDrawTable:
     def test_bounds_are_the_dense_cdf_on_the_support(self, rng):
         rows = rng.dirichlet(np.ones(6), size=6) * (rng.random((6, 6)) < 0.6)
         rows[:, 0] += 1e-3
-        p = StochasticMatrix.renormalized(rows)
+        p = renormalized(rows)
         bounds, columns = draw_table(p)
         cdf = np.cumsum(p.rows, axis=1)
         for x in range(p.n):

@@ -195,7 +195,7 @@ class TestCsvWriters:
         fmt = "{:.17g}".format
         expected = "t,state,state_cost,control_cost,cum_cost,phase\n" + "".join(
             f"{t + 1},{int(trace.states[t])},{fmt(trace.state_costs[t])},"
-            f"{fmt(trace.control_costs[t])},{fmt(trace.cumulative[t])},{trace.phase_of_step(t)}\n"
+            f"{fmt(trace.control_costs[t])},{fmt(trace.cumulative[t])},{trace.step_phases()[t]}\n"
             for t in range(horizon)
         )
         assert (tmp_path / "trace.csv").read_text() == expected
@@ -345,6 +345,16 @@ class TestCmdTrack:
         cfg = write(tmp_path / "c.json", json.dumps({"horizon": -5}))
         assert main(["track", "--config", cfg]) == 2
         assert "config.horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("graph", [[], None, 0, "", False],
+                             ids=["list", "null", "zero", "empty-string", "false"])
+    def test_falsy_non_object_graph_exit_2(self, tmp_path, capsys, graph):
+        # only an object selects a graph; {} is the default grid, [] is not
+        cfg = write(tmp_path / "c.json", json.dumps({**SMOKE_CONFIG, "graph": graph}))
+        out = tmp_path / "out"
+        assert main(["track", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert "config.graph" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides, env, extra, field",

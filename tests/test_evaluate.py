@@ -43,6 +43,7 @@ from conftest import (
     pick_from_cdf,
     random_cost,
     random_ergodic_kernel,
+    renormalized,
     run_within,
 )
 
@@ -165,7 +166,7 @@ def uneven_kernel_with_transient_state():
         [0, 0, 0, 1, 0, 0],
     ], dtype=float)
     weights = pattern * np.random.default_rng(3).uniform(0.5, 1.5, pattern.shape)
-    return StochasticMatrix.renormalized(weights)
+    return renormalized(weights)
 
 
 POOL_ORACLE_KERNELS = {

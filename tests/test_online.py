@@ -1,27 +1,24 @@
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from klwalk import (
     CostFunction,
+    DimensionMismatchError,
     ReplayCostStream,
     StochasticMatrix,
-    advance,
-    begin_phase,
     build_passive,
     grid_graph,
     make_schedule,
     make_tracking_env,
+    optimal_policy,
     run_episode,
-    start_strategy,
-    step,
 )
 from klwalk import _accel, chains, online
 
-from conftest import kernel_sup_distance, pick_from_cdf, random_ergodic_kernel
+from conftest import kernel_sup_distance, pick_from_cdf, random_ergodic_kernel, renormalized
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 
@@ -36,26 +33,44 @@ class ConstantStream:
         return self._f
 
 
+@pytest.fixture
+def phase_policies(monkeypatch):
+    """The policy of each phase, in phase order, as the episode solves it
+    through a wrapped ``online.optimal_policy``."""
+    policies = []
+    real = online.optimal_policy
+
+    def recording(*args, **kwargs):
+        policies.append(real(*args, **kwargs))
+        return policies[-1]
+
+    monkeypatch.setattr(online, "optimal_policy", recording)
+    return policies
+
+
 def reference_episode(passive, costs, epsilon, start, seed):
-    """The phased strategy one step at a time: a scalar ``pick_from_cdf``
-    draw on the dense CDF of the acting row, and the strategy state
-    replaced at every step. Returns the ``RunTrace`` fields as a dict."""
+    """The phased strategy one step at a time. At each phase start from
+    ``make_schedule`` it solves on the average of the completed phases'
+    costs (zero before any), warm-started from the last phase's h; each
+    step is a scalar ``pick_from_cdf`` draw on the dense CDF of the acting
+    row. Returns the ``RunTrace`` fields as a dict."""
     horizon = len(costs)
-    state = start_strategy(passive, make_schedule(epsilon, horizon), start)
+    phase_starts = {0, *make_schedule(epsilon, horizon).tau_cum.tolist()}
     rng = np.random.default_rng(seed)
-    states, state_costs, control_costs, boundaries = [], [], [], [0]
+    x, policy, cost_sum, phase_sum = start, None, np.zeros(passive.n), np.zeros(passive.n)
+    states, state_costs, control_costs, boundaries = [], [], [], []
     for t, f_t in enumerate(costs):
-        x = state.current_state
+        if t in phase_starts:
+            boundaries.append(t)
+            cost_sum, phase_sum = cost_sum + phase_sum, np.zeros(passive.n)
+            f_hat = CostFunction(cost_sum / t if t > 0 else np.zeros(passive.n))
+            last_h = policy.source_h if policy is not None else None
+            policy = optimal_policy(passive, f_hat, start=last_h)
         states.append(x)
         state_costs.append(float(f_t.values[x]))
-        control_costs.append(float(state.policy.control_cost[x]))
-        next_state = pick_from_cdf(np.cumsum(state.policy.kernel.rows[x]), rng.random())
-        state = replace(state, current_state=next_state, phase_step=state.phase_step + 1,
-                        phase_cost_sum=state.phase_cost_sum + f_t.values)
-        if state.phase_step == state.schedule.phase_length(state.current_phase):
-            state = begin_phase(state)
-            if t + 1 < horizon:
-                boundaries.append(t + 1)
+        control_costs.append(float(policy.control_cost[x]))
+        phase_sum = phase_sum + f_t.values
+        x = pick_from_cdf(np.cumsum(policy.kernel.rows[x]), rng.random())
     state_costs, control_costs = np.array(state_costs), np.array(control_costs)
     return {
         "states": np.array(states, dtype=np.int64),
@@ -72,24 +87,25 @@ def sparse_ergodic_kernel(rng, n):
     rows = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
     rows[np.arange(n), (np.arange(n) + 1) % n] += 0.3
     rows[0, 0] += 0.3
-    return StochasticMatrix.renormalized(rows)
+    return renormalized(rows)
 
 
 class TestMakeSchedule:
     def test_quarter_exponent_values(self):
         # epsilon = 1/12 gives exponent 1/4
-        sched = make_schedule(1 / 12, horizon=100)
-        assert sched.phase_length(1) == 1
-        assert sched.phase_length(15) == 2
-        assert sched.phase_length(16) == 2
-        assert sched.phase_length(17) == 3  # 17^0.25 = 2.0305...
+        sched = make_schedule(1 / 12, horizon=100)  # phase 17 ends at step 34
+        assert sched.tau[1 - 1] == 1
+        assert sched.tau[15 - 1] == 2
+        assert sched.tau[16 - 1] == 2
+        assert sched.tau[17 - 1] == 3  # 17^0.25 = 2.0305...
 
     def test_near_limit_epsilon_follows_ceiling(self):
         # with exponent 1/3 - 0.3333 > 0, m^exponent exceeds 1 for every
-        # m >= 2, so the ceiling is 2 from the second phase on
-        sched = make_schedule(0.3333, horizon=50)
-        assert sched.phase_length(1) == 1
-        assert all(sched.phase_length(m) == 2 for m in range(2, 1000))
+        # m >= 2, so the ceiling is 2 from the second phase on; phase 999
+        # ends at step 1997
+        sched = make_schedule(0.3333, horizon=2000)
+        assert sched.tau[1 - 1] == 1
+        assert all(sched.tau[m - 1] == 2 for m in range(2, 1000))
 
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
@@ -115,85 +131,74 @@ class TestMakeSchedule:
             sched = make_schedule(eps, horizon)
             assert sched.complete_phases <= (4 / 3) * horizon ** (3 / 4 + eps)
 
-    def test_phase_length_formula_extends_past_table(self):
-        sched = make_schedule(0.05, horizon=10)
-        beyond = len(sched.tau) + 5
-        assert sched.phase_length(beyond) == math.ceil(beyond ** (1 / 3 - 0.05))
-
-
 class TestBeginPhase:
-    def test_first_phase_policy_is_passive_exactly(self, rng):
-        p = random_ergodic_kernel(rng, 4)
-        state = start_strategy(p, make_schedule(0.05, 100), start=0)
-        assert state.current_phase == 1
-        assert state.policy.kernel is p
-        np.testing.assert_array_equal(state.policy.control_cost, 0.0)
+    """The solve that opens each phase."""
 
-    def test_constant_history_keeps_passive(self, rng):
+    def test_first_phase_policy_is_passive_exactly(self, rng, phase_policies):
+        p = random_ergodic_kernel(rng, 4)
+        costs = [CostFunction(rng.random(4)) for _ in range(3)]
+        trace = run_episode(p, ReplayCostStream(costs), horizon=3, epsilon=0.05,
+                            start=0, seed=0)
+        assert phase_policies[0].kernel is p
+        np.testing.assert_array_equal(phase_policies[0].control_cost, 0.0)
+        assert trace.control_costs[0] == 0.0
+
+    def test_constant_history_keeps_passive(self, rng, phase_policies):
         # constants shift the average cost only, never the kernel
         p = random_ergodic_kernel(rng, 3)
-        state = start_strategy(p, make_schedule(0.05, 100), start=0)
-        rng_agent = np.random.default_rng(0)
-        for _ in range(20):
-            state, _ = step(state, CostFunction([0.4, 0.4, 0.4]), rng_agent)
-        assert state.current_phase > 1
-        assert state.policy.kernel is p
+        run_episode(p, ConstantStream([0.4, 0.4, 0.4]), horizon=20, epsilon=0.05,
+                    start=0, seed=0)
+        assert len(phase_policies) > 1
+        assert all(policy.kernel is p for policy in phase_policies)
 
-    def test_two_state_history_twists_to_derived_kernel(self):
-        sched = make_schedule(0.05, 100)
-        state = start_strategy(TWO_STATE, sched, start=0)
+    def test_two_state_history_twists_to_derived_kernel(self, phase_policies):
         # phase 1 lasts exactly one step; its cost becomes the phase-2 average
-        state, _ = step(state, CostFunction([0.0, math.log(2)]), np.random.default_rng(1))
-        assert state.current_phase == 2
+        costs = [CostFunction([0.0, math.log(2)]), CostFunction([0.0, 0.0])]
+        run_episode(TWO_STATE, ReplayCostStream(costs), horizon=2, epsilon=0.05,
+                    start=0, seed=1)
+        assert len(phase_policies) == 2
         np.testing.assert_allclose(
-            state.policy.kernel.rows, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], atol=1e-10
+            phase_policies[1].kernel.rows, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], atol=1e-10
         )
-
-    def test_incomplete_phase_rejected(self):
-        sched = make_schedule(0.05, 100)
-        state = start_strategy(TWO_STATE, sched, start=0)
-        state, _ = step(state, CostFunction([0.0, 0.1]), np.random.default_rng(0))
-        # now mid phase 2 (tau_2 = 2): forcing a new phase must fail
-        state, _ = step(state, CostFunction([0.0, 0.1]), np.random.default_rng(0))
-        with pytest.raises(RuntimeError):
-            begin_phase(state)
 
 
 class TestStep:
+    """What one step charges and where it moves."""
+
     def test_zero_cost_first_phase_is_free(self):
-        state = start_strategy(TWO_STATE, make_schedule(0.05, 10), start=1)
-        state, record = step(state, CostFunction([0.0, 0.0]), np.random.default_rng(3))
-        assert record.state == 1
-        assert record.state_cost == 0.0 and record.control_cost == 0.0
+        trace = run_episode(TWO_STATE, ConstantStream([0.0, 0.0]), horizon=1, epsilon=0.05,
+                            start=1, seed=3)
+        assert trace.states[0] == 1
+        assert trace.state_costs[0] == 0.0 and trace.control_costs[0] == 0.0
 
     def test_deterministic_policy_row(self):
         p = StochasticMatrix([[0.0, 1.0], [0.5, 0.5]])
-        state = start_strategy(p, make_schedule(0.05, 10), start=0)
         for seed in range(5):
-            nxt, _ = step(state, CostFunction([0.0, 0.0]), np.random.default_rng(seed))
-            assert nxt.current_state == 1
+            trace = run_episode(p, ConstantStream([0.0, 0.0]), horizon=2, epsilon=0.05,
+                                start=0, seed=seed)
+            assert trace.states.tolist() == [0, 1]
 
     def test_cost_cap_enforcement_and_override(self):
-        state = start_strategy(TWO_STATE, make_schedule(0.05, 10), start=0)
         with pytest.raises(ValueError, match="above the admissible cap"):
-            step(state, CostFunction([0.0, 1.5]), np.random.default_rng(0))
+            run_episode(TWO_STATE, ConstantStream([0.0, 1.5]), horizon=1, epsilon=0.05,
+                        start=0, seed=0)
         # the cap is a module constant: there is no override to pass
         with pytest.raises(TypeError):
-            start_strategy(TWO_STATE, make_schedule(0.05, 10), start=0, enforce_cost_cap=False)
+            run_episode(TWO_STATE, ConstantStream([0.0, 1.5]), horizon=1, epsilon=0.05,
+                        start=0, seed=0, enforce_cost_cap=False)
 
     def test_cost_cap_tolerance(self):
         # rounding of 1e-12 above the cap is let through, 1e-9 is not
-        state = start_strategy(TWO_STATE, make_schedule(0.05, 10), start=0)
-        step(state, CostFunction([0.0, online.COST_CAP + 1e-12]), np.random.default_rng(0))
+        run_episode(TWO_STATE, ConstantStream([0.0, online.COST_CAP + 1e-12]), horizon=1,
+                    epsilon=0.05, start=0, seed=0)
         with pytest.raises(ValueError, match="above the admissible cap"):
-            step(state, CostFunction([0.0, online.COST_CAP + 1e-9]), np.random.default_rng(0))
+            run_episode(TWO_STATE, ConstantStream([0.0, online.COST_CAP + 1e-9]), horizon=1,
+                        epsilon=0.05, start=0, seed=0)
 
     def test_cost_dimension_checked(self):
-        state = start_strategy(TWO_STATE, make_schedule(0.05, 10), start=0)
-        from klwalk import DimensionMismatchError
-
         with pytest.raises(DimensionMismatchError):
-            step(state, CostFunction([0.0, 0.1, 0.2]), np.random.default_rng(0))
+            run_episode(TWO_STATE, ConstantStream([0.0, 0.1, 0.2]), horizon=1, epsilon=0.05,
+                        start=0, seed=0)
 
 
 class TestRunEpisode:
@@ -305,13 +310,6 @@ class TestRunEpisode:
         trace = run_episode(passive, stream, horizon=horizon, epsilon=0.05, start=0, seed=1)
         assert trace.phase_boundaries.size == solves and len(calls) == solves
 
-    def test_run_past_the_horizon_rejected(self):
-        state = start_strategy(TWO_STATE, make_schedule(0.05, 3), start=0)
-        state, *_ = advance(state, [CostFunction([0.0, 0.1])], np.random.default_rng(0))
-        state, *_ = advance(state, [CostFunction([0.0, 0.1])] * 2, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="does not fit the 0 steps left"):
-            advance(state, [CostFunction([0.0, 0.1])], np.random.default_rng(0))
-
     def test_zero_costs_zero_cumulative(self, rng):
         p = random_ergodic_kernel(rng, 3)
         trace = run_episode(p, ConstantStream([0, 0, 0]), horizon=50, epsilon=0.05,
@@ -348,31 +346,23 @@ class TestRunEpisode:
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.cumulative, b.cumulative)
 
-    def test_phase_purity_and_drift_diagnostic(self, rng):
-        # the kernel is frozen within phases; across boundaries the drift
-        # ratio ||P(m+1)-P(m)||_inf * tau_{1:m}/tau_m stays finite (recorded)
+    def test_phase_purity_and_drift_diagnostic(self, rng, phase_policies):
+        # the kernel is frozen within phases: every step charges the control
+        # cost of its phase's policy; across boundaries the drift ratio
+        # ||P(m+1)-P(m)||_inf * tau_{1:m}/tau_m stays finite (recorded)
         p = random_ergodic_kernel(rng, 3)
         sched = make_schedule(0.05, 120)
-        state = start_strategy(p, sched, start=0)
-        gen = np.random.default_rng(9)
         cost_gen = np.random.default_rng(10)
-        policies = []
-        phases = []
-        for _ in range(120):
-            policies.append(state.policy)
-            phases.append(state.current_phase)
-            state, _ = step(state, CostFunction(cost_gen.random(3)), gen)
-        for i in range(1, 120):
-            if phases[i] == phases[i - 1]:
-                assert policies[i] is policies[i - 1]  # bitwise-constant within a phase
-        per_phase = {}
-        for pol, m in zip(policies, phases):
-            per_phase[m] = pol
+        costs = [CostFunction(cost_gen.random(3)) for _ in range(120)]
+        trace = run_episode(p, ReplayCostStream(costs), horizon=120, epsilon=0.05,
+                            start=0, seed=9)
+        assert len(phase_policies) == trace.phase_boundaries.size
+        for t, m in enumerate(trace.step_phases()):
+            assert trace.control_costs[t] == phase_policies[m - 1].control_cost[trace.states[t]]
         ratios = []
-        for m in sorted(per_phase)[:-1]:
-            if m + 1 in per_phase:
-                drift = kernel_sup_distance(per_phase[m + 1].kernel, per_phase[m].kernel)
-                ratios.append(drift * float(sched.tau_cum[m - 1]) / float(sched.tau[m - 1]))
+        for m in range(1, len(phase_policies)):
+            drift = kernel_sup_distance(phase_policies[m].kernel, phase_policies[m - 1].kernel)
+            ratios.append(drift * float(sched.tau_cum[m - 1]) / float(sched.tau[m - 1]))
         worst = max(ratios)
         assert math.isfinite(worst)
         print(f"\nmax policy drift ratio over {len(ratios)} boundaries: {worst:.4f}")
@@ -382,28 +372,17 @@ class TestRunEpisode:
         with pytest.raises(RuntimeError):
             run_episode(TWO_STATE, stream, horizon=5, epsilon=0.05, start=0, seed=0)
 
-    def test_phase_of_step_rejects_steps_outside_the_trace(self):
+    def test_phase_of_step(self, rng):
         trace = run_episode(TWO_STATE, ConstantStream([0, 0]), horizon=5, epsilon=0.05,
                             start=0, seed=2)
         assert trace.phase_boundaries.tolist() == [0, 1, 3]
-        assert [trace.phase_of_step(t) for t in range(5)] == [1, 2, 2, 3, 3]
-        for t in (-1, 5, 99):
-            with pytest.raises(IndexError):
-                trace.phase_of_step(t)
-
-    def test_phase_of_step(self, rng):
+        assert trace.step_phases().tolist() == [1, 2, 2, 3, 3]
         p = random_ergodic_kernel(rng, 3)
         trace = run_episode(p, ConstantStream([0, 0, 0]), horizon=20, epsilon=0.05,
                             start=0, seed=2)
         sched = make_schedule(0.05, 20)
-        t = 0
-        for m in range(1, sched.complete_phases + 1):
-            for _ in range(sched.phase_length(m)):
-                if t >= 20:
-                    break
-                assert trace.phase_of_step(t) == m
-                t += 1
-        assert trace.step_phases().tolist() == [trace.phase_of_step(t) for t in range(20)]
+        phases = np.repeat(np.arange(1, sched.tau.size + 1), sched.tau)
+        assert trace.step_phases().tolist() == phases[:20].tolist()
 
 
 # horizons with epsilon 0.05: phases end at steps 1, 3, 5, ..., 54, 57, 60,
@@ -434,28 +413,3 @@ class TestEpisodeOracle:
             want = reference_episode(passive, costs, 0.05, seed % passive.n, seed)
             for field, value in want.items():
                 assert np.array_equal(getattr(got, field), value), (field, seed)
-
-    def test_step_matches_advance_over_a_phase(self, rng):
-        p = sparse_ergodic_kernel(rng, 5)
-        state = start_strategy(p, make_schedule(0.05, 100), start=2)
-        for _ in range(3):  # into phase 3, which is two steps long
-            state, _ = step(state, CostFunction(rng.random(5)), np.random.default_rng(1))
-        costs = [CostFunction(rng.random(5)) for _ in range(2)]
-        stepped, records = state, []
-        gen = np.random.default_rng(4)
-        for f_t in costs:
-            stepped, record = step(stepped, f_t, gen)
-            records.append(record)
-        run, visited, state_costs, control_costs = advance(state, costs, np.random.default_rng(4))
-        assert [r.state for r in records] == visited.tolist()
-        assert [r.state_cost for r in records] == state_costs.tolist()
-        assert [r.control_cost for r in records] == control_costs.tolist()
-        assert run.current_phase == stepped.current_phase == 4
-        assert run.current_state == stepped.current_state
-        assert np.array_equal(run.cost_sum, stepped.cost_sum)
-
-    def test_run_must_fit_the_phase(self, rng):
-        state = start_strategy(TWO_STATE, make_schedule(0.05, 100), start=0)
-        for costs in ([], [CostFunction([0.0, 0.1])] * 2):
-            with pytest.raises(ValueError):
-                advance(state, costs, np.random.default_rng(0))

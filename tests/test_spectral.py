@@ -37,6 +37,7 @@ from conftest import (
     linear_power_iteration,
     random_cost,
     random_ergodic_kernel,
+    renormalized,
 )
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
@@ -301,7 +302,7 @@ class TestInverseIteration:
         rows[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # keeps it irreducible
         rows[0, 0] += 0.5  # and aperiodic
         np.fill_diagonal(rows[1:, 1:], 0.0)
-        return StochasticMatrix.renormalized(rows)
+        return renormalized(rows)
 
     def test_shifted_pattern_is_the_dense_scan(self, rng):
         kernels = [make() for make in ORACLE_KERNELS.values()]
