@@ -26,7 +26,7 @@ from typing import Optional, TextIO, get_type_hints
 
 import numpy as np
 
-from .chains import CostFunction, StochasticMatrix, span_seminorm
+from .chains import ROW_SUM_TOL, CostFunction, StochasticMatrix, span_seminorm
 from .errors import (
     ConvergenceError,
     NotErgodicError,
@@ -209,7 +209,7 @@ def read_matrix_csv(path: str) -> StochasticMatrix:
         bad = int(np.argwhere(~(rows >= 0))[0][0])
         raise ParseError(f"{path} line {data_rows[bad][0]}: negative or NaN entry")
     sums = rows.sum(axis=1)
-    off = np.where(np.abs(sums - 1.0) > 1e-9)[0]
+    off = np.where(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
     if off.size:
         x = int(off[0])
         raise ParseError(

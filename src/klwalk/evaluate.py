@@ -13,11 +13,12 @@ The hindsight comparator's steady state comes from
 ``chains.invariant_distribution``. The pool needs no steady state: a
 draw with the passive's positive pattern is unichain by structure, so
 the sampler accepts it without a stationarity solve. The pool is kept
-stacked over the passive's nonzeros (``PolicyPool``): it is drawn,
-checked and priced in blocks, holds every row's inverse-CDF bounds once
-for all runs, and is raced in blocks of walks stepped together by
-``_accel.markov_paths``, the walker that also moves the agent and the
-target; a dense ``KlPolicy`` is built only for a policy that is asked for.
+stacked over the passive's nonzeros (``PolicyPool``, a frozen record of
+arrays): it is drawn, checked and priced in blocks, holds every row's
+inverse-CDF bounds once for all runs, and is raced in blocks of walks
+stepped together by ``_accel.markov_paths``, the walker that also moves
+the agent and the target. The race returns the winner's pool index; no
+pooled policy is ever built as a dense ``KlPolicy``.
 
 ``ExperimentSpec`` describes the whole replicated experiment, from the
 graph to the run count, pool size and base seed; the CLI's JSON config
@@ -26,7 +27,6 @@ is read into one, and ``run_experiment`` takes everything from it.
 
 from __future__ import annotations
 
-import collections.abc
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -134,69 +134,46 @@ def best_in_hindsight(passive: StochasticMatrix, costs: Sequence[CostFunction]) 
     return optimal_policy(passive, CostFunction(fmat.mean(axis=0)))
 
 
-class PolicyPool(FrozenArrays, collections.abc.Sequence):
+@dataclass(frozen=True)
+class PolicyPool(FrozenArrays):
     """Stationary policies stacked over one support pattern.
 
     ``weights[i]`` holds policy i's transition probabilities at the
     pattern's m nonzeros in row-major order, shape (K, m), and
     ``control_cost[i]`` its per-state control cost, shape (K, n).
     ``bounds`` holds every row's inverse-CDF bounds over its slots,
-    shape (K, n, W), built once (see ``_accel.draw_bounds``), so races on
-    many cost sequences share them. ``pool[i]`` builds policy i's
-    ``KlPolicy`` on first access and keeps it, so ``pool[i] is pool[i]``.
-    The arrays are read-only, and stay so across pickle.
+    shape (K, n, W), derived on construction (see ``_accel.draw_bounds``),
+    so races on many cost sequences share them. The arrays are read-only,
+    and stay so across pickle.
     """
 
-    def __init__(self, layout: _SupportLayout, weights: np.ndarray, control_cost: np.ndarray):
-        weights = frozen_copy(weights)
-        control_cost = frozen_copy(control_cost)
-        if weights.ndim != 2 or weights.shape[1] != layout.row.size or (
-            control_cost.shape != (weights.shape[0], layout.n)
+    layout: _SupportLayout
+    weights: np.ndarray
+    control_cost: np.ndarray
+    bounds: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        weights = frozen_copy(self.weights)
+        control_cost = frozen_copy(self.control_cost)
+        if weights.ndim != 2 or weights.shape[1] != self.layout.row.size or (
+            control_cost.shape != (weights.shape[0], self.layout.n)
         ):
             raise DimensionMismatchError(
                 f"weights {weights.shape} and control costs {control_cost.shape} do not fit "
-                f"{layout.row.size} entries over {layout.n} states"
+                f"{self.layout.row.size} entries over {self.layout.n} states"
             )
-        bounds = _accel.draw_bounds(layout.slots(weights))
+        bounds = _accel.draw_bounds(self.layout.slots(weights))
         bounds.setflags(write=False)
-        for name, value in (("layout", layout), ("weights", weights),
-                            ("control_cost", control_cost), ("bounds", bounds),
-                            ("_policies", [None] * weights.shape[0])):
+        for name, value in (("weights", weights), ("control_cost", control_cost),
+                            ("bounds", bounds)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PolicyPool is immutable; cannot set {name!r}")
-
-    @classmethod
-    def packed(cls, policies: Sequence[KlPolicy]) -> "PolicyPool":
-        """Stack explicit policies over the union of their supports;
-        ``pool[i]`` is then ``policies[i]`` itself."""
-        if len({pol.n for pol in policies}) > 1:
-            raise DimensionMismatchError("pooled policies live on different state spaces")
-        rows = np.stack([pol.kernel.rows for pol in policies])
-        layout = _SupportLayout((rows > 0).any(axis=0))
-        pool = cls(layout, rows[:, layout.row, layout.col],
-                   np.stack([pol.control_cost for pol in policies]))
-        pool._policies[:] = policies
-        return pool
 
     @property
     def n(self) -> int:
         return self.layout.n
 
     def __len__(self) -> int:
-        return len(self._policies)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        policy = self._policies[i]
-        if policy is None:
-            kernel = StochasticMatrix.on_layout(self.layout, self.weights[i])
-            policy = KlPolicy(kernel=kernel, control_cost=self.control_cost[i])
-            self._policies[i] = policy
-        return policy
+        return self.weights.shape[0]
 
 
 def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> PolicyPool:
@@ -256,42 +233,39 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
 
 
 def pool_best_realized_cost(
-    pool: Sequence[KlPolicy],
+    pool: PolicyPool,
     costs: Sequence[CostFunction],
     start: int,
     seed: int,
-) -> tuple[KlPolicy, np.ndarray]:
+) -> tuple[int, np.ndarray]:
     """Simulate every pooled policy on the same cost sequence and return
-    the cheapest one with its prefix cost trace.
+    the cheapest one's pool index with its prefix cost trace.
 
     Each policy gets its own derived seed, so adding policies never
     perturbs the trajectories of the others; ties go to the lowest pool
     index, and a NaN total never wins. Policies are walked in lock step,
-    ``_RACE_BLOCK`` at a time, over a ``PolicyPool``'s shared bounds; any
-    other sequence is first packed into one (``PolicyPool.packed``), and
-    the winner returned is the caller's own ``pool[i]``.
+    ``_RACE_BLOCK`` at a time, over the pool's shared bounds.
     """
     if not pool:
         raise ValueError("empty policy pool")
-    stacked = pool if isinstance(pool, PolicyPool) else PolicyPool.packed(pool)
     fmat = _cost_matrix(costs)
-    if fmat.shape[1] != stacked.n:
+    if fmat.shape[1] != pool.n:
         raise DimensionMismatchError("costs and pool live on different state spaces")
-    if not 0 <= start < stacked.n:
-        raise IndexError(f"start state {start} out of range for n={stacked.n}")
+    if not 0 <= start < pool.n:
+        raise IndexError(f"start state {start} out of range for n={pool.n}")
     horizon = fmat.shape[0]
     steps = np.arange(horizon)
     best_index = None
     best_per_step = None
     best_total = math.inf
-    for lo in range(0, len(stacked), _RACE_BLOCK):
-        block = np.arange(lo, min(lo + _RACE_BLOCK, len(stacked)))
+    for lo in range(0, len(pool), _RACE_BLOCK):
+        block = np.arange(lo, min(lo + _RACE_BLOCK, len(pool)))
         uniforms = np.stack(
             [np.random.default_rng(split_seed(seed, int(i))).random(horizon - 1) for i in block]
         )
-        states = _accel.markov_paths(stacked.bounds[block], stacked.layout.columns, start, uniforms)
+        states = _accel.markov_paths(pool.bounds[block], pool.layout.columns, start, uniforms)
         per_step = fmat[steps, states] + np.take_along_axis(
-            stacked.control_cost[block], states, axis=1
+            pool.control_cost[block], states, axis=1
         )
         for i, total in zip(block, per_step.sum(axis=1)):
             if total < best_total:
@@ -300,7 +274,7 @@ def pool_best_realized_cost(
                 best_per_step = per_step[i - lo]
     if best_index is None:
         raise ValueError("no pooled policy has a finite realized cost")
-    return pool[best_index], np.cumsum(best_per_step)
+    return best_index, np.cumsum(best_per_step)
 
 
 def growth_exponent(trace, burn_in: Optional[int] = None) -> float:

@@ -28,7 +28,7 @@ from .chains import (
     support_layout,
 )
 from .errors import DimensionMismatchError, NotErgodicError
-from .spectral import MpeSolution, SolverSettings, solve_mpe
+from .spectral import MpeSolution, solve_mpe
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,6 @@ def steady_state_cost(f: CostFunction, policy: KlPolicy) -> float:
 def optimal_policy(
     passive: StochasticMatrix,
     f: CostFunction,
-    settings: Optional[SolverSettings] = None,
     start: Optional[np.ndarray] = None,
 ) -> KlPolicy:
     """Solve the eigenproblem for f, from the relative value function
@@ -179,7 +178,7 @@ def optimal_policy(
     by its relative value function (see ``twisting_function``). The solve
     runs for a constant cost too, so its certificate is exercised
     uniformly."""
-    sol = solve_mpe(passive, f, settings, start)
+    sol = solve_mpe(passive, f, start=start)
     return twisted_kernel(passive, twisting_function(f, sol))
 
 

@@ -8,12 +8,14 @@ from klwalk import (
     CostFunction,
     DimensionMismatchError,
     KlPolicy,
+    PolicyPool,
     StochasticMatrix,
     build_passive,
     grid_graph,
     rows_kl,
 )
 from klwalk import _accel
+from klwalk.chains import _SupportLayout
 
 
 def renormalized(rows) -> StochasticMatrix:
@@ -44,6 +46,21 @@ def policy_from_rows(passive: StochasticMatrix, rows) -> KlPolicy:
     kernel by ``rows_kl``."""
     kernel = StochasticMatrix(rows)
     return KlPolicy(kernel=kernel, control_cost=rows_kl(kernel.rows, passive.rows))
+
+
+def stacked_pool(policies) -> PolicyPool:
+    """Explicit policies stacked into a ``PolicyPool`` over the union of
+    their supports, so pooled policy i walks and prices as ``policies[i]``."""
+    rows = np.stack([pol.kernel.rows for pol in policies])
+    layout = _SupportLayout((rows > 0).any(axis=0))
+    return PolicyPool(layout, rows[:, layout.row, layout.col],
+                      np.stack([pol.control_cost for pol in policies]))
+
+
+def pooled_policy(pool: PolicyPool, i: int) -> KlPolicy:
+    """Pooled policy i as a dense ``KlPolicy``."""
+    kernel = StochasticMatrix.on_layout(pool.layout, pool.weights[i])
+    return KlPolicy(kernel=kernel, control_cost=pool.control_cost[i])
 
 
 def kernel_sup_distance(a: StochasticMatrix, b: StochasticMatrix) -> float:

@@ -37,7 +37,7 @@ from klwalk import (
 )
 from klwalk.cli import main as cli_main
 
-from conftest import eigen_oracle
+from conftest import eigen_oracle, pooled_policy
 
 BASE_SEED = 20120601
 
@@ -162,8 +162,9 @@ def test_criterion_05_steady_state_optimality():
         best = steady_state_cost(f, pol)
         lam = solve_mpe(passive, f).lam
         worst_eq = max(worst_eq, abs(best - lam))
-        for pool_pol in sample_policy_pool(passive, 1000, seed=split_seed(555, instance)):
-            worst_gap = max(worst_gap, best - steady_state_cost(f, pool_pol))
+        pool = sample_policy_pool(passive, 1000, seed=split_seed(555, instance))
+        for i in range(len(pool)):
+            worst_gap = max(worst_gap, best - steady_state_cost(f, pooled_policy(pool, i)))
     ok = worst_eq <= 1e-8 and worst_gap <= 1e-10
     report(5, ok, f"|J - lambda| peaked at {worst_eq:.2e}; "
                   f"optimal-minus-sampled peaked at {worst_gap:.2e} (50x1000 policies)")
@@ -257,7 +258,8 @@ def test_criterion_09_steady_state_gap_bound():
         passive = StochasticMatrix(rng.dirichlet(np.ones(5), size=5))
         consts = bound_constants(passive, cost_cap=1.0)
         costs = [CostFunction(rng.random(5)) for _ in range(horizon)]
-        for pol in sample_policy_pool(passive, 10, seed=int(rng.integers(1 << 30))):
+        pool = sample_policy_pool(passive, 10, seed=int(rng.integers(1 << 30)))
+        for pol in (pooled_policy(pool, i) for i in range(len(pool))):
             rho = dobrushin_coefficient(pol.kernel)
             if rho >= 1.0 - 1e-9:
                 continue

@@ -1,9 +1,14 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import klwalk
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FENCED_BLOCK = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
 KLWALK_IMPORT = re.compile(r"^from klwalk(?:\.\w+)* import (?:\([^)]*\)|[^\n]*)", re.M)
+PROSE_NAME = re.compile(r"`(\w+)\.(\w+)")
 
 
 def readme_imports():
@@ -17,3 +22,14 @@ def test_readme_imports_name_live_api():
     assert statements
     for stmt in statements:
         exec(stmt, {})
+
+
+def test_readme_prose_names_live_module_attributes():
+    # a backticked `module.name` in prose, for a klwalk submodule, must resolve
+    prose = FENCED_BLOCK.sub("", README.read_text())
+    submodules = {info.name for info in pkgutil.iter_modules(klwalk.__path__)}
+    names = [(mod, name) for mod, name in PROSE_NAME.findall(prose) if mod in submodules]
+    assert names
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not hasattr(importlib.import_module(f"klwalk.{mod}"), name)]
+    assert not missing

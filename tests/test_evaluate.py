@@ -41,10 +41,12 @@ from conftest import (
     dense_markov_path,
     passive_policy,
     pick_from_cdf,
+    pooled_policy,
     random_cost,
     random_ergodic_kernel,
     renormalized,
     run_within,
+    stacked_pool,
 )
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
@@ -184,7 +186,8 @@ class TestSamplePolicyPool:
         want = reference_pool(passive, 37, seed=2024)
         got = sample_policy_pool(passive, 37, seed=2024)
         assert len(got) == len(want)
-        for pol, (rows, control) in zip(got, want):
+        for i, (rows, control) in enumerate(want):
+            pol = pooled_policy(got, i)
             assert np.array_equal(pol.kernel.rows, rows)
             assert np.array_equal(pol.control_cost, control)
 
@@ -200,7 +203,9 @@ class TestSamplePolicyPool:
         # every draw now takes the invariant_distribution path
         monkeypatch.setattr(evaluate._SupportLayout, "draw", never_structural)
         fallback = sample_policy_pool(passive, 20, seed=8)
-        for a, b in zip(structural, fallback, strict=True):
+        assert len(structural) == len(fallback)
+        for i in range(len(structural)):
+            a, b = pooled_policy(structural, i), pooled_policy(fallback, i)
             assert np.array_equal(a.kernel.rows, b.kernel.rows)
             assert np.array_equal(a.control_cost, b.control_cost)
 
@@ -229,12 +234,14 @@ class TestSamplePolicyPool:
         p = random_ergodic_kernel(rng, 4)
         a = sample_policy_pool(p, 3, seed=5)
         b = sample_policy_pool(p, 3, seed=5)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.kernel.rows, y.kernel.rows)
+        for i in range(3):
+            np.testing.assert_array_equal(pooled_policy(a, i).kernel.rows,
+                                          pooled_policy(b, i).kernel.rows)
 
     def test_support_equals_passive_support(self):
         p = StochasticMatrix([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
-        for pol in sample_policy_pool(p, 10, seed=1):
+        pool = sample_policy_pool(p, 10, seed=1)
+        for pol in (pooled_policy(pool, i) for i in range(len(pool))):
             assert np.array_equal(pol.kernel.rows > 0, p.rows > 0)
             assert np.all(np.isfinite(pol.control_cost))
 
@@ -248,9 +255,6 @@ class TestSamplePolicyPool:
 
     def test_policies_built_once_from_read_only_arrays(self, rng):
         pool = sample_policy_pool(random_ergodic_kernel(rng, 4), 3, seed=5)
-        assert pool[1] is pool[1] and pool[-1] is pool[2] and pool[1:] == [pool[1], pool[2]]
-        with pytest.raises(IndexError):
-            pool[3]
         for arr in (pool.weights, pool.control_cost, pool.bounds):
             assert not arr.flags.writeable
         with pytest.raises(AttributeError):
@@ -266,23 +270,24 @@ class TestSamplePolicyPool:
             restored.weights[0, 0] = 5.0
         with pytest.raises(AttributeError):
             restored.weights = None
-        assert np.array_equal(restored[2].kernel.rows, pool[2].kernel.rows)
+        assert np.array_equal(pooled_policy(restored, 2).kernel.rows,
+                              pooled_policy(pool, 2).kernel.rows)
 
     def test_mean_control_cost_positive(self, rng):
         p = random_ergodic_kernel(rng, 5)
         pool = sample_policy_pool(p, 50, seed=2)
-        mean_cc = np.mean([pol.control_cost.mean() for pol in pool])
+        mean_cc = np.mean([pooled_policy(pool, i).control_cost.mean() for i in range(len(pool))])
         assert mean_cc > 0.01
 
 
-def reference_race(pool, costs, start, seed):
+def reference_race(policies, costs, start, seed):
     """The pool race one policy at a time over dense CDFs: returns the
     winner's index and its prefix cost trace."""
     fmat = np.stack([c.values for c in costs])
     horizon = fmat.shape[0]
     steps = np.arange(horizon)
     best_index, best_per_step, best_total = None, None, math.inf
-    for i, candidate in enumerate(pool):
+    for i, candidate in enumerate(policies):
         rng = np.random.default_rng(split_seed(seed, i))
         states = dense_markov_path(candidate.kernel.rows, start, rng.random(horizon - 1))
         per_step = fmat[steps, states] + candidate.control_cost[states]
@@ -312,14 +317,14 @@ def crafted_pick_kernel():
 class TestVectorizedPick:
     @pytest.mark.parametrize("union", [False, True], ids=["own-support", "union-support"])
     def test_matches_pick_from_cdf(self, union):
-        # packed alone, the crafted kernel keeps its own supports; packed
+        # stacked alone, the crafted kernel keeps its own supports; stacked
         # beside a full-support kernel its zeros become zero-weight slots
         kernel = crafted_pick_kernel()
         policies = [KlPolicy(kernel=kernel, control_cost=np.zeros(kernel.n))]
         if union:
             full = StochasticMatrix(np.full((kernel.n, kernel.n), 1.0 / kernel.n))
             policies.append(KlPolicy(kernel=full, control_cost=np.zeros(kernel.n)))
-        pool = evaluate.PolicyPool.packed(policies)
+        pool = stacked_pool(policies)
         gap = np.nextafter(1.0, 0.0)
         cdf = np.cumsum(kernel.rows, axis=1)
         for x in range(kernel.n):
@@ -337,7 +342,7 @@ class TestVectorizedPick:
 
     def test_long_walks_match_markov_path(self):
         kernel = crafted_pick_kernel()
-        pool = evaluate.PolicyPool.packed([KlPolicy(kernel=kernel, control_cost=np.zeros(12))])
+        pool = stacked_pool([KlPolicy(kernel=kernel, control_cost=np.zeros(12))])
         uniforms = np.random.default_rng(5).random((3, 500))
         got = _accel.markov_paths(np.repeat(pool.bounds, 3, axis=0), pool.layout.columns, 4, uniforms)
         for walk, u in zip(got, uniforms):
@@ -347,7 +352,7 @@ class TestVectorizedPick:
 
     def test_horizon_one_has_no_uniforms(self):
         kernel = crafted_pick_kernel()
-        pool = evaluate.PolicyPool.packed([KlPolicy(kernel=kernel, control_cost=np.zeros(12))])
+        pool = stacked_pool([KlPolicy(kernel=kernel, control_cost=np.zeros(12))])
         got = _accel.markov_paths(np.repeat(pool.bounds, 2, axis=0), pool.layout.columns, 7,
                                   np.empty((2, 0)))
         assert got.shape == (2, 1) and np.all(got == 7)
@@ -368,23 +373,26 @@ class TestPoolRaceOracle:
         make_passive, make_costs = RACE_KERNELS[name]
         passive = make_passive()
         pool = sample_policy_pool(passive, size, seed=size)
+        policies = [pooled_policy(pool, i) for i in range(size)]
         for horizon, start, seed in ((40, 0, 3), (1, 1, 4)):
             costs = make_costs(passive.n, horizon)
-            want_index, want_trace = reference_race(pool, costs, start, seed)
+            want_index, want_trace = reference_race(policies, costs, start, seed)
             best, trace = pool_best_realized_cost(pool, costs, start, seed)
-            assert best is pool[want_index]
+            assert best == want_index
             assert np.array_equal(trace, want_trace)
 
     @pytest.mark.parametrize("name", sorted(RACE_KERNELS))
     def test_plain_list_with_duplicates(self, name):
         make_passive, make_costs = RACE_KERNELS[name]
         passive = make_passive()
-        sampled = list(sample_policy_pool(passive, 70, seed=1))
-        pool = [passive_policy(passive)] + sampled[:40] + [passive_policy(passive)] + sampled[40:]
+        drawn = sample_policy_pool(passive, 70, seed=1)
+        sampled = [pooled_policy(drawn, i) for i in range(70)]
+        policies = [passive_policy(passive)] + sampled[:40] + [passive_policy(passive)] + sampled[40:]
+        pool = stacked_pool(policies)
         for costs in (make_costs(passive.n, 30), [CostFunction(np.zeros(passive.n))] * 30):
-            want_index, want_trace = reference_race(pool, costs, 0, 9)
+            want_index, want_trace = reference_race(policies, costs, 0, 9)
             best, trace = pool_best_realized_cost(pool, costs, 0, 9)
-            assert best is pool[want_index]
+            assert best == want_index
             assert np.array_equal(trace, want_trace)
         assert want_index == 0  # the zero-cost tie between the two passives
 
@@ -392,26 +400,27 @@ class TestPoolRaceOracle:
 class TestPoolBestRealizedCost:
     def test_passive_wins_on_zero_costs(self, rng):
         p = random_ergodic_kernel(rng, 3)
-        pool = [passive_policy(p)] + list(sample_policy_pool(p, 4, seed=9))
+        sampled = sample_policy_pool(p, 4, seed=9)
+        pool = stacked_pool([passive_policy(p)] + [pooled_policy(sampled, i) for i in range(4)])
         costs = [CostFunction(np.zeros(3))] * 10
         best, trace = pool_best_realized_cost(pool, costs, start=0, seed=3)
-        assert best is pool[0]
+        assert best == 0
         np.testing.assert_array_equal(trace, 0.0)
 
     def test_ties_break_to_lowest_index(self, rng):
         # two zero-control policies on zero costs tie at 0; index 0 wins
         p = random_ergodic_kernel(rng, 3)
-        pool = [passive_policy(p), passive_policy(p)]
+        pool = stacked_pool([passive_policy(p), passive_policy(p)])
         costs = [CostFunction(np.zeros(3))] * 8
         best, _ = pool_best_realized_cost(pool, costs, start=0, seed=6)
-        assert best is pool[0]
+        assert best == 0
 
     def test_singleton_pool(self, rng):
         p = random_ergodic_kernel(rng, 3)
         pool = sample_policy_pool(p, 1, seed=4)
         costs = [random_cost(rng, 3) for _ in range(5)]
         best, trace = pool_best_realized_cost(pool, costs, start=0, seed=3)
-        assert best is pool[0]
+        assert best == 0
         assert trace.shape == (5,)
         assert np.all(np.diff(trace) >= -1e-12)
 
@@ -425,9 +434,9 @@ class TestPoolBestRealizedCost:
         pool = sample_policy_pool(p, 100, seed=17)
         best, best_trace = pool_best_realized_cost(pool, costs, start=0, seed=23)
         totals = []
-        for i, pol in enumerate(pool):
-            _, tr = pool_best_realized_cost([pol], costs, start=0,
-                                            seed=split_seed(23, i))
+        for i in range(len(pool)):
+            _, tr = pool_best_realized_cost(stacked_pool([pooled_policy(pool, i)]), costs,
+                                            start=0, seed=split_seed(23, i))
             totals.append(tr[-1])
         # the winner's realized total is at or below the pool median
         assert best_trace[-1] <= np.median(totals)
@@ -589,7 +598,7 @@ class TestSteadyStateGapBound:
             p = random_ergodic_kernel(rng, 5)
             consts = bound_constants(p, cost_cap=1.0)
             pool = sample_policy_pool(p, 1, seed=int(rng.integers(1 << 30)))
-            comparator = pool[0]
+            comparator = pooled_policy(pool, 0)
             rho = dobrushin_coefficient(comparator.kernel)
             costs = [random_cost(rng, 5) for _ in range(150)]
             realized = realized_expected_comparator_cost(comparator, costs, start=0)

@@ -276,9 +276,9 @@ class TestRunEpisode:
             counts["factor"] += 1
             return real_splu(matrix, permc_spec=permc_spec)
 
-        def counting_policy(passive, f, settings=None, start=None):
+        def counting_policy(passive, f, start=None):
             counts["solve"] += 1
-            return real_policy(passive, f, settings, start)
+            return real_policy(passive, f, start)
 
         monkeypatch.setattr(_accel, "splu", counting_splu)
         monkeypatch.setattr(online, "optimal_policy", counting_policy)
@@ -286,8 +286,8 @@ class TestRunEpisode:
         for mode in ("warm", "cold"):
             if mode == "cold":
                 monkeypatch.setattr(online, "optimal_policy",
-                                    lambda passive, f, settings=None, start=None:
-                                    counting_policy(passive, f, settings, None))
+                                    lambda passive, f, start=None:
+                                    counting_policy(passive, f, None))
             counts.update(factor=0, solve=0)
             stream = make_tracking_env(graph, seed=3).stream(1000)
             trace = run_episode(passive, stream, horizon=1000, epsilon=0.05, start=0, seed=7)
