@@ -46,7 +46,6 @@ from .evaluate import (
     summarize,
 )
 from .online import (
-    CostStream,
     PhaseSchedule,
     RunTrace,
     make_schedule,
@@ -70,14 +69,12 @@ from .spectral import (
 )
 from .world import (
     Graph,
-    ReplayCostStream,
     TrackingEnv,
     bfs_distances,
     build_passive,
     grid_graph,
     load_graph,
     make_tracking_env,
-    tracking_cost,
 )
 
 __version__ = "0.1.0"

@@ -1,13 +1,15 @@
 """Regret computation, baselines and Monte-Carlo replication.
 
-Two comparators are supported: the best stationary policy in hindsight
-(solved against the average of all revealed costs, charged at its steady
-state) and the best of a pool of randomly sampled stationary policies
-(charged at its realized cost on the shared cost sequence). Each run is
-one job that owns its seeds: it plays the episode, bills the hindsight
-comparator and races the pool, which a worker draws once from the base
-seed (``ExperimentSpec.pool``). Summaries are reduced in run order, so
-results are reproducible bit for bit for any worker count.
+A run's state costs are one read-only (T, n) array, row t being f_t,
+fixed before the episode by ``TrackingEnv.stream``; the episode and both
+comparators read that same array. Two comparators are supported: the
+best stationary policy in hindsight (solved against the average row,
+charged at its steady state) and the best of a pool of randomly sampled
+stationary policies (charged at its realized cost on the same rows).
+Each run is one job that owns its seeds: it plays the episode, bills the
+hindsight comparator and races the pool, which a worker draws once from
+the base seed (``ExperimentSpec.pool``). Summaries are reduced in run
+order, so results are reproducible bit for bit for any worker count.
 
 The hindsight comparator's steady state comes from
 ``chains.invariant_distribution``. The pool needs no steady state: a
@@ -87,19 +89,20 @@ class MonteCarloSummary(FrozenArrays):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
-def _cost_matrix(costs: Sequence[CostFunction]) -> np.ndarray:
-    if not costs:
+def _cost_matrix(costs: np.ndarray, n: int) -> np.ndarray:
+    """The (T, n) cost array, C-ordered float64, checked for its shape only."""
+    fmat = np.ascontiguousarray(costs, dtype=np.float64)
+    if fmat.ndim != 2 or fmat.shape[1] != n:
+        raise DimensionMismatchError(f"costs of shape {fmat.shape} need {n} columns")
+    if fmat.shape[0] == 0:
         raise ValueError("empty cost sequence")
-    return np.stack([c.values for c in costs])
+    return fmat
 
 
-def steady_state_comparator_cost(
-    policy: KlPolicy, costs: Sequence[CostFunction]
-) -> np.ndarray:
-    """Prefix sums of the policy's steady-state cost under each revealed f_t."""
-    fmat = _cost_matrix(costs)
-    if fmat.shape[1] != policy.n:
-        raise DimensionMismatchError("costs and policy live on different state spaces")
+def steady_state_comparator_cost(policy: KlPolicy, costs: np.ndarray) -> np.ndarray:
+    """Prefix sums of the policy's steady-state cost under each row f_t of
+    the (T, n) cost array."""
+    fmat = _cost_matrix(costs, policy.n)
     pi = invariant_distribution(policy.kernel).weights
     support = pi > 0
     control = float(pi[support] @ policy.control_cost[support])
@@ -108,14 +111,12 @@ def steady_state_comparator_cost(
 
 
 def realized_expected_comparator_cost(
-    policy: KlPolicy, costs: Sequence[CostFunction], start: int
+    policy: KlPolicy, costs: np.ndarray, start: int
 ) -> np.ndarray:
-    """Prefix sums of the policy's expected cost with the state law
-    propagated exactly from a point mass at ``start``."""
-    fmat = _cost_matrix(costs)
+    """Prefix sums of the policy's expected cost on the (T, n) cost array,
+    with the state law propagated exactly from a point mass at ``start``."""
     n = policy.n
-    if fmat.shape[1] != n:
-        raise DimensionMismatchError("costs and policy live on different state spaces")
+    fmat = _cost_matrix(costs, n)
     if not 0 <= start < n:
         raise IndexError(f"start state {start} out of range for n={n}")
     nu = np.zeros(n)
@@ -127,10 +128,11 @@ def realized_expected_comparator_cost(
     return np.cumsum(out)
 
 
-def best_in_hindsight(passive: StochasticMatrix, costs: Sequence[CostFunction]) -> KlPolicy:
-    """The twisted-kernel policy solved against the average revealed cost;
-    the steady-state optimum over all stationary unichain policies."""
-    fmat = _cost_matrix(costs)
+def best_in_hindsight(passive: StochasticMatrix, costs: np.ndarray) -> KlPolicy:
+    """The twisted-kernel policy solved against the average row of the
+    (T, n) cost array; the steady-state optimum over all stationary
+    unichain policies."""
+    fmat = _cost_matrix(costs, passive.n)
     return optimal_policy(passive, CostFunction(fmat.mean(axis=0)))
 
 
@@ -234,12 +236,12 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
 
 def pool_best_realized_cost(
     pool: PolicyPool,
-    costs: Sequence[CostFunction],
+    costs: np.ndarray,
     start: int,
     seed: int,
 ) -> tuple[int, np.ndarray]:
-    """Simulate every pooled policy on the same cost sequence and return
-    the cheapest one's pool index with its prefix cost trace.
+    """Simulate every pooled policy on the same (T, n) cost array and
+    return the cheapest one's pool index with its prefix cost trace.
 
     Each policy gets its own derived seed, so adding policies never
     perturbs the trajectories of the others; ties go to the lowest pool
@@ -248,9 +250,7 @@ def pool_best_realized_cost(
     """
     if not pool:
         raise ValueError("empty policy pool")
-    fmat = _cost_matrix(costs)
-    if fmat.shape[1] != pool.n:
-        raise DimensionMismatchError("costs and pool live on different state spaces")
+    fmat = _cost_matrix(costs, pool.n)
     if not 0 <= start < pool.n:
         raise IndexError(f"start state {start} out of range for n={pool.n}")
     horizon = fmat.shape[0]
@@ -361,21 +361,14 @@ class ExperimentSpec:
                                   split_seed(self.base_seed, _POOL_STREAM))
 
 
-def run_tracking_once(spec: ExperimentSpec, run_seed: int) -> tuple[RunTrace, tuple]:
+def run_tracking_once(spec: ExperimentSpec, run_seed: int) -> tuple[RunTrace, np.ndarray]:
     """One full episode against a freshly sampled target; returns the
-    trace and the cost sequence it consumed."""
+    trace and the read-only (T, n) cost array it played, which
+    ``TrackingEnv.stream`` fixes before the episode starts."""
     passive = spec.passive()
     env = make_tracking_env(spec.graph, seed=run_seed, dirichlet_alpha=spec.dirichlet_alpha)
-    stream = env.stream(spec.horizon)
-    costs = stream.costs
-    trace = run_episode(
-        passive,
-        stream,
-        horizon=spec.horizon,
-        epsilon=spec.epsilon,
-        start=spec.start,
-        seed=run_seed,
-    )
+    costs = env.stream(spec.horizon)
+    trace = run_episode(passive, costs, epsilon=spec.epsilon, start=spec.start, seed=run_seed)
     return trace, costs
 
 

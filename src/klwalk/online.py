@@ -9,17 +9,19 @@ merged only when the phase closes, so the policy never peeks at the
 current phase; the phase is walked in one go from its policy's
 ``draw_table``.
 
-The environment is oblivious by construction: a cost stream exposes only
-``next() -> CostFunction`` and never receives states or actions. State
-costs lie in [0, ``COST_CAP``], the paper's standing assumption, and
-``run_episode`` rejects a cost above the cap.
+The environment is oblivious, as in the paper: the state costs
+f_1, ..., f_T are one (T, n) array fixed before the episode starts, and
+they never depend on states or actions. The episode reads the whole array,
+but each phase solves only on the rows of completed phases, so the agent
+sees f_t only after acting at step t. State costs lie in [0, ``COST_CAP``],
+the paper's standing assumption, and ``run_episode`` checks every entry
+before its first solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -30,12 +32,6 @@ from .policy import optimal_policy
 
 COST_CAP = 1.0  # every state cost lies in [0, COST_CAP]
 _CEIL_SNAP = 1e-9  # keep ceil exact when m^(1/3-eps) is an integer up to fp noise
-
-
-class CostStream(Protocol):
-    """One cost function per step, blind to the agent (no state input)."""
-
-    def next(self) -> CostFunction: ...
 
 
 @dataclass(frozen=True)
@@ -125,51 +121,54 @@ class RunTrace(FrozenArrays):
 
 def run_episode(
     passive: StochasticMatrix,
-    env: CostStream,
-    horizon: int,
+    costs: np.ndarray,
     epsilon: float,
     start: int,
     seed: int,
 ) -> RunTrace:
-    """Run the phased strategy for ``horizon`` steps against a cost stream.
+    """Run the phased strategy on a (T, n) array of state costs, one row per step.
 
-    The stream is consumed strictly in step order and never sees the
-    agent; the agent's sampling noise comes from a generator seeded with
-    ``seed`` only. Each phase solves for the average of the completed
-    phases' costs (zero before any step), warm-started from the last
-    phase's relative value function, then checks and sums its own costs
-    and walks them with one ``rng.random(length)``. Step t pays f_t and the
-    control cost at the state occupied when the policy was applied. A cost
-    above ``COST_CAP`` (up to 1e-12 of rounding) raises ValueError.
+    The horizon T is the array's length. The array is checked once, before
+    any solve: one that is not 2-D with ``passive.n`` columns raises
+    DimensionMismatchError, and a NaN, an infinite or negative entry, or
+    one above ``COST_CAP`` (up to 1e-12 of rounding) raises ValueError.
+    The agent's sampling noise comes from a generator seeded with ``seed``
+    only. Each phase solves for the average of the completed phases' rows
+    (zero before any step), warm-started from the last phase's relative
+    value function, then sums its own rows in step order and walks them
+    with one ``rng.random(length)``. Step t pays f_t and the control cost
+    at the state occupied when the policy was applied.
     """
+    costs = np.ascontiguousarray(costs, dtype=np.float64)
+    if costs.ndim != 2 or costs.shape[1] != passive.n:
+        raise DimensionMismatchError(f"costs of shape {costs.shape} need {passive.n} columns")
+    horizon = costs.shape[0]
     schedule = make_schedule(epsilon, horizon)
     if not 0 <= start < passive.n:
         raise IndexError(f"start state {start} out of range for n={passive.n}")
+    if not np.all(np.isfinite(costs)) or costs.min() < 0:
+        raise ValueError("state costs must be finite and nonnegative")
+    if costs.max() > COST_CAP + 1e-12:
+        raise ValueError(f"state cost peaks at {costs.max()}, above the admissible cap {COST_CAP}")
     rng = np.random.default_rng(seed)
     # the schedule stops once it covers the horizon: only the last phase is cut
-    boundaries = np.concatenate(([0], schedule.tau_cum[:-1]))
-    cost_sum, seen, last_h, state = np.zeros(passive.n), 0, None, start
+    boundaries = schedule.tau_cum - schedule.tau
+    cost_sum, last_h, state = np.zeros(passive.n), None, start
     runs = []
-    for length in np.diff(boundaries, append=horizon):
-        f_hat = CostFunction(cost_sum / seen if seen > 0 else np.zeros(passive.n))
+    for lo, hi in zip(boundaries, np.minimum(schedule.tau_cum, horizon)):
+        f_hat = CostFunction(cost_sum / lo if lo > 0 else np.zeros(passive.n))
         policy = optimal_policy(passive, f_hat, start=last_h)
         last_h = policy.source_h
-        costs = [env.next() for _ in range(length)]
+        # row by row in step order: numpy's pairwise sum would move f_hat's last bits
         phase_sum = np.zeros(passive.n)
-        for f_t in costs:
-            if f_t.n != passive.n:
-                raise DimensionMismatchError(f"cost has {f_t.n} states, chain has {passive.n}")
-            if f_t.max() > COST_CAP + 1e-12:
-                raise ValueError(
-                    f"state cost peaks at {f_t.max()}, above the admissible cap {COST_CAP}"
-                )
-            phase_sum = phase_sum + f_t.values
-        path = _accel.markov_path(draw_table(policy.kernel), state, rng.random(length))
+        for f_t in costs[lo:hi]:
+            phase_sum = phase_sum + f_t
+        path = _accel.markov_path(draw_table(policy.kernel), state, rng.random(hi - lo))
         visited, state = path[:-1], int(path[-1])
-        state_costs = np.array([f_t.values[x] for f_t, x in zip(costs, visited)])
-        runs.append((visited, state_costs, policy.control_cost[visited]))
-        cost_sum, seen = cost_sum + phase_sum, seen + length
-    states, state_costs, control_costs = (np.concatenate(part) for part in zip(*runs))
+        runs.append((visited, policy.control_cost[visited]))
+        cost_sum = cost_sum + phase_sum
+    states, control_costs = (np.concatenate(part) for part in zip(*runs))
+    state_costs = costs[np.arange(horizon), states]
     return RunTrace(
         states=states,
         state_costs=state_costs,

@@ -1,13 +1,15 @@
-"""Graph worlds and the target-tracking cost stream.
+"""Graph worlds and the target-tracking cost sequence.
 
 The experiment terrain is a connected undirected graph. The passive
 dynamics mix a lazy nearest-neighbour walk with a small teleport-to-home
 column, which keeps the kernel irreducible, aperiodic and strictly
 Dobrushin-contractive. The tracked target walks the same graph with its
-own (randomly sampled) kernel; its whole trajectory is simulated before
-the agent ever moves, so the resulting cost sequence cannot depend on the
-agent's behaviour. It is one ``_accel.markov_path`` walk over the target
-kernel's ``draw_table``, the walker and draw that move the agent too.
+own (randomly sampled) kernel. ``TrackingEnv.stream`` simulates its whole
+trajectory before the agent ever moves and prices it as one read-only
+(T, n) array, the distance to the target over the diameter, so the cost
+sequence cannot depend on the agent's behaviour. The walk is one
+``_accel.markov_path`` over the target kernel's ``draw_table``, the
+walker and draw that move the agent too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import _accel
-from .chains import CostFunction, FrozenArrays, StochasticMatrix, draw_table, memoized
+from .chains import FrozenArrays, StochasticMatrix, draw_table, memoized
 from .errors import GraphError
 
 _KERNEL_STREAM = 0x6B65726E  # distinct child-stream tags for one env seed
@@ -165,7 +167,7 @@ def build_passive(graph: Graph, stay_prob: float, delta: float, home: int) -> St
 
 @dataclass(frozen=True)
 class TrackingEnv:
-    """A target walking the graph, plus the distance table that prices it.
+    """A target walking the graph, priced by its distance to every vertex.
 
     ``target_kernel`` rows are supported on closed neighbourhoods (vertex
     plus its neighbours); ``target_state`` is the sampled starting vertex.
@@ -174,20 +176,30 @@ class TrackingEnv:
     graph: Graph
     target_kernel: StochasticMatrix
     target_state: int
-    distances: np.ndarray
-    diameter: int
     seed: int
-    dirichlet_alpha: float
 
-    def stream(self, horizon: int) -> "ReplayCostStream":
-        """Pre-simulate the target for ``horizon`` steps and freeze the
-        resulting cost sequence (identical for identical env seeds)."""
+    def stream(self, horizon: int) -> np.ndarray:
+        """Pre-simulate the target for ``horizon`` steps and price it.
+
+        Row t of the read-only, C-contiguous (horizon, n) result is the
+        graph distance from every vertex to the target's t-th position,
+        over the diameter: zero at the target, one at the far end of the
+        graph, and all zero on a single vertex. Identical env seeds give
+        identical arrays.
+        """
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         rng = np.random.default_rng([self.seed, _PATH_STREAM])
         table = draw_table(self.target_kernel)
         positions = _accel.markov_path(table, self.target_state, rng.random(horizon - 1))
-        return ReplayCostStream([tracking_cost(self, int(s)) for s in positions])
+        distances, diameter = bfs_distances(self.graph)
+        if diameter == 0:
+            costs = np.zeros((horizon, self.graph.n))
+        else:
+            # column s of the table, taken as row s of its transpose: C-ordered
+            costs = distances.T[positions] / diameter
+        costs.setflags(write=False)
+        return costs
 
 
 def make_tracking_env(graph: Graph, seed: int, dirichlet_alpha: float = 1.0) -> TrackingEnv:
@@ -208,48 +220,5 @@ def make_tracking_env(graph: Graph, seed: int, dirichlet_alpha: float = 1.0) -> 
         draws = rng.dirichlet(np.full(sizes[lo], dirichlet_alpha), size=hi - lo)
         rows[np.arange(lo, hi)[:, np.newaxis], closed] = draws
     target0 = int(rng.integers(n))
-    distances, diameter = bfs_distances(graph)
-    return TrackingEnv(
-        graph=graph,
-        target_kernel=StochasticMatrix(rows),
-        target_state=target0,
-        distances=distances,
-        diameter=diameter,
-        seed=seed,
-        dirichlet_alpha=dirichlet_alpha,
-    )
-
-
-def tracking_cost(env: TrackingEnv, target_position: int) -> CostFunction:
-    """Graph distance to the target, normalized by the diameter; zero at
-    the target itself, one at the far end of the graph."""
-    if not 0 <= target_position < env.graph.n:
-        raise IndexError(f"vertex {target_position} out of range for n={env.graph.n}")
-    if env.diameter == 0:
-        return CostFunction(np.zeros(env.graph.n))
-    return CostFunction(env.distances[:, target_position] / env.diameter)
-
-
-class ReplayCostStream:
-    """Serve a pre-generated list of cost functions in order.
-
-    This is the only cost-stream implementation the library ships: the
-    sequence is fixed at construction, which makes obliviousness to the
-    agent structural rather than promised.
-    """
-
-    def __init__(self, costs):
-        self._costs = tuple(costs)
-        self._cursor = 0
-
-    @property
-    def costs(self) -> tuple[CostFunction, ...]:
-        """The full pre-generated sequence (reading it does not consume it)."""
-        return self._costs
-
-    def next(self) -> CostFunction:
-        if self._cursor >= len(self._costs):
-            raise RuntimeError("cost stream exhausted")
-        out = self._costs[self._cursor]
-        self._cursor += 1
-        return out
+    return TrackingEnv(graph=graph, target_kernel=StochasticMatrix(rows),
+                       target_state=target0, seed=seed)

@@ -257,7 +257,7 @@ def test_criterion_09_steady_state_gap_bound():
     while comparators < 100:
         passive = StochasticMatrix(rng.dirichlet(np.ones(5), size=5))
         consts = bound_constants(passive, cost_cap=1.0)
-        costs = [CostFunction(rng.random(5)) for _ in range(horizon)]
+        costs = rng.random((horizon, 5))
         pool = sample_policy_pool(passive, 10, seed=int(rng.integers(1 << 30)))
         for pol in (pooled_policy(pool, i) for i in range(len(pool))):
             rho = dobrushin_coefficient(pol.kernel)

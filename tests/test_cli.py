@@ -341,6 +341,21 @@ class TestCmdTrack:
         for name in ("trace_run000.csv", "trace_run001.csv", "summary.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_single_vertex_graph_costs_nothing(self, tmp_path):
+        # diameter 0: every cost row is zero, so every regret column is too
+        config = {"graph": {"grid": [1, 1]}, "horizon": 30, "runs": 2, "pool_size": 5}
+        cfg = write(tmp_path / "c.json", json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["track", "--config", cfg, "--output-dir", str(out),
+                     "--workers", "1"]) == 0
+        for name in ("trace_run000.csv", "trace_run001.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert len(rows) == 30
+            assert all(float(row.split(",")[2]) == 0.0 for row in rows)
+        summary = (out / "summary.csv").read_text().splitlines()[1:]
+        assert len(summary) == 30
+        assert all(float(cell) == 0.0 for row in summary for cell in row.split(",")[1:])
+
     def test_config_schema_violation_exit_code(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.json", json.dumps({"horizon": -5}))
         assert main(["track", "--config", cfg]) == 2

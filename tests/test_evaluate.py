@@ -12,6 +12,7 @@ import pytest
 
 from klwalk import (
     CostFunction,
+    DimensionMismatchError,
     ExperimentSpec,
     NotUnichainError,
     StochasticMatrix,
@@ -68,20 +69,20 @@ class TestSplitSeed:
 
 class TestSteadyStateComparatorCost:
     def test_zero_costs_zero_trace(self):
-        costs = [CostFunction([0.0, 0.0])] * 5
+        costs = np.zeros((5, 2))
         out = steady_state_comparator_cost(passive_policy(TWO_STATE), costs)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_constant_cost_linear_prefix(self, rng):
         p = random_ergodic_kernel(rng, 3)
         c = 0.4
-        costs = [CostFunction([c, c, c])] * 7
+        costs = np.full((7, 3), c)
         out = steady_state_comparator_cost(passive_policy(p), costs)
         np.testing.assert_allclose(out, c * np.arange(1, 8), atol=1e-12)
 
     def test_two_state_optimal_policy_charges_lambda(self):
         pol = optimal_policy(TWO_STATE, TWO_STATE_COST)
-        costs = [TWO_STATE_COST] * 9
+        costs = np.tile(TWO_STATE_COST.values, (9, 1))
         out = steady_state_comparator_cost(pol, costs)
         np.testing.assert_allclose(out, math.log(4 / 3) * np.arange(1, 10), atol=1e-8)
 
@@ -90,14 +91,14 @@ class TestRealizedExpectedComparatorCost:
     def test_matches_manual_propagation(self, rng):
         p = random_ergodic_kernel(rng, 4)
         pol = optimal_policy(p, random_cost(rng, 4))
-        costs = [random_cost(rng, 4) for _ in range(6)]
+        costs = rng.random((6, 4))
         got = realized_expected_comparator_cost(pol, costs, start=2)
         nu = np.zeros(4)
         nu[2] = 1.0
         total = 0.0
         expected = []
         for f in costs:
-            total += float(nu @ (f.values + pol.control_cost))
+            total += float(nu @ (f + pol.control_cost))
             expected.append(total)
             nu = nu @ pol.kernel.rows
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -105,7 +106,7 @@ class TestRealizedExpectedComparatorCost:
     def test_converges_to_steady_state_rate(self, rng):
         p = random_ergodic_kernel(rng, 4)
         pol = optimal_policy(p, random_cost(rng, 4))
-        costs = [random_cost(rng, 4) for _ in range(300)]
+        costs = rng.random((300, 4))
         realized = realized_expected_comparator_cost(pol, costs, start=0)
         steady = steady_state_comparator_cost(pol, costs)
         gap = np.abs(realized - steady)
@@ -115,26 +116,31 @@ class TestRealizedExpectedComparatorCost:
 class TestBestInHindsight:
     def test_zero_costs_returns_passive(self, rng):
         p = random_ergodic_kernel(rng, 3)
-        pol = best_in_hindsight(p, [CostFunction(np.zeros(3))] * 4)
+        pol = best_in_hindsight(p, np.zeros((4, 3)))
         assert pol.kernel is p
 
     def test_single_repeated_cost_matches_offline_solve(self, rng):
         p = random_ergodic_kernel(rng, 4)
         f = random_cost(rng, 4)
-        a = best_in_hindsight(p, [f] * 6)
+        a = best_in_hindsight(p, np.tile(f.values, (6, 1)))
         b = optimal_policy(p, f)
         np.testing.assert_allclose(a.kernel.rows, b.kernel.rows, atol=1e-12)
 
     def test_mixed_sequence_averages(self):
-        costs = [CostFunction([0.0, 0.0]), CostFunction([0.0, 2 * math.log(2)])]
+        costs = np.array([[0.0, 0.0], [0.0, 2 * math.log(2)]])
         pol = best_in_hindsight(TWO_STATE, costs)
         np.testing.assert_allclose(
             pol.kernel.rows, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], atol=1e-10
         )
 
     def test_empty_costs_rejected(self, rng):
-        with pytest.raises(ValueError):
-            best_in_hindsight(random_ergodic_kernel(rng, 3), [])
+        with pytest.raises(ValueError, match="empty cost sequence"):
+            best_in_hindsight(random_ergodic_kernel(rng, 3), np.empty((0, 3)))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3,), (4, 3, 1)])
+    def test_cost_shape_checked(self, rng, shape):
+        with pytest.raises(DimensionMismatchError):
+            best_in_hindsight(random_ergodic_kernel(rng, 3), np.zeros(shape))
 
 
 def reference_pool(passive, pool_size, seed):
@@ -283,14 +289,13 @@ class TestSamplePolicyPool:
 def reference_race(policies, costs, start, seed):
     """The pool race one policy at a time over dense CDFs: returns the
     winner's index and its prefix cost trace."""
-    fmat = np.stack([c.values for c in costs])
-    horizon = fmat.shape[0]
+    horizon = costs.shape[0]
     steps = np.arange(horizon)
     best_index, best_per_step, best_total = None, None, math.inf
     for i, candidate in enumerate(policies):
         rng = np.random.default_rng(split_seed(seed, i))
         states = dense_markov_path(candidate.kernel.rows, start, rng.random(horizon - 1))
-        per_step = fmat[steps, states] + candidate.control_cost[states]
+        per_step = costs[steps, states] + candidate.control_cost[states]
         total = float(per_step.sum())
         if total < best_total:
             best_index, best_per_step, best_total = i, per_step, total
@@ -360,9 +365,9 @@ class TestVectorizedPick:
 
 RACE_KERNELS = {
     "grid-10x10": (POOL_ORACLE_KERNELS["grid-10x10"], lambda n, t: make_tracking_env(
-        grid_graph(10, 10), seed=31).stream(t).costs),
-    "uneven-transient": (uneven_kernel_with_transient_state, lambda n, t: [
-        random_cost(np.random.default_rng(t), n) for _ in range(t)]),
+        grid_graph(10, 10), seed=31).stream(t)),
+    "uneven-transient": (uneven_kernel_with_transient_state,
+                         lambda n, t: np.random.default_rng(t).random((t, n))),
 }
 
 
@@ -389,7 +394,7 @@ class TestPoolRaceOracle:
         sampled = [pooled_policy(drawn, i) for i in range(70)]
         policies = [passive_policy(passive)] + sampled[:40] + [passive_policy(passive)] + sampled[40:]
         pool = stacked_pool(policies)
-        for costs in (make_costs(passive.n, 30), [CostFunction(np.zeros(passive.n))] * 30):
+        for costs in (make_costs(passive.n, 30), np.zeros((30, passive.n))):
             want_index, want_trace = reference_race(policies, costs, 0, 9)
             best, trace = pool_best_realized_cost(pool, costs, 0, 9)
             assert best == want_index
@@ -402,7 +407,7 @@ class TestPoolBestRealizedCost:
         p = random_ergodic_kernel(rng, 3)
         sampled = sample_policy_pool(p, 4, seed=9)
         pool = stacked_pool([passive_policy(p)] + [pooled_policy(sampled, i) for i in range(4)])
-        costs = [CostFunction(np.zeros(3))] * 10
+        costs = np.zeros((10, 3))
         best, trace = pool_best_realized_cost(pool, costs, start=0, seed=3)
         assert best == 0
         np.testing.assert_array_equal(trace, 0.0)
@@ -411,14 +416,14 @@ class TestPoolBestRealizedCost:
         # two zero-control policies on zero costs tie at 0; index 0 wins
         p = random_ergodic_kernel(rng, 3)
         pool = stacked_pool([passive_policy(p), passive_policy(p)])
-        costs = [CostFunction(np.zeros(3))] * 8
+        costs = np.zeros((8, 3))
         best, _ = pool_best_realized_cost(pool, costs, start=0, seed=6)
         assert best == 0
 
     def test_singleton_pool(self, rng):
         p = random_ergodic_kernel(rng, 3)
         pool = sample_policy_pool(p, 1, seed=4)
-        costs = [random_cost(rng, 3) for _ in range(5)]
+        costs = rng.random((5, 3))
         best, trace = pool_best_realized_cost(pool, costs, start=0, seed=3)
         assert best == 0
         assert trace.shape == (5,)
@@ -430,7 +435,7 @@ class TestPoolBestRealizedCost:
 
         p = build_passive(spec_graph, 0.01, 0.01, home=0)
         env = make_tracking_env(spec_graph, seed=31)
-        costs = env.stream(60).costs
+        costs = env.stream(60)
         pool = sample_policy_pool(p, 100, seed=17)
         best, best_trace = pool_best_realized_cost(pool, costs, start=0, seed=23)
         totals = []
@@ -600,7 +605,7 @@ class TestSteadyStateGapBound:
             pool = sample_policy_pool(p, 1, seed=int(rng.integers(1 << 30)))
             comparator = pooled_policy(pool, 0)
             rho = dobrushin_coefficient(comparator.kernel)
-            costs = [random_cost(rng, 5) for _ in range(150)]
+            costs = rng.random((150, 5))
             realized = realized_expected_comparator_cost(comparator, costs, start=0)
             steady = steady_state_comparator_cost(comparator, costs)
             bound = 2 * consts.k0 / (1 - rho)

@@ -7,7 +7,6 @@ import pytest
 from klwalk import (
     CostFunction,
     DimensionMismatchError,
-    ReplayCostStream,
     StochasticMatrix,
     build_passive,
     grid_graph,
@@ -21,16 +20,6 @@ from klwalk import _accel, chains, online
 from conftest import kernel_sup_distance, pick_from_cdf, random_ergodic_kernel, renormalized
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-
-
-class ConstantStream:
-    """Emits one fixed cost function forever (oblivious by construction)."""
-
-    def __init__(self, values):
-        self._f = CostFunction(values)
-
-    def next(self):
-        return self._f
 
 
 @pytest.fixture
@@ -54,7 +43,7 @@ def reference_episode(passive, costs, epsilon, start, seed):
     costs (zero before any), warm-started from the last phase's h; each
     step is a scalar ``pick_from_cdf`` draw on the dense CDF of the acting
     row. Returns the ``RunTrace`` fields as a dict."""
-    horizon = len(costs)
+    horizon = costs.shape[0]
     phase_starts = {0, *make_schedule(epsilon, horizon).tau_cum.tolist()}
     rng = np.random.default_rng(seed)
     x, policy, cost_sum, phase_sum = start, None, np.zeros(passive.n), np.zeros(passive.n)
@@ -67,9 +56,9 @@ def reference_episode(passive, costs, epsilon, start, seed):
             last_h = policy.source_h if policy is not None else None
             policy = optimal_policy(passive, f_hat, start=last_h)
         states.append(x)
-        state_costs.append(float(f_t.values[x]))
+        state_costs.append(float(f_t[x]))
         control_costs.append(float(policy.control_cost[x]))
-        phase_sum = phase_sum + f_t.values
+        phase_sum = phase_sum + f_t
         x = pick_from_cdf(np.cumsum(policy.kernel.rows[x]), rng.random())
     state_costs, control_costs = np.array(state_costs), np.array(control_costs)
     return {
@@ -136,9 +125,7 @@ class TestBeginPhase:
 
     def test_first_phase_policy_is_passive_exactly(self, rng, phase_policies):
         p = random_ergodic_kernel(rng, 4)
-        costs = [CostFunction(rng.random(4)) for _ in range(3)]
-        trace = run_episode(p, ReplayCostStream(costs), horizon=3, epsilon=0.05,
-                            start=0, seed=0)
+        trace = run_episode(p, rng.random((3, 4)), epsilon=0.05, start=0, seed=0)
         assert phase_policies[0].kernel is p
         np.testing.assert_array_equal(phase_policies[0].control_cost, 0.0)
         assert trace.control_costs[0] == 0.0
@@ -146,16 +133,14 @@ class TestBeginPhase:
     def test_constant_history_keeps_passive(self, rng, phase_policies):
         # constants shift the average cost only, never the kernel
         p = random_ergodic_kernel(rng, 3)
-        run_episode(p, ConstantStream([0.4, 0.4, 0.4]), horizon=20, epsilon=0.05,
-                    start=0, seed=0)
+        run_episode(p, np.full((20, 3), 0.4), epsilon=0.05, start=0, seed=0)
         assert len(phase_policies) > 1
         assert all(policy.kernel is p for policy in phase_policies)
 
     def test_two_state_history_twists_to_derived_kernel(self, phase_policies):
         # phase 1 lasts exactly one step; its cost becomes the phase-2 average
-        costs = [CostFunction([0.0, math.log(2)]), CostFunction([0.0, 0.0])]
-        run_episode(TWO_STATE, ReplayCostStream(costs), horizon=2, epsilon=0.05,
-                    start=0, seed=1)
+        costs = np.array([[0.0, math.log(2)], [0.0, 0.0]])
+        run_episode(TWO_STATE, costs, epsilon=0.05, start=0, seed=1)
         assert len(phase_policies) == 2
         np.testing.assert_allclose(
             phase_policies[1].kernel.rows, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], atol=1e-10
@@ -166,39 +151,49 @@ class TestStep:
     """What one step charges and where it moves."""
 
     def test_zero_cost_first_phase_is_free(self):
-        trace = run_episode(TWO_STATE, ConstantStream([0.0, 0.0]), horizon=1, epsilon=0.05,
-                            start=1, seed=3)
+        trace = run_episode(TWO_STATE, np.zeros((1, 2)), epsilon=0.05, start=1, seed=3)
         assert trace.states[0] == 1
         assert trace.state_costs[0] == 0.0 and trace.control_costs[0] == 0.0
 
     def test_deterministic_policy_row(self):
         p = StochasticMatrix([[0.0, 1.0], [0.5, 0.5]])
         for seed in range(5):
-            trace = run_episode(p, ConstantStream([0.0, 0.0]), horizon=2, epsilon=0.05,
-                                start=0, seed=seed)
+            trace = run_episode(p, np.zeros((2, 2)), epsilon=0.05, start=0, seed=seed)
             assert trace.states.tolist() == [0, 1]
 
-    def test_cost_cap_enforcement_and_override(self):
-        with pytest.raises(ValueError, match="above the admissible cap"):
-            run_episode(TWO_STATE, ConstantStream([0.0, 1.5]), horizon=1, epsilon=0.05,
-                        start=0, seed=0)
+    @pytest.mark.parametrize("bad, match", [
+        (math.nan, "finite"),
+        (math.inf, "finite"),
+        (-0.25, "nonnegative"),
+        (1.5, "above the admissible cap"),
+    ], ids=["nan", "inf", "negative", "above-cap"])
+    def test_cost_cap_enforcement_and_override(self, phase_policies, bad, match):
+        # the bad entry sits in the last of eleven phases: it is refused
+        # before the first phase solves
+        costs = np.full((20, 2), 0.5)
+        costs[-1, 1] = bad
+        with pytest.raises(ValueError, match=match):
+            run_episode(TWO_STATE, costs, epsilon=0.05, start=0, seed=0)
+        assert phase_policies == []
         # the cap is a module constant: there is no override to pass
         with pytest.raises(TypeError):
-            run_episode(TWO_STATE, ConstantStream([0.0, 1.5]), horizon=1, epsilon=0.05,
-                        start=0, seed=0, enforce_cost_cap=False)
+            run_episode(TWO_STATE, costs, epsilon=0.05, start=0, seed=0,
+                        enforce_cost_cap=False)
 
     def test_cost_cap_tolerance(self):
         # rounding of 1e-12 above the cap is let through, 1e-9 is not
-        run_episode(TWO_STATE, ConstantStream([0.0, online.COST_CAP + 1e-12]), horizon=1,
-                    epsilon=0.05, start=0, seed=0)
+        run_episode(TWO_STATE, np.array([[0.0, online.COST_CAP + 1e-12]]), epsilon=0.05,
+                    start=0, seed=0)
         with pytest.raises(ValueError, match="above the admissible cap"):
-            run_episode(TWO_STATE, ConstantStream([0.0, online.COST_CAP + 1e-9]), horizon=1,
-                        epsilon=0.05, start=0, seed=0)
-
-    def test_cost_dimension_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            run_episode(TWO_STATE, ConstantStream([0.0, 0.1, 0.2]), horizon=1, epsilon=0.05,
+            run_episode(TWO_STATE, np.array([[0.0, online.COST_CAP + 1e-9]]), epsilon=0.05,
                         start=0, seed=0)
+
+    @pytest.mark.parametrize("shape", [(20, 3), (20, 1), (2,), (20, 2, 1)],
+                             ids=["wide", "narrow", "one-dimensional", "three-dimensional"])
+    def test_cost_dimension_checked(self, phase_policies, shape):
+        with pytest.raises(DimensionMismatchError):
+            run_episode(TWO_STATE, np.zeros(shape), epsilon=0.05, start=0, seed=0)
+        assert phase_policies == []
 
 
 class TestRunEpisode:
@@ -206,7 +201,7 @@ class TestRunEpisode:
         # every phase policy is the passive twisted on its nonzeros, so the
         # passive's layout is found once and shared by every phase's walk
         graph = grid_graph(10, 10)
-        stream = make_tracking_env(graph, seed=4).stream(300)
+        costs = make_tracking_env(graph, seed=4).stream(300)
         built = []
         init = chains._SupportLayout.__init__
 
@@ -216,7 +211,7 @@ class TestRunEpisode:
 
         monkeypatch.setattr(chains._SupportLayout, "__init__", counting_init)
         passive = build_passive(graph, 0.01, 0.01, home=0)
-        trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
+        trace = run_episode(passive, costs, epsilon=0.05, start=0, seed=4)
         assert trace.phase_boundaries.size > 20
         assert built == [(100, 100)]
 
@@ -234,9 +229,9 @@ class TestRunEpisode:
         monkeypatch.setattr(chains._SupportLayout, "shifted_pattern",
                             chains.memoized(counting_build))
         graph = grid_graph(10, 10)
-        stream = make_tracking_env(graph, seed=4).stream(300)
+        costs = make_tracking_env(graph, seed=4).stream(300)
         passive = build_passive(graph, 0.01, 0.01, home=0)
-        trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
+        trace = run_episode(passive, costs, epsilon=0.05, start=0, seed=4)
         assert trace.phase_boundaries.size > 20
         assert built == [100]
 
@@ -255,9 +250,9 @@ class TestRunEpisode:
         for module in real:
             monkeypatch.setattr(module, "splu", counting(module))
         graph = grid_graph(10, 10)
-        stream = make_tracking_env(graph, seed=4).stream(300)
+        costs = make_tracking_env(graph, seed=4).stream(300)
         passive = build_passive(graph, 0.01, 0.01, home=0)
-        trace = run_episode(passive, stream, horizon=300, epsilon=0.05, start=0, seed=4)
+        trace = run_episode(passive, costs, epsilon=0.05, start=0, seed=4)
         assert trace.phase_boundaries.size > 20
         assert calls[0] == ("klwalk.chains", {})
         assert len(calls) > trace.phase_boundaries.size
@@ -289,8 +284,8 @@ class TestRunEpisode:
                                     lambda passive, f, start=None:
                                     counting_policy(passive, f, None))
             counts.update(factor=0, solve=0)
-            stream = make_tracking_env(graph, seed=3).stream(1000)
-            trace = run_episode(passive, stream, horizon=1000, epsilon=0.05, start=0, seed=7)
+            costs = make_tracking_env(graph, seed=3).stream(1000)
+            trace = run_episode(passive, costs, epsilon=0.05, start=0, seed=7)
             runs[mode] = trace, counts["factor"] / counts["solve"]
         (warm, warm_rate), (cold, cold_rate) = runs["warm"], runs["cold"]
         assert warm.phase_boundaries.size == cold.phase_boundaries.size > 200
@@ -306,30 +301,26 @@ class TestRunEpisode:
         monkeypatch.setattr(online, "optimal_policy",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         passive = build_passive(grid_graph(3, 3), 0.01, 0.01, home=0)
-        stream = make_tracking_env(grid_graph(3, 3), seed=2).stream(horizon)
-        trace = run_episode(passive, stream, horizon=horizon, epsilon=0.05, start=0, seed=1)
+        costs = make_tracking_env(grid_graph(3, 3), seed=2).stream(horizon)
+        trace = run_episode(passive, costs, epsilon=0.05, start=0, seed=1)
         assert trace.phase_boundaries.size == solves and len(calls) == solves
 
     def test_zero_costs_zero_cumulative(self, rng):
         p = random_ergodic_kernel(rng, 3)
-        trace = run_episode(p, ConstantStream([0, 0, 0]), horizon=50, epsilon=0.05,
-                            start=0, seed=5)
+        trace = run_episode(p, np.zeros((50, 3)), epsilon=0.05, start=0, seed=5)
         np.testing.assert_array_equal(trace.cumulative, 0.0)
 
     def test_constant_costs_accumulate_linearly(self, rng):
         p = random_ergodic_kernel(rng, 3)
         c = 0.6
-        trace = run_episode(p, ConstantStream([c, c, c]), horizon=40, epsilon=0.05,
-                            start=1, seed=5)
+        trace = run_episode(p, np.full((40, 3), c), epsilon=0.05, start=1, seed=5)
         np.testing.assert_allclose(trace.cumulative, c * np.arange(1, 41), atol=1e-12)
         np.testing.assert_array_equal(trace.control_costs, 0.0)  # passive in every phase
 
     def test_trace_invariants(self, rng):
         p = random_ergodic_kernel(rng, 4)
-        stream = ReplayCostStream(
-            [CostFunction(np.random.default_rng(t).random(4)) for t in range(60)]
-        )
-        trace = run_episode(p, stream, horizon=60, epsilon=0.05, start=0, seed=11)
+        costs = np.stack([np.random.default_rng(t).random(4) for t in range(60)])
+        trace = run_episode(p, costs, epsilon=0.05, start=0, seed=11)
         np.testing.assert_allclose(
             trace.cumulative, np.cumsum(trace.state_costs + trace.control_costs), atol=1e-12
         )
@@ -340,9 +331,9 @@ class TestRunEpisode:
 
     def test_identical_seeds_identical_traces(self, rng):
         p = random_ergodic_kernel(rng, 4)
-        costs = [CostFunction(np.random.default_rng(100 + t).random(4)) for t in range(80)]
-        a = run_episode(p, ReplayCostStream(costs), 80, 0.05, start=0, seed=21)
-        b = run_episode(p, ReplayCostStream(costs), 80, 0.05, start=0, seed=21)
+        costs = np.stack([np.random.default_rng(100 + t).random(4) for t in range(80)])
+        a = run_episode(p, costs, 0.05, start=0, seed=21)
+        b = run_episode(p, costs, 0.05, start=0, seed=21)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.cumulative, b.cumulative)
 
@@ -353,9 +344,8 @@ class TestRunEpisode:
         p = random_ergodic_kernel(rng, 3)
         sched = make_schedule(0.05, 120)
         cost_gen = np.random.default_rng(10)
-        costs = [CostFunction(cost_gen.random(3)) for _ in range(120)]
-        trace = run_episode(p, ReplayCostStream(costs), horizon=120, epsilon=0.05,
-                            start=0, seed=9)
+        costs = cost_gen.random((120, 3))
+        trace = run_episode(p, costs, epsilon=0.05, start=0, seed=9)
         assert len(phase_policies) == trace.phase_boundaries.size
         for t, m in enumerate(trace.step_phases()):
             assert trace.control_costs[t] == phase_policies[m - 1].control_cost[trace.states[t]]
@@ -367,19 +357,12 @@ class TestRunEpisode:
         assert math.isfinite(worst)
         print(f"\nmax policy drift ratio over {len(ratios)} boundaries: {worst:.4f}")
 
-    def test_stream_exhaustion_raises(self):
-        stream = ReplayCostStream([CostFunction([0.0, 0.0])])
-        with pytest.raises(RuntimeError):
-            run_episode(TWO_STATE, stream, horizon=5, epsilon=0.05, start=0, seed=0)
-
     def test_phase_of_step(self, rng):
-        trace = run_episode(TWO_STATE, ConstantStream([0, 0]), horizon=5, epsilon=0.05,
-                            start=0, seed=2)
+        trace = run_episode(TWO_STATE, np.zeros((5, 2)), epsilon=0.05, start=0, seed=2)
         assert trace.phase_boundaries.tolist() == [0, 1, 3]
         assert trace.step_phases().tolist() == [1, 2, 2, 3, 3]
         p = random_ergodic_kernel(rng, 3)
-        trace = run_episode(p, ConstantStream([0, 0, 0]), horizon=20, epsilon=0.05,
-                            start=0, seed=2)
+        trace = run_episode(p, np.zeros((20, 3)), epsilon=0.05, start=0, seed=2)
         sched = make_schedule(0.05, 20)
         phases = np.repeat(np.arange(1, sched.tau.size + 1), sched.tau)
         assert trace.step_phases().tolist() == phases[:20].tolist()
@@ -407,9 +390,8 @@ class TestEpisodeOracle:
         for seed in range(3):
             rng = np.random.default_rng([seed, horizon])
             passive = ORACLE_KERNELS[name](rng)
-            costs = [CostFunction(rng.random(passive.n)) for _ in range(horizon)]
-            got = run_episode(passive, ReplayCostStream(costs), horizon, 0.05,
-                              start=seed % passive.n, seed=seed)
+            costs = rng.random((horizon, passive.n))
+            got = run_episode(passive, costs, 0.05, start=seed % passive.n, seed=seed)
             want = reference_episode(passive, costs, 0.05, seed % passive.n, seed)
             for field, value in want.items():
                 assert np.array_equal(getattr(got, field), value), (field, seed)

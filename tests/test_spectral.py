@@ -371,7 +371,7 @@ class TestInverseIteration:
         passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
         dist, diameter = bfs_distances(graph)
         cases.append((passive, dist[:, 0] / diameter))
-        stream = np.array([c.values for c in make_tracking_env(graph, seed=7).stream(60).costs])
+        stream = make_tracking_env(graph, seed=7).stream(60)
         cases += [(passive, stream[:k].mean(axis=0)) for k in (1, 4, 13, 60)]
         for _ in range(5):
             p = self.zero_diagonal_kernel(rng)
@@ -439,7 +439,7 @@ def warm_start_cases():
         cases.append(pytest.param(p, f, solve_mpe(p, nearby).h, id=name))
     graph = grid_graph(10, 10)
     passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
-    stream = np.array([c.values for c in make_tracking_env(graph, seed=7).stream(60).costs])
+    stream = make_tracking_env(graph, seed=7).stream(60)
     for k in (2, 13, 60):
         f, last = CostFunction(stream[:k].mean(axis=0)), CostFunction(stream[:k - 1].mean(axis=0))
         cases.append(pytest.param(passive, f, solve_mpe(passive, last).h, id=f"grid-phase-{k}"))

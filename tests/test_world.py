@@ -1,5 +1,6 @@
 import pickle
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from klwalk import (
     grid_graph,
     load_graph,
     make_tracking_env,
-    tracking_cost,
 )
 from klwalk.world import _KERNEL_STREAM, _PATH_STREAM
 
@@ -167,13 +167,12 @@ class TestBfsDistances:
 
     def test_one_read_only_table_per_graph(self):
         g = grid_graph(4, 4)
-        a, b = make_tracking_env(g, seed=1), make_tracking_env(g, seed=2)
-        assert a.distances is b.distances and bfs_distances(g)[0] is a.distances
-        assert not a.distances.flags.writeable
+        table, diameter = bfs_distances(g)
+        assert bfs_distances(g)[0] is table and not table.flags.writeable
         restored = pickle.loads(pickle.dumps(g))
-        dist, diameter = bfs_distances(restored)
-        assert not dist.flags.writeable and diameter == a.diameter
-        np.testing.assert_array_equal(dist, a.distances)
+        dist, restored_diameter = bfs_distances(restored)
+        assert not dist.flags.writeable and restored_diameter == diameter == 6
+        np.testing.assert_array_equal(dist, table)
 
     def test_disconnected_graph_rejected(self):
         # from_edges refuses it; a Graph built field by field reaches here
@@ -262,9 +261,7 @@ class TestTrackingEnv:
         b = make_tracking_env(g, seed=11)
         np.testing.assert_array_equal(a.target_kernel.rows, b.target_kernel.rows)
         assert a.target_state == b.target_state
-        costs_a = [c.values for c in a.stream(50).costs]
-        costs_b = [c.values for c in b.stream(50).costs]
-        np.testing.assert_array_equal(np.stack(costs_a), np.stack(costs_b))
+        np.testing.assert_array_equal(a.stream(50), b.stream(50))
 
     def test_different_seeds_differ(self):
         g = grid_graph(4, 4)
@@ -289,11 +286,12 @@ class TestTrackingEnv:
             make_tracking_env(grid_graph(2, 2), seed=0, dirichlet_alpha=alpha)
 
     def test_stream_is_fixed_before_the_agent_runs(self):
+        # one read-only array, and the first 20 rows of a longer walk
         env = make_tracking_env(grid_graph(3, 3), seed=4)
-        stream = env.stream(20)
-        upfront = [c.values.copy() for c in stream.costs]
-        served = [stream.next().values for _ in range(20)]
-        np.testing.assert_array_equal(np.stack(upfront), np.stack(served))
+        costs = env.stream(20)
+        assert costs.shape == (20, 9) and costs.dtype == np.float64
+        assert costs.flags.c_contiguous and not costs.flags.writeable
+        np.testing.assert_array_equal(env.stream(30)[:20], costs)
 
     @pytest.mark.parametrize("horizon", [1, 2, 300])
     @pytest.mark.parametrize("shape", [(3, 3), (6, 6), (1, 5)])
@@ -301,31 +299,39 @@ class TestTrackingEnv:
         # the target is the one state at distance zero from itself
         for seed in range(3):
             env = make_tracking_env(grid_graph(*shape), seed=seed, dirichlet_alpha=0.3)
-            positions = [int(np.flatnonzero(c.values == 0)[0]) for c in env.stream(horizon).costs]
+            positions = [int(np.flatnonzero(row == 0)[0]) for row in env.stream(horizon)]
             uniforms = np.random.default_rng([seed, _PATH_STREAM]).random(horizon - 1)
             want = dense_markov_path(env.target_kernel.rows, env.target_state, uniforms)
             assert positions == want.tolist()
 
 
 class TestTrackingCost:
+    """Each row of ``stream`` is the distance to the target over the diameter."""
+
     def test_zero_at_target(self):
         env = make_tracking_env(grid_graph(3, 3), seed=1)
         for s in range(9):
-            assert tracking_cost(env, s).values[s] == 0.0
+            assert replace(env, target_state=s).stream(1)[0, s] == 0.0
 
     def test_path_distances_over_diameter(self):
-        env = make_tracking_env(load_graph("0 1\n1 2"), seed=1)
-        np.testing.assert_allclose(tracking_cost(env, 0).values, [0.0, 0.5, 1.0])
+        env = replace(make_tracking_env(load_graph("0 1\n1 2"), seed=1), target_state=0)
+        np.testing.assert_allclose(env.stream(1)[0], [0.0, 0.5, 1.0])
 
     def test_grid_corner_extremes(self):
         g = grid_graph(6, 6)
-        env = make_tracking_env(g, seed=1)
-        f = tracking_cost(env, 0)
-        assert f.values.max() == 1.0
-        assert f.values[35] == 1.0  # opposite corner
-        assert np.all((0.0 <= f.values) & (f.values <= 1.0))
+        row = replace(make_tracking_env(g, seed=1), target_state=0).stream(1)[0]
+        assert row.max() == 1.0
+        assert row[35] == 1.0  # opposite corner
+        assert np.all((0.0 <= row) & (row <= 1.0))
+
+    def test_rows_are_the_table_columns_over_the_diameter(self):
+        g = grid_graph(4, 5)
+        costs = make_tracking_env(g, seed=8).stream(40)
+        table, diameter = bfs_distances(g)
+        positions = [int(np.flatnonzero(row == 0)[0]) for row in costs]
+        assert np.array_equal(costs, np.stack([table[:, s] / diameter for s in positions]))
 
     def test_out_of_range(self):
-        env = make_tracking_env(grid_graph(2, 2), seed=1)
-        with pytest.raises(IndexError):
-            tracking_cost(env, 4)
+        env = replace(make_tracking_env(grid_graph(2, 2), seed=1), target_state=4)
+        with pytest.raises(IndexError, match="out of range"):
+            env.stream(1)
