@@ -46,7 +46,6 @@ from .evaluate import (
     summarize,
 )
 from .online import (
-    PhaseSchedule,
     RunTrace,
     make_schedule,
     run_episode,

@@ -50,7 +50,7 @@ from .chains import (
     support_layout,
 )
 from .errors import DimensionMismatchError, NotUnichainError
-from .online import RunTrace, run_episode
+from .online import RunTrace, _cost_matrix, run_episode
 from .policy import KlPolicy, optimal_policy, rows_kl_at
 from .world import Graph, build_passive, grid_graph, make_tracking_env
 
@@ -87,16 +87,6 @@ class MonteCarloSummary(FrozenArrays):
         for name in ("mean", "stddev"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-
-
-def _cost_matrix(costs: np.ndarray, n: int) -> np.ndarray:
-    """The (T, n) cost array, C-ordered float64, checked for its shape only."""
-    fmat = np.ascontiguousarray(costs, dtype=np.float64)
-    if fmat.ndim != 2 or fmat.shape[1] != n:
-        raise DimensionMismatchError(f"costs of shape {fmat.shape} need {n} columns")
-    if fmat.shape[0] == 0:
-        raise ValueError("empty cost sequence")
-    return fmat
 
 
 def steady_state_comparator_cost(policy: KlPolicy, costs: np.ndarray) -> np.ndarray:
@@ -400,28 +390,21 @@ class ExperimentResult:
         return len(self.seeds)
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    workers: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Replicate the tracking experiment ``spec.runs`` times.
 
     Run i draws its environment and agent streams from
-    ``split_seed(spec.base_seed, i)``, or from ``seeds[i]`` when given.
-    Each run is one job (``_tracking_worker``); with ``spec.pool_size > 0``
-    the job also races the shared ``spec.pool()`` on the run's costs.
-    ``workers`` bounds the number of processes, each handed one chunk of
-    runs, so each unpickles the spec and draws the pool once. The
-    reduction is in run order, so output does not depend on the workers.
+    ``split_seed(spec.base_seed, i)``. Each run is one job
+    (``_tracking_worker``); with ``spec.pool_size > 0`` the job also races
+    the shared ``spec.pool()`` on the run's costs. ``workers`` bounds the
+    number of processes, each handed one chunk of runs, so each unpickles
+    the spec and draws the pool once. The reduction is in run order, so
+    output does not depend on the workers.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if seeds is None:
-        seeds = [split_seed(spec.base_seed, i) for i in range(spec.runs)]
-    elif len(seeds) != spec.runs:
-        raise ValueError(f"got {len(seeds)} explicit seeds for {spec.runs} runs")
-    jobs = [(spec, int(s)) for s in seeds]
+    seeds = tuple(split_seed(spec.base_seed, i) for i in range(spec.runs))
+    jobs = [(spec, s) for s in seeds]
     workers = min(workers, spec.runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
@@ -432,7 +415,7 @@ def run_experiment(
     traces, hindsight, pool_rows = zip(*outcomes)
     return ExperimentResult(
         spec=spec,
-        seeds=tuple(int(s) for s in seeds),
+        seeds=seeds,
         traces=traces,
         hindsight_regret=np.stack(hindsight),
         pool_regret=np.stack(pool_rows) if spec.pool_size > 0 else None,
@@ -460,14 +443,10 @@ def summarize(regret_rows: np.ndarray, seeds: Sequence[int]) -> MonteCarloSummar
     )
 
 
-def monte_carlo(
-    spec: ExperimentSpec,
-    workers: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-) -> MonteCarloSummary:
+def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> MonteCarloSummary:
     """Mean/stddev of the best-in-hindsight regret over ``spec.runs``
     replications; the policy pool is not raced."""
     if spec.runs < 2:
         raise ValueError(f"monte_carlo needs runs >= 2, got {spec.runs}")
-    result = run_experiment(replace(spec, pool_size=0), workers=workers, seeds=seeds)
+    result = run_experiment(replace(spec, pool_size=0), workers=workers)
     return summarize(result.hindsight_regret, result.seeds)

@@ -16,7 +16,6 @@ from klwalk import (
     MonteCarloSummary,
     MpeSolution,
     NotUnichainError,
-    PhaseSchedule,
     RunTrace,
     StochasticMatrix,
     build_passive,
@@ -123,8 +122,6 @@ class TestFrozenCopies:
             (MonteCarloSummary, dict(runs=2, seeds=(1, 2)), ("mean", "stddev"), ()),
             (RunTrace, {}, ("state_costs", "control_costs", "cumulative"),
              ("states", "phase_boundaries")),
-            (PhaseSchedule, dict(epsilon=0.05, horizon=3, complete_phases=3), (),
-             ("tau", "tau_cum")),
         ],
     )
     def test_caller_array_stays_writeable(self, cls, fixed, float_fields, int_fields):
@@ -149,8 +146,6 @@ class TestFrozenCopies:
             MonteCarloSummary(runs=2, mean=[0.1, 0.2], stddev=[0.0, 0.1], seeds=(1, 2)),
             RunTrace(states=[0, 1], state_costs=[0.1, 0.2], control_costs=[0.0, 0.3],
                      cumulative=[0.1, 0.6], phase_boundaries=[0]),
-            PhaseSchedule(epsilon=0.05, horizon=3, tau=[1, 2], tau_cum=[1, 3],
-                          complete_phases=2),
         ],
         ids=lambda obj: type(obj).__name__,
     )

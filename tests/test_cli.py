@@ -299,6 +299,16 @@ class TestCmdSolve:
         assert f"error: {target}: cannot write" in capsys.readouterr().err
 
 
+TRACK_REFERENCE = Path(__file__).resolve().parent / "data" / "track-4x4"
+
+
+def read_table(path):
+    """A CSV's header names and its rows as one float array."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
 SMOKE_CONFIG = {
     "graph": {"grid": [3, 3]},
     "horizon": 10,
@@ -355,6 +365,27 @@ class TestCmdTrack:
         summary = (out / "summary.csv").read_text().splitlines()[1:]
         assert len(summary) == 30
         assert all(float(cell) == 0.0 for row in summary for cell in row.split(",")[1:])
+
+    def test_output_matches_committed_reference(self, tmp_path):
+        # criterion 10's config against committed outputs written with
+        # --workers 1, on perfbench's reference rule: t, state and phase exact,
+        # every other value within 1e-9 relative, NaN matching NaN
+        config = {"graph": {"grid": [4, 4]}, "horizon": 60, "runs": 2, "pool_size": 25,
+                  "base_seed": 31415}
+        cfg = write(tmp_path / "c.json", json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["track", "--config", cfg, "--output-dir", str(out),
+                     "--workers", "1"]) == 0
+        names = sorted(path.name for path in TRACK_REFERENCE.iterdir())
+        assert names == sorted(path.name for path in out.iterdir())
+        for name in names:
+            header, ref = read_table(TRACK_REFERENCE / name)
+            got_header, got = read_table(out / name)
+            assert got_header == header and got.shape == ref.shape, name
+            exact = [header.index(col) for col in ("t", "state", "phase") if col in header]
+            assert np.array_equal(got[:, exact], ref[:, exact]), name
+            gap = np.where(np.isnan(got) & np.isnan(ref), 0.0, np.abs(got - ref))
+            assert np.all(gap <= 1e-9 * np.maximum(1.0, np.nan_to_num(np.abs(ref)))), name
 
     def test_config_schema_violation_exit_code(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.json", json.dumps({"horizon": -5}))

@@ -491,17 +491,18 @@ class TestSummarize:
         assert np.isnan(summary.stddev).all() and summary.stddev.shape == (3,)
         assert summary.runs == 1 and summary.seeds == (7,)
 
+    def test_identical_rows_zero_stddev(self):
+        row = np.array([0.5, -1.25, 3.0])
+        summary = summarize(np.stack([row, row]), [7, 7])
+        np.testing.assert_array_equal(summary.mean, row)
+        np.testing.assert_array_equal(summary.stddev, 0.0)
+
 
 class TestMonteCarlo:
     SPEC = ExperimentSpec(graph=grid_graph(3, 3), horizon=40, epsilon=0.05, pool_size=0)
 
     def spec(self, runs, base_seed):
         return replace(self.SPEC, runs=runs, base_seed=base_seed)
-
-    def test_forced_identical_seeds_zero_stddev(self):
-        s = split_seed(1, 1)
-        summary = monte_carlo(self.spec(runs=2, base_seed=0), seeds=[s, s])
-        np.testing.assert_array_equal(summary.stddev, 0.0)
 
     def test_two_run_stddev_formula(self):
         result = run_experiment(self.spec(runs=2, base_seed=77))

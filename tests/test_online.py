@@ -44,7 +44,7 @@ def reference_episode(passive, costs, epsilon, start, seed):
     step is a scalar ``pick_from_cdf`` draw on the dense CDF of the acting
     row. Returns the ``RunTrace`` fields as a dict."""
     horizon = costs.shape[0]
-    phase_starts = {0, *make_schedule(epsilon, horizon).tau_cum.tolist()}
+    phase_starts = set(make_schedule(epsilon, horizon)[:-1].tolist())
     rng = np.random.default_rng(seed)
     x, policy, cost_sum, phase_sum = start, None, np.zeros(passive.n), np.zeros(passive.n)
     states, state_costs, control_costs, boundaries = [], [], [], []
@@ -79,22 +79,28 @@ def sparse_ergodic_kernel(rng, n):
     return renormalized(rows)
 
 
+def snapped_ceil(m, epsilon):
+    """ceil(m^(1/3-eps)), taken as the nearest integer within 1e-9 of it."""
+    p = m ** (1 / 3 - epsilon)
+    return round(p) if abs(p - round(p)) < 1e-9 else math.ceil(p)
+
+
 class TestMakeSchedule:
     def test_quarter_exponent_values(self):
         # epsilon = 1/12 gives exponent 1/4
-        sched = make_schedule(1 / 12, horizon=100)  # phase 17 ends at step 34
-        assert sched.tau[1 - 1] == 1
-        assert sched.tau[15 - 1] == 2
-        assert sched.tau[16 - 1] == 2
-        assert sched.tau[17 - 1] == 3  # 17^0.25 = 2.0305...
+        tau = np.diff(make_schedule(1 / 12, horizon=100))  # phase 17 ends at step 34
+        assert tau[1 - 1] == 1
+        assert tau[15 - 1] == 2
+        assert tau[16 - 1] == 2
+        assert tau[17 - 1] == 3  # 17^0.25 = 2.0305...
 
     def test_near_limit_epsilon_follows_ceiling(self):
         # with exponent 1/3 - 0.3333 > 0, m^exponent exceeds 1 for every
         # m >= 2, so the ceiling is 2 from the second phase on; phase 999
         # ends at step 1997
-        sched = make_schedule(0.3333, horizon=2000)
-        assert sched.tau[1 - 1] == 1
-        assert all(sched.tau[m - 1] == 2 for m in range(2, 1000))
+        tau = np.diff(make_schedule(0.3333, horizon=2000))
+        assert tau[1 - 1] == 1
+        assert all(tau[m - 1] == 2 for m in range(2, 1000))
 
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
@@ -104,21 +110,34 @@ class TestMakeSchedule:
         with pytest.raises(ValueError):
             make_schedule(0.05, 0)
 
+    @pytest.mark.parametrize("horizon", [1, 2, 57, 1000])
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 1 / 12, 0.3333])
+    def test_boundary_invariants(self, epsilon, horizon):
+        bounds = make_schedule(epsilon, horizon)
+        assert bounds.dtype == np.int64 and not bounds.flags.writeable
+        with pytest.raises(ValueError):
+            bounds[0] = 1
+        assert bounds[0] == 0 and bounds[-1] == horizon
+        tau = np.diff(bounds)
+        assert np.all(tau > 0)
+        full = [snapped_ceil(m, epsilon) for m in range(1, tau.size + 1)]
+        assert tau[:-1].tolist() == full[:-1]
+        assert tau[-1] <= full[-1]
+
     def test_schedule_structure(self):
-        sched = make_schedule(0.05, horizon=1000)
-        assert np.all(np.diff(sched.tau) >= 0)
-        np.testing.assert_array_equal(sched.tau_cum, np.cumsum(sched.tau))
-        assert sched.tau_cum[-1] >= 1000
-        m = sched.complete_phases
-        assert sched.tau_cum[m - 1] <= 1000
-        if m < len(sched.tau):
-            assert 1000 < sched.tau_cum[m]
+        # the default experiment's 239 phases; the last is cut from 5 steps to 3
+        bounds = make_schedule(0.05, horizon=1000)
+        assert bounds.size == 240
+        assert bounds[:4].tolist() == [0, 1, 3, 5]
+        assert bounds[-4:].tolist() == [987, 992, 997, 1000]
+        assert snapped_ceil(239, 0.05) == 5
 
     def test_phase_count_bound(self):
-        # enumerate and compare against the (4/3) T^(3/4+eps) phase-count bound
+        # every phase, the cut one included, within the (4/3) T^(3/4+eps) bound
+        # on the number of complete phases
         for eps, horizon in ((0.05, 1000), (0.1, 500), (0.3, 2000)):
-            sched = make_schedule(eps, horizon)
-            assert sched.complete_phases <= (4 / 3) * horizon ** (3 / 4 + eps)
+            phases = make_schedule(eps, horizon).size - 1
+            assert phases <= (4 / 3) * horizon ** (3 / 4 + eps)
 
 class TestBeginPhase:
     """The solve that opens each phase."""
@@ -193,6 +212,11 @@ class TestStep:
     def test_cost_dimension_checked(self, phase_policies, shape):
         with pytest.raises(DimensionMismatchError):
             run_episode(TWO_STATE, np.zeros(shape), epsilon=0.05, start=0, seed=0)
+        assert phase_policies == []
+
+    def test_empty_costs_rejected(self, phase_policies):
+        with pytest.raises(ValueError, match="empty cost sequence"):
+            run_episode(TWO_STATE, np.zeros((0, 2)), epsilon=0.05, start=0, seed=0)
         assert phase_policies == []
 
 
@@ -342,7 +366,7 @@ class TestRunEpisode:
         # cost of its phase's policy; across boundaries the drift ratio
         # ||P(m+1)-P(m)||_inf * tau_{1:m}/tau_m stays finite (recorded)
         p = random_ergodic_kernel(rng, 3)
-        sched = make_schedule(0.05, 120)
+        bounds = make_schedule(0.05, 120)
         cost_gen = np.random.default_rng(10)
         costs = cost_gen.random((120, 3))
         trace = run_episode(p, costs, epsilon=0.05, start=0, seed=9)
@@ -352,7 +376,7 @@ class TestRunEpisode:
         ratios = []
         for m in range(1, len(phase_policies)):
             drift = kernel_sup_distance(phase_policies[m].kernel, phase_policies[m - 1].kernel)
-            ratios.append(drift * float(sched.tau_cum[m - 1]) / float(sched.tau[m - 1]))
+            ratios.append(drift * float(bounds[m]) / float(bounds[m] - bounds[m - 1]))
         worst = max(ratios)
         assert math.isfinite(worst)
         print(f"\nmax policy drift ratio over {len(ratios)} boundaries: {worst:.4f}")
@@ -363,9 +387,9 @@ class TestRunEpisode:
         assert trace.step_phases().tolist() == [1, 2, 2, 3, 3]
         p = random_ergodic_kernel(rng, 3)
         trace = run_episode(p, np.zeros((20, 3)), epsilon=0.05, start=0, seed=2)
-        sched = make_schedule(0.05, 20)
-        phases = np.repeat(np.arange(1, sched.tau.size + 1), sched.tau)
-        assert trace.step_phases().tolist() == phases[:20].tolist()
+        tau = np.diff(make_schedule(0.05, 20))
+        phases = np.repeat(np.arange(1, tau.size + 1), tau)
+        assert trace.step_phases().tolist() == phases.tolist()
 
 
 # horizons with epsilon 0.05: phases end at steps 1, 3, 5, ..., 54, 57, 60,
@@ -381,8 +405,8 @@ ORACLE_KERNELS = {
 
 class TestEpisodeOracle:
     def test_horizons_cover_boundary_and_truncation(self):
-        tau_cum = make_schedule(0.05, 60).tau_cum.tolist()
-        assert {1, 3, 57} <= set(tau_cum) and not {2, 4, 58, 59} & set(tau_cum)
+        bounds = set(make_schedule(0.05, 60).tolist())
+        assert {1, 3, 57} <= bounds and not {2, 4, 58, 59} & bounds
 
     @pytest.mark.parametrize("horizon", ORACLE_HORIZONS)
     @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
