@@ -9,7 +9,6 @@ a reproducible graph target-tracking experiment harness.
 
 from .chains import (
     CostFunction,
-    Distribution,
     ErgodicityReport,
     StochasticMatrix,
     dobrushin_coefficient,
@@ -31,7 +30,6 @@ from .errors import (
 from .evaluate import (
     ExperimentResult,
     ExperimentSpec,
-    MonteCarloSummary,
     PolicyPool,
     best_in_hindsight,
     growth_exponent,

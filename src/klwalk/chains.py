@@ -1,10 +1,9 @@
 """Finite-state Markov chain primitives.
 
-Validated containers for distributions, row-stochastic kernels and
-nonnegative state costs, plus the quantities the rest of the library is
-built on: total variation, KL divergence, span seminorm, the Dobrushin
-ergodicity coefficient, ergodicity diagnostics and invariant
-distributions.
+Validated containers for row-stochastic kernels and nonnegative state
+costs, plus the quantities the rest of the library is built on: total
+variation, KL divergence, span seminorm, the Dobrushin ergodicity
+coefficient, ergodicity diagnostics and invariant distributions.
 
 The standing assumption of the solver, an irreducible and aperiodic
 passive kernel, is a property of the kernel's positive pattern alone:
@@ -97,40 +96,11 @@ class FrozenArrays:
             object.__setattr__(self, name, _freeze(value))
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = frozen_copy(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
 def _vec(x) -> np.ndarray:
-    """Accept a Distribution/CostFunction or a raw array-like."""
-    if isinstance(x, (Distribution, CostFunction)):
-        return x.values if isinstance(x, CostFunction) else x.weights
+    """Accept a CostFunction or a raw array-like."""
+    if isinstance(x, CostFunction):
+        return x.values
     return np.asarray(x, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class Distribution(FrozenArrays):
-    """A probability mass vector over a finite state space."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _frozen_array(self.weights, "weights")
-        object.__setattr__(self, "weights", w)
-        if w.size < 1:
-            raise ValueError("distribution over an empty state space")
-        if not np.all(w >= 0):  # also false for NaN
-            raise ValueError("distribution weights must be nonnegative numbers")
-        total = float(w.sum())
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"distribution weights sum to {total!r}, expected 1")
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
 
 
 def check_stochastic_rows(rows: np.ndarray) -> None:
@@ -182,8 +152,10 @@ class CostFunction(FrozenArrays):
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.values, "values")
+        v = frozen_copy(self.values)
         object.__setattr__(self, "values", v)
+        if v.ndim != 1:
+            raise ValueError(f"values must be one-dimensional, got shape {v.shape}")
         if v.size < 1:
             raise ValueError("cost function over an empty state space")
         if not np.all(np.isfinite(v)):
@@ -350,8 +322,9 @@ def ergodicity_report(P: StochasticMatrix) -> ErgodicityReport:
     return ErgodicityReport(irreducible, aperiodic, alpha, nbar=nbar, theta=theta)
 
 
-def invariant_distribution(P: StochasticMatrix) -> Distribution:
-    """The unique pi with pi P = pi.
+def invariant_distribution(P: StochasticMatrix) -> np.ndarray:
+    """The unique pi with pi P = pi, as a read-only float64 vector (n,):
+    nonnegative and summing to 1.
 
     Uniqueness comes from the pattern: P must have a single closed class.
     The law is then the solution of the square stationarity system, P^T - I
@@ -384,7 +357,7 @@ def invariant_distribution(P: StochasticMatrix) -> Distribution:
             f"no reliable invariant distribution (fixed-point residual {residual:.3e})"
         )
     pi = np.clip(pi, 0.0, None)
-    return Distribution(pi / pi.sum())
+    return frozen_copy(pi / pi.sum())
 
 
 class _SupportLayout(FrozenArrays):

@@ -302,11 +302,11 @@ def _write_trace_csv(path: Path, trace):
 
 
 def _write_summary_csv(path: Path, horizon: int, hindsight, pool):
+    """Write both regrets' ``(mean, stddev)``; with ``pool`` None its columns are nan."""
     line = f"%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\n"
-    missing = np.full(horizon, np.nan)  # formats as "nan"
-    columns = (np.arange(1, horizon + 1), hindsight.mean, hindsight.stddev,
-               pool.mean if pool is not None else missing,
-               pool.stddev if pool is not None else missing)
+    missing = np.full(horizon, np.nan)
+    pool = pool if pool is not None else (missing, missing)
+    columns = (np.arange(1, horizon + 1), *hindsight, *pool)
     with _open_output(path) as fh:
         fh.write("t,mean_regret_hindsight,std_regret_hindsight,"
                  "mean_regret_pool,std_regret_pool\n")
@@ -337,8 +337,8 @@ def cmd_track(args) -> int:
     result = run_experiment(spec, workers=workers)
     for i, trace in enumerate(result.traces):
         _write_trace_csv(out_dir / f"trace_run{i:03d}.csv", trace)
-    hindsight = summarize(result.hindsight_regret, result.seeds)
-    pool = summarize(result.pool_regret, result.seeds) if result.pool_regret is not None else None
+    hindsight = summarize(result.hindsight_regret)
+    pool = summarize(result.pool_regret) if result.pool_regret is not None else None
     _write_summary_csv(out_dir / "summary.csv", spec.horizon, hindsight, pool)
     print(f"wrote {spec.runs} trace file(s) and summary.csv to {out_dir}")
     return 0

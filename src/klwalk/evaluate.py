@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -74,26 +74,11 @@ def split_seed(base_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary(FrozenArrays):
-    """Per-step mean and sample standard deviation over replications."""
-
-    runs: int
-    mean: np.ndarray
-    stddev: np.ndarray
-    seeds: tuple[int, ...]
-
-    def __post_init__(self):
-        for name in ("mean", "stddev"):
-            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-
-
 def steady_state_comparator_cost(policy: KlPolicy, costs: np.ndarray) -> np.ndarray:
     """Prefix sums of the policy's steady-state cost under each row f_t of
     the (T, n) cost array."""
     fmat = _cost_matrix(costs, policy.n)
-    pi = invariant_distribution(policy.kernel).weights
+    pi = invariant_distribution(policy.kernel)
     support = pi > 0
     control = float(pi[support] @ policy.control_cost[support])
     per_step = fmat[:, support] @ pi[support] + control
@@ -377,17 +362,14 @@ def _tracking_worker(args: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """All traces and regret curves of one replicated experiment."""
+    """All traces and regret curves of one replicated experiment; row i
+    of each regret array, like ``traces[i]``, is run i, seeded with
+    ``split_seed(spec.base_seed, i)``."""
 
     spec: ExperimentSpec
-    seeds: tuple[int, ...]
     traces: tuple[RunTrace, ...]
     hindsight_regret: np.ndarray  # (runs, horizon)
     pool_regret: Optional[np.ndarray] = None  # (runs, horizon) when a pool was evaluated
-
-    @property
-    def runs(self) -> int:
-        return len(self.seeds)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -403,8 +385,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    seeds = tuple(split_seed(spec.base_seed, i) for i in range(spec.runs))
-    jobs = [(spec, s) for s in seeds]
+    jobs = [(spec, split_seed(spec.base_seed, i)) for i in range(spec.runs)]
     workers = min(workers, spec.runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
@@ -415,15 +396,16 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     traces, hindsight, pool_rows = zip(*outcomes)
     return ExperimentResult(
         spec=spec,
-        seeds=seeds,
         traces=traces,
         hindsight_regret=np.stack(hindsight),
         pool_regret=np.stack(pool_rows) if spec.pool_size > 0 else None,
     )
 
 
-def summarize(regret_rows: np.ndarray, seeds: Sequence[int]) -> MonteCarloSummary:
-    """Mean and sample standard deviation (n-1 divisor) across runs.
+def summarize(regret_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean, stddev)``: the per-step mean and sample standard deviation
+    (n-1 divisor) across the runs of the (runs, horizon) rows, as
+    read-only float64 vectors (horizon,).
 
     A single run is its own mean; its spread is undefined, so the
     standard deviation is all NaN.
@@ -435,18 +417,13 @@ def summarize(regret_rows: np.ndarray, seeds: Sequence[int]) -> MonteCarloSummar
         stddev = np.full(rows.shape[1], math.nan)
     else:
         stddev = rows.std(axis=0, ddof=1)
-    return MonteCarloSummary(
-        runs=rows.shape[0],
-        mean=rows.mean(axis=0),
-        stddev=stddev,
-        seeds=tuple(seeds),
-    )
+    return frozen_copy(rows.mean(axis=0)), frozen_copy(stddev)
 
 
-def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> MonteCarloSummary:
-    """Mean/stddev of the best-in-hindsight regret over ``spec.runs``
-    replications; the policy pool is not raced."""
+def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``summarize`` of the best-in-hindsight regret over ``spec.runs``
+    replications, ``(mean, stddev)``; the policy pool is not raced."""
     if spec.runs < 2:
         raise ValueError(f"monte_carlo needs runs >= 2, got {spec.runs}")
     result = run_experiment(replace(spec, pool_size=0), workers=workers)
-    return summarize(result.hindsight_regret, result.seeds)
+    return summarize(result.hindsight_regret)

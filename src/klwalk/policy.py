@@ -160,7 +160,7 @@ def steady_state_cost(f: CostFunction, policy: KlPolicy) -> float:
     """Expected state-action cost under the policy's invariant distribution."""
     if f.n != policy.n:
         raise DimensionMismatchError(f"cost has {f.n} states, policy has {policy.n}")
-    pi = invariant_distribution(policy.kernel).weights
+    pi = invariant_distribution(policy.kernel)
     support = pi > 0
     per_state = f.values[support] + policy.control_cost[support]
     if not np.all(np.isfinite(per_state)):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from klwalk import (
     CostFunction,
-    Distribution,
     DimensionMismatchError,
     KlPolicy,
-    MonteCarloSummary,
     MpeSolution,
     NotUnichainError,
     RunTrace,
@@ -32,6 +30,7 @@ from klwalk import chains
 from klwalk._accel import markov_path, markov_paths
 from klwalk.chains import (
     INVARIANT_RESIDUAL_TOL,
+    ROW_SUM_TOL,
     _component_periods,
     _scc_labels,
     draw_table,
@@ -72,15 +71,6 @@ def kernels(min_n=2, max_n=6):
 
 
 class TestContainers:
-    def test_distribution_validation(self):
-        d = Distribution([0.25, 0.75])
-        assert d.n == 2
-        assert not d.weights.flags.writeable
-        with pytest.raises(ValueError):
-            Distribution([0.5, 0.6])
-        with pytest.raises(ValueError):
-            Distribution([-0.1, 1.1])
-
     def test_matrix_validation_and_renormalize(self):
         with pytest.raises(ValueError):
             StochasticMatrix([[0.5, 0.6], [0.5, 0.5]])
@@ -93,8 +83,8 @@ class TestContainers:
 
     @pytest.mark.parametrize(
         "container, values",
-        [(StochasticMatrix, [[np.nan, np.nan], [0.5, 0.5]]), (Distribution, [np.nan, np.nan])],
-        ids=["kernel", "distribution"],
+        [(StochasticMatrix, [[np.nan, np.nan], [0.5, 0.5]])],
+        ids=["kernel"],
     )
     def test_nan_entries_rejected(self, container, values):
         # NaN fails both the sign test and the row-sum test
@@ -119,7 +109,6 @@ class TestFrozenCopies:
             (MpeSolution, dict(lam=0.0, bracket=(1.0, 1.0), iterations=1), ("h",), ()),
             (KlPolicy, dict(kernel=StochasticMatrix(np.eye(3))), ("control_cost", "source_h"), ()),
             (CostFunction, {}, ("values",), ()),
-            (MonteCarloSummary, dict(runs=2, seeds=(1, 2)), ("mean", "stddev"), ()),
             (RunTrace, {}, ("state_costs", "control_costs", "cumulative"),
              ("states", "phase_boundaries")),
         ],
@@ -137,13 +126,11 @@ class TestFrozenCopies:
     @pytest.mark.parametrize(
         "obj",
         [
-            Distribution([0.25, 0.75]),
             StochasticMatrix([[0.5, 0.5], [0.1, 0.9]]),
             CostFunction([0.0, 1.5]),
             MpeSolution(lam=0.0, h=[0.0, 0.5], bracket=(1.0, 1.0), iterations=1),
             KlPolicy(kernel=StochasticMatrix(np.eye(2)), control_cost=[0.0, 0.1],
                      source_h=[0.0, 0.2]),
-            MonteCarloSummary(runs=2, mean=[0.1, 0.2], stddev=[0.0, 0.1], seeds=(1, 2)),
             RunTrace(states=[0, 1], state_costs=[0.1, 0.2], control_costs=[0.0, 0.3],
                      cumulative=[0.1, 0.6], phase_boundaries=[0]),
         ],
@@ -166,10 +153,10 @@ class TestFrozenCopies:
 
 class TestTotalVariation:
     def test_disjoint_point_masses(self):
-        assert total_variation(Distribution([1, 0]), Distribution([0, 1])) == 2.0
+        assert total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
 
     def test_identical(self):
-        mu = Distribution([0.3, 0.7])
+        mu = np.array([0.3, 0.7])
         assert total_variation(mu, mu) == 0.0
 
     def test_direct_summation(self):
@@ -183,7 +170,7 @@ class TestTotalVariation:
 
 class TestKlDivergence:
     def test_identical(self):
-        mu = Distribution([0.3, 0.7])
+        mu = np.array([0.3, 0.7])
         assert kl_divergence(mu, mu) == 0.0
 
     def test_support_violation(self):
@@ -484,25 +471,35 @@ class TestSingleClosedClass:
         assert not has_single_closed_class(p)
 
 
+def certified_law(p: StochasticMatrix) -> np.ndarray:
+    """``invariant_distribution(p)``, checked to be a read-only float64
+    vector over p's states, nonnegative and summing to 1."""
+    pi = invariant_distribution(p)
+    assert isinstance(pi, np.ndarray) and not pi.flags.writeable
+    assert pi.ndim == 1 and pi.dtype == np.float64 and pi.shape == (p.n,)
+    assert np.all(pi >= 0) and abs(pi.sum() - 1.0) <= ROW_SUM_TOL
+    return pi
+
+
 class TestInvariantDistribution:
     def test_rank_one(self):
         mu = [0.2, 0.5, 0.3]
         p = StochasticMatrix([mu, mu, mu])
-        np.testing.assert_allclose(invariant_distribution(p).weights, mu, atol=1e-12)
+        np.testing.assert_allclose(certified_law(p), mu, atol=1e-12)
 
     def test_doubly_stochastic_symmetric(self):
         p = StochasticMatrix([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
-        np.testing.assert_allclose(invariant_distribution(p).weights, np.full(3, 1 / 3), atol=1e-12)
+        np.testing.assert_allclose(certified_law(p), np.full(3, 1 / 3), atol=1e-12)
 
     def test_two_state_solve(self):
         p = StochasticMatrix([[0.9, 0.1], [0.5, 0.5]])
-        np.testing.assert_allclose(invariant_distribution(p).weights, [5 / 6, 1 / 6], atol=1e-12)
+        np.testing.assert_allclose(certified_law(p), [5 / 6, 1 / 6], atol=1e-12)
 
     def test_fixed_point_randomized(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 9))
             p = random_ergodic_kernel(rng, n)
-            pi = invariant_distribution(p).weights
+            pi = certified_law(p)
             assert np.abs(pi @ p.rows - pi).sum() <= 1e-10
 
     def test_not_unichain(self):
@@ -521,7 +518,7 @@ class TestInvariantDistribution:
                 invariant_distribution(p)
         else:
             oracle = lstsq_invariant_distribution(p.rows)
-            np.testing.assert_allclose(invariant_distribution(p).weights, oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(certified_law(p), oracle, rtol=0, atol=1e-12)
 
     @given(pattern_kernels(weights=st.sampled_from([1.0, 1e-300])))
     @example(StochasticMatrix([[1.0, 1e-300], [1e-300, 1.0]]))
@@ -536,7 +533,7 @@ class TestInvariantDistribution:
     @settings(max_examples=200, deadline=None)
     def test_tiny_entries_never_give_an_uncertified_law(self, p):
         try:
-            pi = invariant_distribution(p).weights
+            pi = certified_law(p)
         except NotUnichainError:
             return
         assert np.abs(pi @ p.rows - pi).sum() <= INVARIANT_RESIDUAL_TOL

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,13 +198,13 @@ class TestCsvWriters:
             for t in range(horizon)
         )
         assert (tmp_path / "trace.csv").read_text() == expected
-        stats = SimpleNamespace(mean=values, stddev=values[::-1])
-        for pool in (None, SimpleNamespace(mean=-values, stddev=values * 2)):
+        stats = (values, values[::-1])
+        for pool in (None, (-values, values * 2)):
             _write_summary_csv(tmp_path / "summary.csv", horizon, stats, pool)
             lines = (tmp_path / "summary.csv").read_text().splitlines(keepends=True)[1:]
             for t, line in enumerate(lines):
-                pm = fmt(pool.mean[t]) if pool is not None else "nan"
-                ps = fmt(pool.stddev[t]) if pool is not None else "nan"
+                pm = fmt(pool[0][t]) if pool is not None else "nan"
+                ps = fmt(pool[1][t]) if pool is not None else "nan"
                 assert line == f"{t + 1},{fmt(values[t])},{fmt(values[-1 - t])},{pm},{ps}\n"
             assert len(lines) == horizon
 

@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import klwalk
+from klwalk import ExperimentSpec
+from klwalk.cli import load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FENCED_BLOCK = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
@@ -33,3 +35,12 @@ def test_readme_prose_names_live_module_attributes():
     missing = [f"{mod}.{name}" for mod, name in names
                if not hasattr(importlib.import_module(f"klwalk.{mod}"), name)]
     assert not missing
+
+
+def test_readme_config_block_is_the_default_experiment(tmp_path):
+    # README's "Fields and defaults" block, its `//` comments stripped,
+    # must load as the stock experiment written to "out"
+    block = re.search(r"^```json\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
+    config = tmp_path / "config.json"
+    config.write_text(re.sub(r"\s*//[^\n]*", "", block))
+    assert load_config(str(config), environ={}) == (ExperimentSpec(), "out")

@@ -29,6 +29,7 @@ from klwalk import (
     rows_kl,
     make_tracking_env,
     run_experiment,
+    run_tracking_once,
     sample_policy_pool,
     split_seed,
     steady_state_comparator_cost,
@@ -481,21 +482,28 @@ class TestExperimentSpec:
         assert spec.passive() is spec.passive()
 
 
+def assert_read_only_vectors(*arrays, horizon):
+    for arr in arrays:
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        assert arr.dtype == np.float64 and arr.shape == (horizon,)
+
+
 class TestSummarize:
     def test_single_run_is_its_own_mean_with_nan_spread(self):
         row = np.array([[0.5, -1.25, 3.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            summary = summarize(row, [7])
-        np.testing.assert_array_equal(summary.mean, row[0])
-        assert np.isnan(summary.stddev).all() and summary.stddev.shape == (3,)
-        assert summary.runs == 1 and summary.seeds == (7,)
+            mean, stddev = summarize(row)
+        assert_read_only_vectors(mean, stddev, horizon=3)
+        np.testing.assert_array_equal(mean, row[0])
+        assert np.isnan(stddev).all()
 
     def test_identical_rows_zero_stddev(self):
         row = np.array([0.5, -1.25, 3.0])
-        summary = summarize(np.stack([row, row]), [7, 7])
-        np.testing.assert_array_equal(summary.mean, row)
-        np.testing.assert_array_equal(summary.stddev, 0.0)
+        mean, stddev = summarize(np.stack([row, row]))
+        assert_read_only_vectors(mean, stddev, horizon=3)
+        np.testing.assert_array_equal(mean, row)
+        np.testing.assert_array_equal(stddev, 0.0)
 
 
 class TestMonteCarlo:
@@ -507,16 +515,25 @@ class TestMonteCarlo:
     def test_two_run_stddev_formula(self):
         result = run_experiment(self.spec(runs=2, base_seed=77))
         r1, r2 = result.hindsight_regret
-        summary = monte_carlo(self.spec(runs=2, base_seed=77))
-        np.testing.assert_allclose(summary.stddev, np.abs(r1 - r2) / math.sqrt(2), atol=1e-12)
-        np.testing.assert_allclose(summary.mean, (r1 + r2) / 2, atol=1e-12)
+        mean, stddev = monte_carlo(self.spec(runs=2, base_seed=77))
+        assert_read_only_vectors(mean, stddev, horizon=self.SPEC.horizon)
+        np.testing.assert_allclose(stddev, np.abs(r1 - r2) / math.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(mean, (r1 + r2) / 2, atol=1e-12)
 
     def test_bitwise_determinism(self):
-        a = monte_carlo(self.spec(runs=3, base_seed=5))
-        b = monte_carlo(self.spec(runs=3, base_seed=5))
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.stddev, b.stddev)
-        assert a.seeds == b.seeds
+        a_mean, a_stddev = monte_carlo(self.spec(runs=3, base_seed=5))
+        b_mean, b_stddev = monte_carlo(self.spec(runs=3, base_seed=5))
+        assert_read_only_vectors(a_mean, a_stddev, b_mean, b_stddev, horizon=self.SPEC.horizon)
+        np.testing.assert_array_equal(a_mean, b_mean)
+        np.testing.assert_array_equal(a_stddev, b_stddev)
+
+    def test_run_i_is_seeded_with_split_seed(self):
+        spec = self.spec(runs=3, base_seed=5)
+        result = run_experiment(spec)
+        for i, trace in enumerate(result.traces):
+            alone, _ = run_tracking_once(spec, split_seed(spec.base_seed, i))
+            np.testing.assert_array_equal(trace.states, alone.states)
+            np.testing.assert_array_equal(trace.cumulative, alone.cumulative)
 
     def test_workers_do_not_change_results(self):
         spec = replace(self.spec(runs=3, base_seed=5), pool_size=5)

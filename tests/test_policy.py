@@ -186,7 +186,7 @@ class TestSteadyStateCost:
         f = random_cost(rng, 5)
         from klwalk import invariant_distribution
 
-        pi = invariant_distribution(p).weights
+        pi = invariant_distribution(p)
         assert steady_state_cost(f, passive_policy(p)) == pytest.approx(float(pi @ f.values))
 
     def test_zero_cost_passive_is_free(self, rng):
