@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .evaluate import ExperimentSpec, run_experiment, summarize
-from .policy import twisted_kernel, twisting_function
+from .policy import twisted_kernel
 from .spectral import SolverSettings, acoe_residual, solve_mpe
 from .world import Graph, grid_graph, load_graph
 
@@ -275,7 +275,7 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         raise ParseError(f"{args.cost_csv}: {exc}")
     sol = solve_mpe(passive, cost, settings)
-    pol = twisted_kernel(passive, twisting_function(cost, sol))
+    pol = twisted_kernel(passive, sol.h)
     residual = acoe_residual(passive, cost, sol)
     print(f"lambda = {sol.lam:.12f}")
     print(f"bracket = [{_FLOAT_FMT % sol.bracket[0]}, {_FLOAT_FMT % sol.bracket[1]}]"

@@ -4,10 +4,11 @@ Time is cut into phases of slowly growing length tau_m = ceil(m^(1/3-eps)),
 which ``make_schedule`` gives as one read-only array of phase boundaries;
 the horizon cuts only the last phase. ``run_episode`` is one loop over
 consecutive boundaries. Each phase starts by re-solving the eigenproblem
-against the average of the state costs of the completed phases, freezes
-the resulting twisted kernel for the whole phase and walks it in one go
-from its ``draw_table``. The phase's own costs join the average only when
-it closes, so the policy never peeks at the current phase.
+against the average of the state costs of the completed phases, from the
+relative value function of the last phase's solve (``policy.solution.h``),
+freezes the resulting twisted kernel for the whole phase and walks it in
+one go from its ``draw_table``. The phase's own costs join the average
+only when it closes, so the policy never peeks at the current phase.
 
 The environment is oblivious, as in the paper: the state costs
 f_1, ..., f_T are one (T, n) array fixed before the episode starts, and
@@ -125,7 +126,7 @@ def run_episode(
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         f_hat = CostFunction(cost_sum / lo if lo > 0 else np.zeros(passive.n))
         policy = optimal_policy(passive, f_hat, start=last_h)
-        last_h = policy.source_h
+        last_h = policy.solution.h
         path = _accel.markov_path(draw_table(policy.kernel), state, rng.random(hi - lo))
         visited, state = path[:-1], int(path[-1])
         runs.append((visited, policy.control_cost[visited]))

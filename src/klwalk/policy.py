@@ -6,12 +6,14 @@ for a state cost f is the passive kernel reweighted by e^{-h_f} and
 renormalized (the "twisted" kernel), which this module builds in log
 space on the passive's nonzeros, so that it shares the passive's support
 (and, unless an entry underflows to zero, its ``support_layout``).
+``optimal_policy`` returns that kernel with the certified ``MpeSolution``
+it came from attached as ``KlPolicy.solution``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -35,13 +37,14 @@ from .spectral import MpeSolution, solve_mpe
 class KlPolicy(FrozenArrays):
     """A stationary policy with its per-state deviation price.
 
-    ``control_cost[x]`` is D(kernel(x,.) || passive(x,.)); ``source_h`` is
-    the twisting function when the policy came out of a solve.
+    ``control_cost[x]`` is D(kernel(x,.) || passive(x,.)); ``solution`` is
+    the certified solve the policy came out of (``optimal_policy``), and
+    None for a kernel twisted by a given function.
     """
 
     kernel: StochasticMatrix
     control_cost: np.ndarray
-    source_h: Optional[np.ndarray] = None
+    solution: Optional[MpeSolution] = None
 
     def __post_init__(self):
         cc = frozen_copy(self.control_cost)
@@ -52,8 +55,6 @@ class KlPolicy(FrozenArrays):
             )
         if np.any(cc < 0):
             raise ValueError("control costs must be nonnegative")
-        if self.source_h is not None:
-            object.__setattr__(self, "source_h", frozen_copy(self.source_h))
 
     @property
     def n(self) -> int:
@@ -116,26 +117,21 @@ def twisted_kernel(passive: StochasticMatrix, phi) -> KlPolicy:
     exact). The support of every output row lies inside the support of the
     matching passive row, so the control cost is always finite; it is
     evaluated through the closed form -E_row[phi] - log(P e^{-phi}) rather
-    than generic summation.
+    than generic summation. The policy carries no ``solution``.
     """
-    return _twist(passive, phi)[0]
-
-
-def _twist(passive: StochasticMatrix, phi) -> tuple[KlPolicy, np.ndarray]:
-    """``twisted_kernel(passive, phi)`` and its normalizer log(P e^{-phi})."""
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (passive.n,):
         raise DimensionMismatchError(f"phi has shape {phi.shape}, expected ({passive.n},)")
     if not np.all(np.isfinite(phi)):
         raise ValueError("twisting function must be finite")
+    if span_seminorm(phi) == 0.0:
+        return KlPolicy(kernel=passive, control_cost=np.zeros(passive.n))
     layout = support_layout(passive)
     log_p = np.log(passive.rows[layout.row, layout.col])
     log_z = _accel.logsumexp_rows(layout, log_p, -phi)
-    if span_seminorm(phi) == 0.0:
-        return KlPolicy(kernel=passive, control_cost=np.zeros(passive.n), source_h=phi), log_z
     kernel = StochasticMatrix.on_layout(layout, np.exp(log_p - phi[layout.col] - log_z[layout.row]))
     control = np.maximum(-(kernel.rows @ phi) - log_z, 0.0)
-    return KlPolicy(kernel=kernel, control_cost=control, source_h=phi), log_z
+    return KlPolicy(kernel=kernel, control_cost=control)
 
 
 def twisted_pair_kl(passive: StochasticMatrix, phi_a, phi_b) -> np.ndarray:
@@ -146,13 +142,16 @@ def twisted_pair_kl(passive: StochasticMatrix, phi_a, phi_b) -> np.ndarray:
     summation over the kernels agrees and serves as a cross-check in
     tests.
     """
-    pa, log_za = _twist(passive, phi_a)
+    phi_a = np.asarray(phi_a, dtype=np.float64)
+    pa = twisted_kernel(passive, phi_a)
     phi_b = np.asarray(phi_b, dtype=np.float64)
     if phi_b.shape != (passive.n,):
         raise DimensionMismatchError(f"phi_b has shape {phi_b.shape}, expected ({passive.n},)")
     layout = support_layout(passive)
-    log_zb = _accel.logsumexp_rows(layout, np.log(passive.rows[layout.row, layout.col]), -phi_b)
-    diff = pa.kernel.rows @ (phi_b - pa.source_h)
+    log_p = np.log(passive.rows[layout.row, layout.col])
+    log_za = _accel.logsumexp_rows(layout, log_p, -phi_a)
+    log_zb = _accel.logsumexp_rows(layout, log_p, -phi_b)
+    diff = pa.kernel.rows @ (phi_b - phi_a)
     return np.maximum(diff + log_zb - log_za, 0.0)
 
 
@@ -175,25 +174,11 @@ def optimal_policy(
 ) -> KlPolicy:
     """Solve the eigenproblem for f, from the relative value function
     ``start`` when given (see ``solve_mpe``), and twist the passive kernel
-    by its relative value function (see ``twisting_function``). The solve
+    by its relative value function h, attaching the solution. The solve
     runs for a constant cost too, so its certificate is exercised
-    uniformly."""
+    uniformly; its h is then exactly 0 and the policy is the passive."""
     sol = solve_mpe(passive, f, start=start)
-    return twisted_kernel(passive, twisting_function(f, sol))
-
-
-def twisting_function(f: CostFunction, sol: MpeSolution) -> np.ndarray:
-    """The function that twists the passive kernel into the optimal policy
-    for f, given ``sol``, a solution of the eigenproblem for f.
-
-    That is the relative value function h, except that a constant cost
-    provably yields h = 0 (only the average cost shifts): then it is an
-    exact zero vector, so the policy is the passive kernel itself whatever
-    rounding the solver left in h.
-    """
-    if span_seminorm(f.values) == 0.0:
-        return np.zeros(f.n)
-    return sol.h
+    return replace(twisted_kernel(passive, sol.h), solution=sol)
 
 
 def bound_constants(passive: StochasticMatrix, cost_cap: float = 1.0) -> BoundConstants:

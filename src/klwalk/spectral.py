@@ -20,7 +20,9 @@ positive normal float64 range. A solve may start from a nearby problem's
 relative value function. When e^{-f} or an iterate leaves the normal
 range, the solve reruns with power steps in log space. The solution
 stores h only; V = e^{-h} is derived on demand, because it overflows for
-costs of large span.
+costs of large span. A constant cost still runs the certified iteration,
+but its h is returned as an exact zero vector (only lambda shifts), so the
+policy it twists is the passive kernel itself.
 The standing assumption, an irreducible and aperiodic P, is checked on the
 positive pattern alone (``chains.graph_verdict``); the Dobrushin
 coefficient and the other bound constants are never computed here.
@@ -37,10 +39,17 @@ from typing import Optional
 import numpy as np
 
 from . import _accel
-from .chains import CostFunction, FrozenArrays, StochasticMatrix, frozen_copy, graph_verdict
-from .chains import support_layout
+from .chains import (
+    CostFunction,
+    FrozenArrays,
+    StochasticMatrix,
+    frozen_copy,
+    graph_verdict,
+    support_layout,
+)
 from .chains import ergodicity_report  # noqa: F401  (public name; tracers patch it here)
 from .errors import ConvergenceError, DimensionMismatchError, NotErgodicError
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -150,7 +159,7 @@ def solve_mpe(
     range rerun with power steps in log space, from V = 1 whatever
     ``start``. The start changes how many steps a solve takes, never its
     certificate. ``iterations`` counts the steps of the run that produced
-    the solution.
+    the solution. A constant cost gives h as an exact zero vector.
     """
     settings = settings or SolverSettings()
     _validate_inputs(passive, f, settings)
@@ -176,8 +185,11 @@ def solve_mpe(
             iterations=iterations,
         )
     lam = base - math.log(0.5 * (lo + hi))
-    h = -w
-    h = h - h[settings.pin_index]  # exact zero at the pin (clears -0.0 too)
+    if fv.max() == base:  # a constant cost provably has h = 0; drop the rounding
+        h = np.zeros(passive.n)
+    else:
+        h = -w
+        h = h - h[settings.pin_index]  # exact zero at the pin (clears -0.0 too)
     return MpeSolution(lam=lam, h=h, bracket=bracket, iterations=iterations)
 
 

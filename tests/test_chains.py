@@ -107,11 +107,12 @@ class TestFrozenCopies:
         "cls, fixed, float_fields, int_fields",
         [
             (MpeSolution, dict(lam=0.0, bracket=(1.0, 1.0), iterations=1), ("h",), ()),
-            (KlPolicy, dict(kernel=StochasticMatrix(np.eye(3))), ("control_cost", "source_h"), ()),
+            (KlPolicy, dict(kernel=StochasticMatrix(np.eye(3))), ("control_cost",), ()),
             (CostFunction, {}, ("values",), ()),
             (RunTrace, {}, ("state_costs", "control_costs", "cumulative"),
              ("states", "phase_boundaries")),
         ],
+        ids=["MpeSolution", "KlPolicy", "CostFunction", "RunTrace"],
     )
     def test_caller_array_stays_writeable(self, cls, fixed, float_fields, int_fields):
         given = {name: np.zeros(3) for name in float_fields}
@@ -130,7 +131,8 @@ class TestFrozenCopies:
             CostFunction([0.0, 1.5]),
             MpeSolution(lam=0.0, h=[0.0, 0.5], bracket=(1.0, 1.0), iterations=1),
             KlPolicy(kernel=StochasticMatrix(np.eye(2)), control_cost=[0.0, 0.1],
-                     source_h=[0.0, 0.2]),
+                     solution=MpeSolution(lam=0.0, h=[0.0, 0.2], bracket=(1.0, 1.0),
+                                          iterations=1)),
             RunTrace(states=[0, 1], state_costs=[0.1, 0.2], control_costs=[0.0, 0.3],
                      cumulative=[0.1, 0.6], phase_boundaries=[0]),
         ],
@@ -143,6 +145,7 @@ class TestFrozenCopies:
                       if isinstance(value, np.ndarray)]
             if isinstance(restored, KlPolicy):
                 arrays.append(("kernel.rows", restored.kernel.rows))
+                arrays.append(("solution.h", restored.solution.h))
             assert arrays
             for name, arr in arrays:
                 assert not arr.flags.writeable, name

@@ -236,16 +236,18 @@ class TestCmdSolve:
         )
 
     def test_constant_cost_writes_passive_kernel_exactly(self, tmp_path, rng):
-        # a constant cost twists by an exact zero: the kernel file is the
-        # passive file byte for byte, whatever rounding is left in h
+        # a constant cost has h exactly 0, so h is written as zeros and the
+        # twist is the identity: the kernel file is the passive file byte for byte
         rows = rng.dirichlet(np.ones(5), size=5)
         rows[1, 2] = 0.0
         rows[1] /= rows[1].sum()
         passive = tmp_path / "p.csv"
         write_matrix_csv(passive, rows)
         cost = write(tmp_path / "f.csv", "0.7\n" * 5)
-        out_kernel = tmp_path / "kernel.csv"
-        assert main(["solve", str(passive), cost, "--out-kernel", str(out_kernel)]) == 0
+        out_h, out_kernel = tmp_path / "h.csv", tmp_path / "kernel.csv"
+        assert main(["solve", str(passive), cost, "--out-h", str(out_h),
+                     "--out-kernel", str(out_kernel)]) == 0
+        assert out_h.read_text().splitlines() == ["0"] * 5
         assert out_kernel.read_bytes() == passive.read_bytes()
 
     def test_parse_error_exit_code(self, tmp_path, capsys):

@@ -53,7 +53,7 @@ def reference_episode(passive, costs, epsilon, start, seed):
             boundaries.append(t)
             cost_sum, phase_sum = cost_sum + phase_sum, np.zeros(passive.n)
             f_hat = CostFunction(cost_sum / t if t > 0 else np.zeros(passive.n))
-            last_h = policy.source_h if policy is not None else None
+            last_h = policy.solution.h if policy is not None else None
             policy = optimal_policy(passive, f_hat, start=last_h)
         states.append(x)
         state_costs.append(float(f_t[x]))

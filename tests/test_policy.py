@@ -82,6 +82,28 @@ class TestTwistedKernel:
             twisted_kernel(TWO_STATE, np.array([0.0, math.inf]))
 
 
+class TestOptimalPolicy:
+    def test_carries_its_solve_bit_for_bit(self, rng):
+        # the attached solution is the direct solve, and the kernel is its twist
+        for _ in range(5):
+            n = int(rng.integers(2, 7))
+            p = random_ergodic_kernel(rng, n)
+            f = random_cost(rng, n)
+            pol, direct = optimal_policy(p, f), solve_mpe(p, f)
+            sol = pol.solution
+            assert (sol.lam, sol.bracket, sol.iterations) == (
+                direct.lam, direct.bracket, direct.iterations)
+            assert sol.h.tobytes() == direct.h.tobytes()
+            twisted = twisted_kernel(p, direct.h)
+            np.testing.assert_array_equal(pol.kernel.rows, twisted.kernel.rows)
+            np.testing.assert_array_equal(pol.control_cost, twisted.control_cost)
+
+    def test_bare_twist_carries_no_solution(self, rng):
+        p = random_ergodic_kernel(rng, 4)
+        assert twisted_kernel(p, rng.random(4)).solution is None
+        assert twisted_kernel(p, np.zeros(4)).solution is None
+
+
 class TestTwistedKernelBounds:
     def test_kl_and_tv_bounds(self, rng):
         # KL <= span^2/8 and TV <= span/2, per state, over random triples
