@@ -97,9 +97,7 @@ class FrozenArrays:
 
 
 def _vec(x) -> np.ndarray:
-    """Accept a CostFunction or a raw array-like."""
-    if isinstance(x, CostFunction):
-        return x.values
+    """An array-like of numbers as a float64 array."""
     return np.asarray(x, dtype=np.float64)
 
 

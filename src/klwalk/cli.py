@@ -3,12 +3,14 @@
 ``solve`` runs the eigenproblem on a kernel/cost pair given as dense CSV
 and prints the certified results. ``track`` replicates the graph
 target-tracking experiment and writes per-run trace CSVs plus a regret
-summary. Its JSON config holds the fields of ``evaluate.ExperimentSpec``
-(a ``graph`` object in place of the graph itself) plus ``output_dir``;
-every field has the spec's default and can be overridden with a
-``KLWALK_``-prefixed environment variable, and the spec checks the
-ranges. ``plot`` renders the summary as a self-contained SVG, no
-plotting stack required.
+summary. Its config holds the fields of ``evaluate.ExperimentSpec`` (a
+``graph`` object in place of the graph itself) plus ``output_dir``, set
+in three layers that one field parser reads: the JSON file, then the
+``KLWALK_``-prefixed environment, then ``--seed`` and ``--output-dir``.
+A later layer's value wins, an unset field keeps the spec's default, and
+the spec checks the ranges once, at the end. ``plot`` renders the summary
+(``SUMMARY_COLUMNS``) as a self-contained SVG, no plotting stack required.
+Each CSV is read through ``_parse_cells`` and written through ``_write_csv``.
 
 Exit codes: 0 success, 2 parse/config errors, 3 assumption violations,
 4 convergence failures.
@@ -17,10 +19,10 @@ Exit codes: 0 success, 2 parse/config errors, 3 assumption violations,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, TextIO, get_type_hints
 
@@ -40,6 +42,9 @@ from .world import Graph, grid_graph, load_graph
 
 ENV_PREFIX = "KLWALK_"
 _FLOAT_FMT = "%.17g"  # round-trippable float64 text
+# the columns of summary.csv, which ``track`` writes and ``plot`` reads
+SUMMARY_COLUMNS = ("t", "mean_regret_hindsight", "std_regret_hindsight",
+                   "mean_regret_pool", "std_regret_pool")
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +63,6 @@ def _want(raw, path: str, kind, check=None, what: str = ""):
     if check is not None and not check(value):
         raise ParseError(f"config.{path}: {what}, got {raw!r}")
     return value
-
-
-# every ExperimentSpec field but the graph, with the type its value is read as
-_SCALAR_FIELDS = {
-    name: kind for name, kind in get_type_hints(ExperimentSpec).items() if name != "graph"
-}
 
 
 def _parse_grid(raw, path: str) -> tuple[int, int]:
@@ -87,70 +86,84 @@ def _read_edge_list(path: str) -> Graph:
     return load_graph(text)
 
 
-def load_config(path: Optional[str], environ=os.environ) -> tuple[ExperimentSpec, str]:
-    """Build the experiment from an optional JSON file plus environment
-    overrides, and return it with the output directory; an empty (or
-    missing) object yields the full default experiment, written to "out".
-
-    Only parsing and type coercion happen here: the range checks are the
-    spec's own, reported as ``config.<field>``.
-    """
-    data = {}
-    if path is not None:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ParseError(f"config: cannot read {path!r}: {exc}")
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config: invalid JSON in {path!r}: {exc}")
-        if not isinstance(data, dict):
-            raise ParseError(f"config: top level must be an object, got {type(data).__name__}")
-
-    fields: dict = {}
-    grid, edge_list = None, None
-    output_dir = "out"
-    known = set(_SCALAR_FIELDS) | {"graph", "output_dir"}
-    for key in data:
-        if key not in known:
-            raise ParseError(f"config.{key}: unknown field")
-
-    graph_spec = data.get("graph", {})
-    if not isinstance(graph_spec, dict) or not set(graph_spec) <= {"grid", "edge_list"}:
+def _parse_graph(raw):
+    """A ``graph`` object as a function that builds the graph, or None
+    for ``{}`` (the spec's default grid)."""
+    if not isinstance(raw, dict) or not set(raw) <= {"grid", "edge_list"}:
         raise ParseError("config.graph: expected an object with 'grid' or 'edge_list'")
-    if "grid" in graph_spec and "edge_list" in graph_spec:
+    if "grid" in raw and "edge_list" in raw:
         raise ParseError("config.graph: 'grid' and 'edge_list' are mutually exclusive")
-    if "grid" in graph_spec:
-        grid = _parse_grid(graph_spec["grid"], "graph.grid")
-    elif "edge_list" in graph_spec:
-        edge_list = _want(graph_spec["edge_list"], "graph.edge_list", str)
+    if "grid" in raw:
+        return partial(grid_graph, *_parse_grid(raw["grid"], "graph.grid"))
+    if "edge_list" in raw:
+        return partial(_read_edge_list, _want(raw["edge_list"], "graph.edge_list", str))
+    return None
 
-    for name, kind in _SCALAR_FIELDS.items():
-        if name in data:
-            fields[name] = _want(data[name], name, kind)
-    if "output_dir" in data:
-        output_dir = _want(data["output_dir"], "output_dir", str)
 
-    # environment overrides win over the file
-    env_grid = environ.get(ENV_PREFIX + "GRID")
-    env_edges = environ.get(ENV_PREFIX + "EDGE_LIST")
-    if env_grid is not None and env_edges is not None:
-        raise ParseError("config.graph: KLWALK_GRID and KLWALK_EDGE_LIST are mutually exclusive")
-    if env_grid is not None:
-        grid, edge_list = _parse_grid(env_grid, "graph.grid"), None
-    elif env_edges is not None:
-        grid, edge_list = None, env_edges
-    for name, kind in _SCALAR_FIELDS.items():
-        raw = environ.get(ENV_PREFIX + name.upper())
-        if raw is not None:
-            fields[name] = _want(raw, name, kind)
-    output_dir = environ.get(ENV_PREFIX + "OUTPUT_DIR", output_dir)
+# the parser of every config field, in the order a layer's fields are read:
+# every ExperimentSpec field but the graph reads as the type it is annotated with
+_FIELD_PARSERS = {
+    "graph": _parse_graph,
+    **{name: partial(_want, path=name, kind=kind)
+       for name, kind in get_type_hints(ExperimentSpec).items() if name != "graph"},
+    "output_dir": partial(_want, path="output_dir", kind=str),
+}
 
-    if grid is not None:
-        fields["graph"] = grid_graph(*grid)
-    elif edge_list is not None:
-        fields["graph"] = _read_edge_list(edge_list)
+
+def _parse_layer(data: dict) -> dict:
+    """Each field of one config layer, parsed; an unknown name is an error."""
+    for key in data:
+        if key not in _FIELD_PARSERS:
+            raise ParseError(f"config.{key}: unknown field")
+    return {name: parse(data[name]) for name, parse in _FIELD_PARSERS.items() if name in data}
+
+
+def _read_json(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"config: cannot read {path!r}: {exc}")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config: invalid JSON in {path!r}: {exc}")
+    if not isinstance(data, dict):
+        raise ParseError(f"config: top level must be an object, got {type(data).__name__}")
+    return data
+
+
+def _env_layer(environ) -> dict:
+    """The ``KLWALK_*`` variables as a config layer: ``KLWALK_<FIELD>`` for
+    each field but the graph, and ``KLWALK_GRID``/``KLWALK_EDGE_LIST`` as
+    the ``graph`` object."""
+    names = [name for name in _FIELD_PARSERS if name != "graph"] + ["grid", "edge_list"]
+    layer = {name: environ[ENV_PREFIX + name.upper()] for name in names
+             if ENV_PREFIX + name.upper() in environ}
+    graph = {key: layer.pop(key) for key in ("grid", "edge_list") if key in layer}
+    return {**layer, "graph": graph} if graph else layer
+
+
+def load_config(
+    path: Optional[str], environ=os.environ, flags: Optional[dict] = None
+) -> tuple[ExperimentSpec, str]:
+    """Build the experiment and its output directory from three layers:
+    the optional JSON file, then the environment, then ``flags`` (field
+    name to value; None values are skipped). Each layer goes through the
+    same field parser, and a later layer's fields replace earlier ones;
+    no field set at all yields the full default experiment, written to
+    "out".
+
+    The graph is built and the spec checked once, after the last layer:
+    the range checks are the spec's own, reported as ``config.<field>``.
+    """
+    flags = {name: value for name, value in (flags or {}).items() if value is not None}
+    fields: dict = {}
+    for layer in (_read_json(path) if path is not None else {}, _env_layer(environ), flags):
+        fields.update(_parse_layer(layer))
+    output_dir = fields.pop("output_dir", "out")
+    build_graph = fields.pop("graph", None)
+    if build_graph is not None:
+        fields["graph"] = build_graph()
     try:
         return ExperimentSpec(**fields), output_dir
     except ValueError as exc:
@@ -161,23 +174,32 @@ def load_config(path: Optional[str], environ=os.environ) -> tuple[ExperimentSpec
 # CSV formats
 
 
-def _parse_cells(path: str) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _parse_cells(
+    path: str, header: Optional[tuple[str, ...]] = None
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Every cell of a CSV file as one flat float64 array, in file order,
     plus the file line number and the number of cells of each data row
-    (blank lines are skipped, but counted in the line numbers).
+    (blank lines are skipped, but counted in the line numbers). With
+    ``header`` given, the first line must hold those names and is not data.
 
     Each row goes through one numpy string-to-float cast, which follows
     Python's ``float`` rules. Only when it fails are the row's cells tried
     one by one, to name the first bad cell and its line.
     """
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}")
+    if header is not None:
+        if not lines:
+            raise ParseError(f"{path}: empty file")
+        found = [name.strip() for name in lines[0].split(",")]
+        if found != list(header):
+            raise ParseError(f"{path}: unexpected header {found!r}, expected {list(header)!r}")
     values, rows = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
+        if not line or (lineno == 1 and header is not None):
             continue
         cells = line.split(",")
         try:
@@ -197,13 +219,18 @@ def _parse_cells(path: str) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return np.concatenate(values), rows
 
 
+def _check_columns(path: str, data_rows: list[tuple[int, int]], width: int):
+    """Every data row of ``_parse_cells`` must have ``width`` cells."""
+    for lineno, cells in data_rows:
+        if cells != width:
+            raise ParseError(f"{path} line {lineno}: expected {width} columns, got {cells}")
+
+
 def read_matrix_csv(path: str) -> StochasticMatrix:
     """Dense CSV, one row per line; rows must already be stochastic."""
     values, data_rows = _parse_cells(path)
     n = len(data_rows)
-    for lineno, width in data_rows:
-        if width != n:
-            raise ParseError(f"{path} line {lineno}: expected {n} columns, got {width}")
+    _check_columns(path, data_rows, n)
     rows = values.reshape(n, n)
     if not np.all(rows >= 0):  # also false for NaN
         bad = int(np.argwhere(~(rows >= 0))[0][0])
@@ -237,17 +264,23 @@ def _open_output(path) -> TextIO:
         raise ParseError(f"{path}: cannot write: {exc.strerror}") from None
 
 
-def write_matrix_csv(path: Path, rows: np.ndarray):
-    rows = np.atleast_2d(rows)
-    line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+def _write_csv(path, columns, header: Optional[tuple[str, ...]] = None):
+    """Write the optional ``header`` line, then one line per row of
+    ``columns`` (1-D arrays of one length): integer columns as ``%d``,
+    the others as round-trippable floats."""
+    line = ",".join("%d" if c.dtype.kind in "iu" else _FLOAT_FMT for c in columns) + "\n"
     with _open_output(path) as fh:
-        fh.writelines(line % tuple(row.tolist()) for row in rows)
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in zip(*(c.tolist() for c in columns)))
+
+
+def write_matrix_csv(path: Path, rows: np.ndarray):
+    _write_csv(path, np.atleast_2d(np.asarray(rows, dtype=np.float64)).T)
 
 
 def write_vector_csv(path: Path, vec: np.ndarray):
-    line = _FLOAT_FMT + "\n"
-    with _open_output(path) as fh:
-        fh.writelines(line % v for v in np.asarray(vec).tolist())
+    _write_csv(path, [np.asarray(vec, dtype=np.float64)])
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +326,22 @@ def cmd_solve(args) -> int:
 
 
 def _write_trace_csv(path: Path, trace):
-    line = f"%d,%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
-    columns = (np.arange(1, trace.horizon + 1), trace.states, trace.state_costs,
-               trace.control_costs, trace.cumulative, trace.step_phases())
-    with _open_output(path) as fh:
-        fh.write("t,state,state_cost,control_cost,cum_cost,phase\n")
-        fh.writelines(line % fields for fields in zip(*(c.tolist() for c in columns)))
+    _write_csv(path, (np.arange(1, trace.horizon + 1), trace.states, trace.state_costs,
+                      trace.control_costs, trace.cumulative, trace.step_phases()),
+               header=("t", "state", "state_cost", "control_cost", "cum_cost", "phase"))
 
 
 def _write_summary_csv(path: Path, horizon: int, hindsight, pool):
     """Write both regrets' ``(mean, stddev)``; with ``pool`` None its columns are nan."""
-    line = f"%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\n"
     missing = np.full(horizon, np.nan)
     pool = pool if pool is not None else (missing, missing)
-    columns = (np.arange(1, horizon + 1), *hindsight, *pool)
-    with _open_output(path) as fh:
-        fh.write("t,mean_regret_hindsight,std_regret_hindsight,"
-                 "mean_regret_pool,std_regret_pool\n")
-        fh.writelines(line % fields for fields in zip(*(c.tolist() for c in columns)))
+    _write_csv(path, (np.arange(1, horizon + 1), *hindsight, *pool), header=SUMMARY_COLUMNS)
 
 
 def cmd_track(args) -> int:
-    spec, output_dir = load_config(args.config)
-    if args.seed is not None:
-        try:
-            spec = dataclasses.replace(spec, base_seed=args.seed)
-        except ValueError as exc:
-            raise ParseError(f"--seed: {exc}") from None
-    if args.output_dir is not None:
-        output_dir = args.output_dir
+    spec, output_dir = load_config(
+        args.config, flags={"base_seed": args.seed, "output_dir": args.output_dir}
+    )
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     if workers < 1:
         raise ParseError(f"--workers: must be a positive integer, got {workers}")
@@ -420,40 +440,16 @@ def render_regret_svg(
 
 
 def _read_summary(path: str, want_pool: bool):
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc}")
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    expected = ["t", "mean_regret_hindsight", "std_regret_hindsight",
-                "mean_regret_pool", "std_regret_pool"]
-    if header != expected:
-        raise ParseError(f"{path}: unexpected header {header!r}, expected {expected!r}")
-    mean_col, std_col = (3, 4) if want_pool else (1, 2)
-    t, mean, std = [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != 5:
-            raise ParseError(f"{path} line {lineno}: expected 5 columns, got {len(cells)}")
-        try:
-            t.append(float(cells[0]))
-            mean.append(float(cells[mean_col]))
-            std.append(float(cells[std_col]))
-        except ValueError:
-            raise ParseError(f"{path} line {lineno}: not a number")
-    if not t:
-        raise ParseError(f"{path}: no data rows")
-    mean = np.array(mean)
-    std = np.array(std)
+    values, data_rows = _parse_cells(path, header=SUMMARY_COLUMNS)
+    _check_columns(path, data_rows, len(SUMMARY_COLUMNS))
+    table = values.reshape(len(data_rows), len(SUMMARY_COLUMNS))
+    mean_col = 3 if want_pool else 1
+    t, mean, std = table[:, 0], table[:, mean_col], table[:, mean_col + 1]
     if np.isnan(std).all():
         std = None  # a summary of one run has no spread
     if not (np.all(np.isfinite(mean)) and (std is None or np.all(np.isfinite(std)))):
         raise ParseError(f"{path}: selected columns contain non-finite values")
-    return np.array(t), mean, std
+    return t, mean, std
 
 
 def cmd_plot(args) -> int:

@@ -195,8 +195,6 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
         block, keep = layout.draw(rng, kernels)
         check_stochastic_rows(kernels)
         costs = rows_kl_at(block, passive_entries, layout.row, layout.col, kernels)
-        if np.any(costs < 0):
-            raise ValueError("control costs must be nonnegative")
         for i in np.flatnonzero(~keep):
             try:
                 invariant_distribution(StochasticMatrix.on_layout(layout, block[i]))

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -222,3 +223,11 @@ def run_within(seconds: float, fn, *args):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture(autouse=True)
+def no_inherited_klwalk_env(monkeypatch):
+    """Drop every ``KLWALK_*`` variable of the calling shell, so the config
+    layer a test sees is the one it sets itself."""
+    for key in [k for k in os.environ if k.startswith("KLWALK_")]:
+        monkeypatch.delenv(key)

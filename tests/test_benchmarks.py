@@ -15,8 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_phase_solve_child_runs_the_default_episode():
     # one op of benchmarks/phase_solve.py, so a library API change that
     # breaks the script fails here; the counts repeat exactly from op to op
-    env = {k: v for k, v in os.environ.items() if not k.startswith("KLWALK_")}
-    env.update(PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     done = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "phase_solve.py"), "--child"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -54,8 +53,6 @@ def patched_attributes(spans):
 def test_trace_mode_installs_and_records_every_layer(tmp_path, monkeypatch):
     # `perfbench/run.py --trace 1` patches these attributes; one that is
     # renamed or deleted in the library fails here rather than at install
-    for key in [k for k in os.environ if k.startswith("KLWALK_")]:
-        monkeypatch.delenv(key)
     spans = load_spans(monkeypatch)
     originals = patched_attributes(spans)
     config = tmp_path / "c.json"

@@ -21,6 +21,8 @@ from klwalk import (
     twisted_kernel,
 )
 from klwalk.cli import (
+    SUMMARY_COLUMNS,
+    _read_summary,
     _write_summary_csv,
     _write_trace_csv,
     load_config,
@@ -71,6 +73,30 @@ class TestConfig:
         assert cfg.horizon == 75
         assert cfg.graph == grid_graph(4, 5)
 
+    def test_later_layer_wins(self, tmp_path):
+        # file < environment < flags, field by field; a None flag is unset
+        edges = write(tmp_path / "g.txt", "0 1\n1 2\n")
+        path = write(tmp_path / "c.json", json.dumps(
+            {"base_seed": 1, "output_dir": "file", "graph": {"grid": [2, 2]}}))
+        env = {"KLWALK_BASE_SEED": "2", "KLWALK_OUTPUT_DIR": "env", "KLWALK_EDGE_LIST": edges}
+        cfg, output_dir = load_config(path, environ={}, flags={"base_seed": None})
+        assert (cfg.base_seed, output_dir, cfg.graph) == (1, "file", grid_graph(2, 2))
+        cfg, output_dir = load_config(path, environ=env)
+        assert (cfg.base_seed, output_dir, cfg.graph.n) == (2, "env", 3)
+        cfg, output_dir = load_config(path, environ=env,
+                                      flags={"base_seed": 3, "output_dir": "flag"})
+        assert (cfg.base_seed, output_dir, cfg.graph.n) == (3, "flag", 3)
+        assert load_config(None, environ={}, flags={"output_dir": "flag"})[1] == "flag"
+
+    def test_graph_built_once_from_the_last_layer(self, tmp_path):
+        # an edge list the environment replaces is never read
+        missing = str(tmp_path / "missing.txt")
+        path = write(tmp_path / "c.json", json.dumps({"graph": {"edge_list": missing}}))
+        cfg, _ = load_config(path, environ={"KLWALK_GRID": "4x5"})
+        assert cfg.graph == grid_graph(4, 5)
+        with pytest.raises(ParseError, match="config.edge_list: cannot read"):
+            load_config(path, environ={})
+
     def test_env_overrides_validated(self):
         with pytest.raises(Exception, match="config.runs"):
             load_config(None, environ={"KLWALK_RUNS": "zero"})
@@ -88,6 +114,10 @@ class TestConfig:
         )
         with pytest.raises(Exception, match="mutually exclusive"):
             load_config(path, environ={})
+        both = {"KLWALK_GRID": "2x2", "KLWALK_EDGE_LIST": "x"}
+        with pytest.raises(ParseError, match="^config.graph: 'grid' and 'edge_list' are "
+                                             "mutually exclusive$"):
+            load_config(None, environ=both)
 
 
 class TestCsvRoundTrip:
@@ -207,6 +237,19 @@ class TestCsvWriters:
                 ps = fmt(pool[1][t]) if pool is not None else "nan"
                 assert line == f"{t + 1},{fmt(values[t])},{fmt(values[-1 - t])},{pm},{ps}\n"
             assert len(lines) == horizon
+
+    def test_summary_round_trip_bit_equal(self, tmp_path):
+        rng = np.random.default_rng(5)
+        horizon = 40
+        hindsight = (rng.normal(size=horizon) * 10, rng.random(horizon))
+        pool = (rng.normal(size=horizon) * 1e-7, rng.random(horizon) * 1e5)
+        path = tmp_path / "summary.csv"
+        _write_summary_csv(path, horizon, hindsight, pool)
+        for want_pool, (mean, std) in ((False, hindsight), (True, pool)):
+            t, got_mean, got_std = _read_summary(str(path), want_pool)
+            assert t.tobytes() == np.arange(1.0, horizon + 1).tobytes()
+            assert got_mean.tobytes() == mean.tobytes()
+            assert got_std.tobytes() == std.tobytes()
 
 
 class TestCmdSolve:
@@ -390,8 +433,10 @@ class TestCmdTrack:
 
     def test_config_schema_violation_exit_code(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.json", json.dumps({"horizon": -5}))
-        assert main(["track", "--config", cfg]) == 2
+        out = tmp_path / "out"
+        assert main(["track", "--config", cfg, "--output-dir", str(out)]) == 2
         assert "config.horizon" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("graph", [[], None, 0, "", False],
                              ids=["list", "null", "zero", "empty-string", "false"])
@@ -409,10 +454,18 @@ class TestCmdTrack:
             ({"dirichlet_alpha": math.inf}, {}, [], "config.dirichlet_alpha"),
             ({}, {"KLWALK_DIRICHLET_ALPHA": "inf"}, [], "config.dirichlet_alpha"),
             ({"horizon": math.inf}, {}, [], "config.horizon"),
-            ({}, {}, ["--seed", "-5"], "base_seed"),
+            ({}, {}, ["--seed", "-5"], "config.base_seed: "),
             ({"start": 9}, {}, [], "config.start"),
+            # a malformed value fails even where a later layer replaces it
+            ({"horizon": "ten"}, {"KLWALK_HORIZON": "10"}, [], "config.horizon"),
+            ({"base_seed": "x"}, {}, ["--seed", "5"], "config.base_seed"),
+            ({}, {"KLWALK_BASE_SEED": "1.5"}, ["--seed", "5"], "config.base_seed"),
+            ({"output_dir": 7}, {}, [], "config.output_dir"),
+            ({}, {"KLWALK_GRID": "3x3", "KLWALK_EDGE_LIST": "g.txt"}, [], "config.graph"),
         ],
-        ids=["json-inf-alpha", "env-inf-alpha", "inf-horizon", "negative-seed", "start-off-graph"],
+        ids=["json-inf-alpha", "env-inf-alpha", "inf-horizon", "negative-seed", "start-off-graph",
+             "json-horizon-under-env", "json-seed-under-flag", "env-seed-under-flag",
+             "json-output-dir-under-flag", "env-grid-and-edge-list"],
     )
     def test_bad_values_exit_2_naming_the_field(
         self, tmp_path, capsys, monkeypatch, overrides, env, extra, field
@@ -466,6 +519,22 @@ class TestCmdTrack:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert sorted(outputs[0]) == ["summary.csv", "trace_run000.csv", "trace_run001.csv"]
         assert outputs[0] == outputs[1]
+
+    def test_flags_beat_environment_beat_file(self, tmp_path, monkeypatch):
+        out = {name: tmp_path / name for name in ("file", "env", "flag", "ref")}
+        cfg = write(tmp_path / "c.json",
+                    json.dumps({**SMOKE_CONFIG, "base_seed": 1, "output_dir": str(out["file"])}))
+        monkeypatch.setenv("KLWALK_BASE_SEED", "2")
+        monkeypatch.setenv("KLWALK_OUTPUT_DIR", str(out["env"]))
+        assert main(["track", "--config", cfg, "--workers", "1", "--seed", "3",
+                     "--output-dir", str(out["flag"])]) == 0
+        assert not out["file"].exists() and not out["env"].exists()
+        monkeypatch.delenv("KLWALK_BASE_SEED")
+        ref = write(tmp_path / "ref.json", json.dumps({**SMOKE_CONFIG, "base_seed": 3}))
+        assert main(["track", "--config", ref, "--workers", "1",
+                     "--output-dir", str(out["ref"])]) == 0
+        for name in ("trace_run000.csv", "summary.csv"):
+            assert (out["flag"] / name).read_bytes() == (out["ref"] / name).read_bytes()
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write(tmp_path / "c.json", json.dumps(SMOKE_CONFIG))
@@ -545,6 +614,23 @@ class TestCmdPlot:
         path = write(tmp_path / "s.csv", "t,regret\n1,0.5\n")
         assert main(["plot", path, str(tmp_path / "x.svg")]) == 2
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "s.csv: empty file"),
+            (",".join(SUMMARY_COLUMNS) + "\n\n", "s.csv: no data rows"),
+            (",".join(SUMMARY_COLUMNS) + "\n1,0,0,0,0\n2,0,0,0\n",
+             "s.csv line 3: expected 5 columns, got 4"),
+            # a column the plot does not draw is still checked
+            (",".join(SUMMARY_COLUMNS) + "\n1,0,0,x,0\n", "s.csv line 2: not a number: 'x'"),
+        ],
+        ids=["empty", "header-only", "short-row", "bad-pool-cell"],
+    )
+    def test_malformed_summary_exit_2_naming_the_line(self, tmp_path, capsys, text, message):
+        path = write(tmp_path / "s.csv", text)
+        assert main(["plot", path, str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err.strip().endswith(message)
 
     def test_render_svg_is_self_contained(self):
         t = np.arange(1, 11, dtype=float)
