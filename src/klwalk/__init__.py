@@ -8,7 +8,6 @@ a reproducible graph target-tracking experiment harness.
 """
 
 from .chains import (
-    CostFunction,
     ErgodicityReport,
     StochasticMatrix,
     dobrushin_coefficient,

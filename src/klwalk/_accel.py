@@ -57,7 +57,7 @@ def logsumexp_rows(layout, log_entries: np.ndarray, w: np.ndarray) -> np.ndarray
     shifted by its largest term and summed over a dense row with zeros
     elsewhere, so the result is bit for bit the dense log-sum-exp."""
     terms = log_entries + w[layout.col]
-    top = np.maximum.reduceat(terms, layout.indptr()[:-1])
+    top = np.maximum.reduceat(terms, layout.indptr[:-1])
     shifted = layout.dense(np.exp(terms - top[layout.row]), np.empty((layout.n, layout.n)))
     return top + np.log(shifted.sum(axis=1))
 

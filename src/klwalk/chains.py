@@ -1,9 +1,11 @@
 """Finite-state Markov chain primitives.
 
-Validated containers for row-stochastic kernels and nonnegative state
-costs, plus the quantities the rest of the library is built on: total
-variation, KL divergence, span seminorm, the Dobrushin ergodicity
-coefficient, ergodicity diagnostics and invariant distributions.
+A validated container for row-stochastic kernels, plus the quantities
+the rest of the library is built on: total variation, KL divergence,
+span seminorm, the Dobrushin ergodicity coefficient, ergodicity
+diagnostics and invariant distributions. A state cost needs no
+container: it is a float64 array over the states, which the solver
+checks where it takes one (``spectral.solve_mpe``).
 
 The standing assumption of the solver, an irreducible and aperiodic
 passive kernel, is a property of the kernel's positive pattern alone:
@@ -141,32 +143,6 @@ class StochasticMatrix(FrozenArrays):
     @property
     def n(self) -> int:
         return self.rows.shape[0]
-
-
-@dataclass(frozen=True)
-class CostFunction(FrozenArrays):
-    """A nonnegative per-state cost vector."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = frozen_copy(self.values)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ValueError(f"values must be one-dimensional, got shape {v.shape}")
-        if v.size < 1:
-            raise ValueError("cost function over an empty state space")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("cost values must be finite")
-        if np.any(v < 0):
-            raise ValueError("cost values must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def max(self) -> float:
-        return float(self.values.max())
 
 
 @dataclass(frozen=True)
@@ -361,23 +337,21 @@ def invariant_distribution(P: StochasticMatrix) -> np.ndarray:
 class _SupportLayout(FrozenArrays):
     """Where a support pattern's entries sit: entry i of the row-major
     list of the pattern's nonzeros is column ``col[i]`` of row ``row[i]``
-    and the ``slot[i]``-th entry of that row; ``width`` is the widest row
-    support, and ``columns[x, s]`` is the column of slot s of row x (all
-    read-only)."""
+    and the ``slot[i]``-th entry of that row; ``indptr`` is the CSR row
+    pointer (where each row's entries start, then m), ``width`` is the
+    widest row support, and ``columns[x, s]`` is the column of slot s of
+    row x (all read-only)."""
 
     def __init__(self, pattern: np.ndarray):
         self.n = pattern.shape[0]
         self.row, self.col = np.nonzero(pattern)
-        self.slot = np.arange(self.row.size) - self.indptr()[self.row]
+        self.indptr = np.searchsorted(self.row, np.arange(self.n + 1))
+        self.slot = np.arange(self.row.size) - self.indptr[self.row]
         self.width = int(self.slot.max()) + 1
         self.columns = np.zeros((self.n, self.width), dtype=np.intp)
         self.columns[self.row, self.slot] = self.col
-        for arr in (self.row, self.col, self.slot, self.columns):
+        for arr in (self.row, self.col, self.indptr, self.slot, self.columns):
             arr.setflags(write=False)
-
-    def indptr(self) -> np.ndarray:
-        """The CSR row pointer: where each row's entries start, then m."""
-        return np.searchsorted(self.row, np.arange(self.n + 1))
 
     @memoized
     def shifted_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -433,7 +407,7 @@ class _SupportLayout(FrozenArrays):
     def graph(self) -> csr_matrix:
         """The pattern as a sparse 0/1 graph."""
         ones = np.ones(self.row.size, np.int8)
-        return csr_matrix((ones, self.col, self.indptr()), shape=(self.n, self.n))
+        return csr_matrix((ones, self.col, self.indptr), shape=(self.n, self.n))
 
     def slots(self, weights: np.ndarray) -> np.ndarray:
         """Stacked entries (K, m) as zero-padded per-row slots (K, n, width)."""
@@ -447,24 +421,23 @@ class _SupportLayout(FrozenArrays):
         out[..., self.row, self.col] = weights
         return out
 
-    def draw(self, rng: np.random.Generator, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fill the stacked ``kernels`` with rows that are flat Dirichlet
-        draws over the pattern's row supports; return their entries (K, m)
-        and a mask of the kernels whose positive pattern is the pattern.
+    def draw(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+        """Draw ``count`` kernels whose rows are flat Dirichlet draws over
+        the pattern's row supports; return them as zero-padded slots
+        (count, n, width), their entries (count, m) and a mask of the
+        kernels whose positive pattern is the pattern.
 
         Bit for bit the rows of ``rng.dirichlet(np.ones(k))`` called row by
         row: numpy's alpha = 1 Dirichlet takes k standard exponentials, sums
         them left to right and multiplies each by the reciprocal of the sum.
         """
-        count = kernels.shape[0]
         slots = self.slots(rng.standard_exponential(count * self.row.size).reshape(count, -1))
         total = slots[:, :, 0].copy()
         for j in range(1, self.width):  # padding zeros leave the sum exact
             total += slots[:, :, j]
         slots *= (1.0 / total)[:, :, np.newaxis]
-        weights = slots[:, self.row, self.slot]
-        self.dense(weights, kernels)
-        return weights, (weights > 0).all(axis=1)
+        entries = slots[:, self.row, self.slot]
+        return slots, entries, (entries > 0).all(axis=1)
 
 
 @memoized

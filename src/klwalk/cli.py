@@ -28,7 +28,7 @@ from typing import Optional, TextIO, get_type_hints
 
 import numpy as np
 
-from .chains import ROW_SUM_TOL, CostFunction, StochasticMatrix, span_seminorm
+from .chains import ROW_SUM_TOL, StochasticMatrix, span_seminorm
 from .errors import (
     ConvergenceError,
     NotErgodicError,
@@ -302,11 +302,9 @@ def cmd_solve(args) -> int:
     passive = read_matrix_csv(args.passive_csv)
     if args.pin >= passive.n:
         raise ParseError(f"--pin: state {args.pin} out of range for n={passive.n}")
-    raw_cost = read_vector_csv(args.cost_csv, expected_n=passive.n)
-    try:
-        cost = CostFunction(raw_cost)
-    except ValueError as exc:
-        raise ParseError(f"{args.cost_csv}: {exc}")
+    cost = read_vector_csv(args.cost_csv, expected_n=passive.n)
+    if not np.all(np.isfinite(cost)) or cost.min() < 0:
+        raise ParseError(f"{args.cost_csv}: cost values must be finite and nonnegative")
     sol = solve_mpe(passive, cost, settings)
     pol = twisted_kernel(passive, sol.h)
     residual = acoe_residual(passive, cost, sol)

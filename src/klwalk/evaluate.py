@@ -11,16 +11,17 @@ hindsight comparator and races the pool, which a worker draws once from
 the base seed (``ExperimentSpec.pool``). Summaries are reduced in run
 order, so results are reproducible bit for bit for any worker count.
 
-The hindsight comparator's steady state comes from
-``chains.invariant_distribution``. The pool needs no steady state: a
-draw with the passive's positive pattern is unichain by structure, so
-the sampler accepts it without a stationarity solve. The pool is kept
-stacked over the passive's nonzeros (``PolicyPool``, a frozen record of
-arrays): it is drawn, checked and priced in blocks, holds every row's
-inverse-CDF bounds once for all runs, and is raced in blocks of walks
-stepped together by ``_accel.markov_paths``, the walker that also moves
-the agent and the target. The race returns the winner's pool index; no
-pooled policy is ever built as a dense ``KlPolicy``.
+The hindsight comparator is charged ``policy.steady_state_cost`` of
+each row, whose steady state comes from ``chains.invariant_distribution``.
+The pool needs no steady state: a draw with the passive's positive
+pattern is unichain by structure, so the sampler accepts it without a
+stationarity solve. The pool is kept stacked over the passive's nonzeros
+(``PolicyPool``, a frozen record of arrays): it is drawn, checked and
+priced in blocks, holds every row's inverse-CDF bounds once for all runs,
+and is raced in blocks of walks stepped together by
+``_accel.markov_paths``, the walker that also moves the agent and the
+target. The race returns the winner's pool index; no pooled policy is
+ever built as a dense ``KlPolicy``.
 
 ``ExperimentSpec`` describes the whole replicated experiment, from the
 graph to the run count, pool size and base seed; the CLI's JSON config
@@ -38,7 +39,6 @@ import numpy as np
 
 from . import _accel
 from .chains import (
-    CostFunction,
     FrozenArrays,
     StochasticMatrix,
     _SupportLayout,
@@ -51,7 +51,7 @@ from .chains import (
 )
 from .errors import DimensionMismatchError, NotUnichainError
 from .online import RunTrace, _cost_matrix, run_episode
-from .policy import KlPolicy, optimal_policy, rows_kl_at
+from .policy import KlPolicy, optimal_policy, rows_kl_at, steady_state_cost
 from .world import Graph, build_passive, grid_graph, make_tracking_env
 
 _MASK64 = (1 << 64) - 1
@@ -75,14 +75,9 @@ def split_seed(base_seed: int, index: int) -> int:
 
 
 def steady_state_comparator_cost(policy: KlPolicy, costs: np.ndarray) -> np.ndarray:
-    """Prefix sums of the policy's steady-state cost under each row f_t of
-    the (T, n) cost array."""
-    fmat = _cost_matrix(costs, policy.n)
-    pi = invariant_distribution(policy.kernel)
-    support = pi > 0
-    control = float(pi[support] @ policy.control_cost[support])
-    per_step = fmat[:, support] @ pi[support] + control
-    return np.cumsum(per_step)
+    """Prefix sums of the policy's steady-state cost ``steady_state_cost``
+    under each row f_t of the (T, n) cost array."""
+    return np.cumsum(steady_state_cost(_cost_matrix(costs, policy.n), policy))
 
 
 def realized_expected_comparator_cost(
@@ -108,7 +103,7 @@ def best_in_hindsight(passive: StochasticMatrix, costs: np.ndarray) -> KlPolicy:
     (T, n) cost array; the steady-state optimum over all stationary
     unichain policies."""
     fmat = _cost_matrix(costs, passive.n)
-    return optimal_policy(passive, CostFunction(fmat.mean(axis=0)))
+    return optimal_policy(passive, fmat.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -164,15 +159,15 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
     Policies are drawn in blocks of ``_POOL_BLOCK`` from one stream of
     standard exponentials, which gives bit for bit the draws of one
     ``rng.dirichlet`` call per row, so the pool does not depend on the
-    block size. Each block is checked to be row-stochastic and priced at
-    once: its KL terms are taken on the nonzeros and summed over dense
-    rows, bit for bit ``rows_kl``. The passive is checked once to have a
-    single closed class; a kernel is unichain exactly when its positive
-    pattern has one (Kemeny and Snell), so a draw with the passive's
-    pattern is unichain by structure and is accepted without a solve. A
-    draw with another pattern (an entry that underflowed to zero) goes
-    through ``invariant_distribution``. Draws are accepted or resampled
-    in draw order, as if one at a time.
+    block size. Each block is checked to be row-stochastic on its
+    zero-padded slots and priced at once: its KL terms are taken on the
+    nonzeros and summed over dense rows, bit for bit ``rows_kl``. The
+    passive is checked once to have a single closed class; a kernel is
+    unichain exactly when its positive pattern has one (Kemeny and Snell),
+    so a draw with the passive's pattern is unichain by structure and is
+    accepted without a solve. A draw with another pattern (an entry that
+    underflowed to zero) goes through ``invariant_distribution``. Draws
+    are accepted or resampled in draw order, as if one at a time.
 
     Raises NotUnichainError when the passive has more than one closed
     class: then no policy inside its support is unichain.
@@ -187,14 +182,15 @@ def sample_policy_pool(passive: StochasticMatrix, pool_size: int, seed: int) -> 
     rng = np.random.default_rng([seed, _POOL_STREAM])
     layout = support_layout(passive)
     passive_entries = passive.rows[layout.row, layout.col]
-    # reused by every block, so block temporaries do not fragment the heap
-    kernels_buf = np.empty((min(_POOL_BLOCK, pool_size), passive.n, passive.n))
+    # rows_kl_at's dense scratch, reused by every block so that block
+    # temporaries do not fragment the heap
+    scratch = np.empty((min(_POOL_BLOCK, pool_size), passive.n, passive.n))
     weights, control, accepted = [], [], 0
     while accepted < pool_size:
-        kernels = kernels_buf[:min(_POOL_BLOCK, pool_size - accepted)]
-        block, keep = layout.draw(rng, kernels)
-        check_stochastic_rows(kernels)
-        costs = rows_kl_at(block, passive_entries, layout.row, layout.col, kernels)
+        count = min(_POOL_BLOCK, pool_size - accepted)
+        slots, block, keep = layout.draw(rng, count)
+        check_stochastic_rows(slots)
+        costs = rows_kl_at(block, passive_entries, layout.row, layout.col, scratch[:count])
         for i in np.flatnonzero(~keep):
             try:
                 invariant_distribution(StochasticMatrix.on_layout(layout, block[i]))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .chains import CostFunction, FrozenArrays, StochasticMatrix, draw_table, frozen_copy
+from .chains import FrozenArrays, StochasticMatrix, draw_table, frozen_copy
 from .errors import DimensionMismatchError
 from .policy import optimal_policy
 
@@ -124,7 +124,7 @@ def run_episode(
     cost_sum, last_h, state = np.zeros(passive.n), None, start
     runs = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        f_hat = CostFunction(cost_sum / lo if lo > 0 else np.zeros(passive.n))
+        f_hat = cost_sum / lo if lo > 0 else np.zeros(passive.n)
         policy = optimal_policy(passive, f_hat, start=last_h)
         last_h = policy.solution.h
         path = _accel.markov_path(draw_table(policy.kernel), state, rng.random(hi - lo))

@@ -7,7 +7,9 @@ renormalized (the "twisted" kernel), which this module builds in log
 space on the passive's nonzeros, so that it shares the passive's support
 (and, unless an entry underflows to zero, its ``support_layout``).
 ``optimal_policy`` returns that kernel with the certified ``MpeSolution``
-it came from attached as ``KlPolicy.solution``.
+it came from attached as ``KlPolicy.solution``. A state cost is a float64
+array over the states; ``steady_state_cost`` prices a policy under one
+cost, or under each row of a stack of them, by one formula.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from . import _accel
 from .chains import (
-    CostFunction,
     FrozenArrays,
     StochasticMatrix,
     ergodicity_report,
@@ -155,21 +156,22 @@ def twisted_pair_kl(passive: StochasticMatrix, phi_a, phi_b) -> np.ndarray:
     return np.maximum(diff + log_zb - log_za, 0.0)
 
 
-def steady_state_cost(f: CostFunction, policy: KlPolicy) -> float:
-    """Expected state-action cost under the policy's invariant distribution."""
-    if f.n != policy.n:
-        raise DimensionMismatchError(f"cost has {f.n} states, policy has {policy.n}")
+def steady_state_cost(f: np.ndarray, policy: KlPolicy) -> np.ndarray | float:
+    """J_P(f): the expected state-action cost under the policy's invariant
+    distribution pi, for a cost f of shape (n,), or one J per row of f for
+    a (T, n) stack of costs. The state part is f @ pi and the control part
+    pi @ control_cost, both over the support of pi."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape[-1:] != (policy.n,):
+        raise DimensionMismatchError(f"cost has shape {f.shape}, policy has n={policy.n}")
     pi = invariant_distribution(policy.kernel)
     support = pi > 0
-    per_state = f.values[support] + policy.control_cost[support]
-    if not np.all(np.isfinite(per_state)):
-        return math.inf
-    return float(pi[support] @ per_state)
+    return f[..., support] @ pi[support] + pi[support] @ policy.control_cost[support]
 
 
 def optimal_policy(
     passive: StochasticMatrix,
-    f: CostFunction,
+    f: np.ndarray,
     start: Optional[np.ndarray] = None,
 ) -> KlPolicy:
     """Solve the eigenproblem for f, from the relative value function

@@ -1,8 +1,9 @@
 """Certified solver for the multiplicative Poisson equation.
 
-For a passive kernel P and state cost f, the optimal average cost and
-relative value function come out of the dominant eigenpair of the
-nonnegative irreducible matrix A = e^{-f} P:
+For a passive kernel P and state cost f, a float64 array of n finite,
+nonnegative numbers that ``solve_mpe`` checks once, the optimal average
+cost and relative value function come out of the dominant eigenpair of
+the nonnegative irreducible matrix A = e^{-f} P:
 
     e^{-f} P V = e^{-lambda} V,      h = -log V,  h(pin) = 0.
 
@@ -40,7 +41,6 @@ import numpy as np
 
 from . import _accel
 from .chains import (
-    CostFunction,
     FrozenArrays,
     StochasticMatrix,
     frozen_copy,
@@ -119,9 +119,15 @@ class MpeSolution(FrozenArrays):
         return self.bracket[1] - self.bracket[0]
 
 
-def _validate_inputs(passive: StochasticMatrix, f: CostFunction, settings: SolverSettings):
-    if f.n != passive.n:
-        raise DimensionMismatchError(f"cost has {f.n} states, kernel has {passive.n}")
+def _validate_inputs(passive: StochasticMatrix, f, settings: SolverSettings) -> np.ndarray:
+    """The cost ``f`` as a float64 array, once it and the passive are fit
+    to solve: f holds n finite, nonnegative numbers, the pin is a state and
+    the passive is irreducible and aperiodic."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (passive.n,):
+        raise DimensionMismatchError(f"cost has shape {f.shape}, kernel has n={passive.n}")
+    if not np.all(np.isfinite(f)) or f.min() < 0:
+        raise ValueError("cost values must be finite and nonnegative")
     if settings.pin_index >= passive.n:
         raise ValueError(f"pin_index {settings.pin_index} out of range for n={passive.n}")
     irreducible, aperiodic = graph_verdict(passive)
@@ -130,21 +136,24 @@ def _validate_inputs(passive: StochasticMatrix, f: CostFunction, settings: Solve
             "passive kernel is not ergodic "
             f"(irreducible={irreducible}, aperiodic={aperiodic})"
         )
+    return f
 
 
 def solve_mpe(
     passive: StochasticMatrix,
-    f: CostFunction,
+    f: np.ndarray,
     settings: Optional[SolverSettings] = None,
     start: Optional[np.ndarray] = None,
 ) -> MpeSolution:
     """Solve e^{-f} P V = e^{-lambda} V by certified inverse iteration.
 
-    The cost is shifted by its minimum before iterating (the shift factors
-    out of the eigenproblem exactly), which keeps the bracket well
-    conditioned for costs with a large common offset and puts e^{-f} in
-    (0, 1]; the reported bracket is rescaled back, so its width never
-    exceeds the tolerance.
+    ``f`` holds one cost per state; a cost that is not 1-D of length n
+    raises DimensionMismatchError, and one with a NaN, infinite or negative
+    entry raises ValueError. The cost is shifted by its minimum before
+    iterating (the shift factors out of the eigenproblem exactly), which
+    keeps the bracket well conditioned for costs with a large common offset
+    and puts e^{-f} in (0, 1]; the reported bracket is rescaled back, so
+    its width never exceeds the tolerance.
 
     The iteration starts from V = e^{-h} for ``start``, a relative value
     function h of a nearby problem (the last phase's, say), when that
@@ -162,17 +171,16 @@ def solve_mpe(
     the solution. A constant cost gives h as an exact zero vector.
     """
     settings = settings or SolverSettings()
-    _validate_inputs(passive, f, settings)
+    f = _validate_inputs(passive, f, settings)
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (passive.n,):
             raise DimensionMismatchError(
                 f"start has shape {start.shape}, expected ({passive.n},)"
             )
-    fv = f.values
-    base = float(fv.min())
+    base = float(f.min())
     w, lo, hi, iterations, converged = _accel.mpe_power_iteration(
-        passive.rows, support_layout(passive), fv - base, settings.pin_index,
+        passive.rows, support_layout(passive), f - base, settings.pin_index,
         settings.tolerance, settings.max_iterations, start,
     )
     scale = math.exp(-base)
@@ -185,7 +193,7 @@ def solve_mpe(
             iterations=iterations,
         )
     lam = base - math.log(0.5 * (lo + hi))
-    if fv.max() == base:  # a constant cost provably has h = 0; drop the rounding
+    if f.max() == base:  # a constant cost provably has h = 0; drop the rounding
         h = np.zeros(passive.n)
     else:
         h = -w
@@ -193,14 +201,15 @@ def solve_mpe(
     return MpeSolution(lam=lam, h=h, bracket=bracket, iterations=iterations)
 
 
-def acoe_residual(passive: StochasticMatrix, f: CostFunction, sol: MpeSolution) -> float:
+def acoe_residual(passive: StochasticMatrix, f: np.ndarray, sol: MpeSolution) -> float:
     """max_x |h(x) + lambda - f(x) + log(P e^{-h})(x)|, in log-sum-exp form.
 
     Zero for an exact solution of the optimality equation; accepted solver
     output stays below 1e-8.
     """
-    if f.n != passive.n or sol.h.shape[0] != passive.n:
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (passive.n,) or sol.h.shape[0] != passive.n:
         raise DimensionMismatchError("passive, cost and solution dimensions disagree")
     layout = support_layout(passive)
     log_z = _accel.logsumexp_rows(layout, np.log(passive.rows[layout.row, layout.col]), -sol.h)
-    return float(np.abs(sol.h + sol.lam - f.values + log_z).max())
+    return float(np.abs(sol.h + sol.lam - f + log_z).max())

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from klwalk import (
-    CostFunction,
     DimensionMismatchError,
     KlPolicy,
     PolicyPool,
@@ -33,8 +32,8 @@ def random_ergodic_kernel(rng: np.random.Generator, n: int) -> StochasticMatrix:
     return StochasticMatrix(rng.dirichlet(np.ones(n), size=n))
 
 
-def random_cost(rng: np.random.Generator, n: int, cap: float = 1.0) -> CostFunction:
-    return CostFunction(rng.random(n) * cap)
+def random_cost(rng: np.random.Generator, n: int, cap: float = 1.0) -> np.ndarray:
+    return rng.random(n) * cap
 
 
 def passive_policy(passive: StochasticMatrix) -> KlPolicy:
@@ -140,7 +139,7 @@ def linear_power_iteration(rows, f_shifted, pin, tol, max_iter):
 ORACLE_MAX_STATES = 12
 
 
-def eigen_oracle(passive: StochasticMatrix, f: CostFunction) -> tuple[float, np.ndarray]:
+def eigen_oracle(passive: StochasticMatrix, f: np.ndarray) -> tuple[float, np.ndarray]:
     """Brute-force dominant eigenpair of e^{-f} P for desk-scale checks.
 
     Squares the matrix 60 times (renormalizing by the max entry) so the
@@ -150,9 +149,9 @@ def eigen_oracle(passive: StochasticMatrix, f: CostFunction) -> tuple[float, np.
     """
     if passive.n > ORACLE_MAX_STATES:
         raise ValueError(f"eigen_oracle is desk-scale only (n <= {ORACLE_MAX_STATES})")
-    if f.n != passive.n:
-        raise DimensionMismatchError(f"cost has {f.n} states, kernel has {passive.n}")
-    a = np.exp(-f.values)[:, None] * passive.rows
+    if f.shape != (passive.n,):
+        raise DimensionMismatchError(f"cost has shape {f.shape}, kernel has n={passive.n}")
+    a = np.exp(-f)[:, None] * passive.rows
     b = a / a.max()
     for _ in range(60):
         b = b @ b

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from klwalk import (
-    CostFunction,
     ExperimentSpec,
     StochasticMatrix,
     acoe_residual,
@@ -58,7 +57,7 @@ def solved_instances():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         passive = StochasticMatrix(rng.dirichlet(np.ones(n), size=n))
-        f = CostFunction(rng.random(n))
+        f = rng.random(n)
         sol = solve_mpe(passive, f)
         lam_oracle, _ = eigen_oracle(passive, f)
         instances.append((passive, f, sol, lam_oracle))
@@ -98,18 +97,18 @@ def test_criterion_02_closed_form_fixed_points():
     for trial in range(5):
         n = int(rng.integers(2, 7))
         passive = StochasticMatrix(rng.dirichlet(np.ones(n), size=n))
-        zero = CostFunction(np.zeros(n))
+        zero = np.zeros(n)
         sol = solve_mpe(passive, zero)
         twisted = twisted_kernel(passive, sol.h)
         checks.append(abs(sol.lam) <= 1e-10)
         checks.append(np.abs(sol.h).max() <= 1e-10)
         checks.append(np.abs(twisted.kernel.rows - passive.rows).max() <= 1e-10)
         c = float(rng.uniform(0.1, 2.0))
-        sol_c = solve_mpe(passive, CostFunction(np.full(n, c)))
+        sol_c = solve_mpe(passive, np.full(n, c))
         checks.append(abs(sol_c.lam - c) <= 1e-10)
         checks.append(np.abs(sol_c.h).max() <= 1e-10)
     two_state = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-    sol2 = solve_mpe(two_state, CostFunction([0.0, math.log(2)]))
+    sol2 = solve_mpe(two_state, np.array([0.0, math.log(2)]))
     checks.append(abs(sol2.lam - math.log(4 / 3)) <= 1e-10)
     checks.append(np.abs(sol2.v - np.array([1.0, 0.5])).max() <= 1e-10)
     ok = all(checks)
@@ -157,7 +156,7 @@ def test_criterion_05_steady_state_optimality():
     for instance in range(50):
         n = int(rng.integers(2, 7))
         passive = StochasticMatrix(rng.dirichlet(np.ones(n), size=n))
-        f = CostFunction(rng.random(n))
+        f = rng.random(n)
         pol = optimal_policy(passive, f)
         best = steady_state_cost(f, pol)
         lam = solve_mpe(passive, f).lam

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klwalk import (
-    CostFunction,
     DimensionMismatchError,
     KlPolicy,
     MpeSolution,
@@ -91,13 +90,6 @@ class TestContainers:
         with pytest.raises(ValueError, match="nonnegative numbers"):
             container(values)
 
-    def test_cost_function_validation(self):
-        with pytest.raises(ValueError):
-            CostFunction([-0.5, 0.5])
-        with pytest.raises(ValueError):
-            CostFunction([np.inf, 0.0])
-        assert CostFunction([0.2, 0.9]).max() == 0.9
-
 
 class TestFrozenCopies:
     """Containers freeze a copy of every array they are handed; the
@@ -108,11 +100,10 @@ class TestFrozenCopies:
         [
             (MpeSolution, dict(lam=0.0, bracket=(1.0, 1.0), iterations=1), ("h",), ()),
             (KlPolicy, dict(kernel=StochasticMatrix(np.eye(3))), ("control_cost",), ()),
-            (CostFunction, {}, ("values",), ()),
             (RunTrace, {}, ("state_costs", "control_costs", "cumulative"),
              ("states", "phase_boundaries")),
         ],
-        ids=["MpeSolution", "KlPolicy", "CostFunction", "RunTrace"],
+        ids=["MpeSolution", "KlPolicy", "RunTrace"],
     )
     def test_caller_array_stays_writeable(self, cls, fixed, float_fields, int_fields):
         given = {name: np.zeros(3) for name in float_fields}
@@ -128,7 +119,6 @@ class TestFrozenCopies:
         "obj",
         [
             StochasticMatrix([[0.5, 0.5], [0.1, 0.9]]),
-            CostFunction([0.0, 1.5]),
             MpeSolution(lam=0.0, h=[0.0, 0.5], bracket=(1.0, 1.0), iterations=1),
             KlPolicy(kernel=StochasticMatrix(np.eye(2)), control_cost=[0.0, 0.1],
                      solution=MpeSolution(lam=0.0, h=[0.0, 0.2], bracket=(1.0, 1.0),

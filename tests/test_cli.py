@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from klwalk import (
-    CostFunction,
     ExperimentSpec,
     ParseError,
     bfs_distances,
@@ -206,7 +205,7 @@ class TestCsvWriters:
         graph = grid_graph(15, 15)
         passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
         hops, diameter = bfs_distances(graph)
-        cost = CostFunction(hops[:, 112] / diameter)
+        cost = hops[:, 112] / diameter
         sol = solve_mpe(passive, cost)
         rows = twisted_kernel(passive, sol.h).kernel.rows
         write_matrix_csv(tmp_path / "K.csv", rows)
@@ -298,6 +297,17 @@ class TestCmdSolve:
         cost = write(tmp_path / "f.csv", "0.0\n0.0\n")
         assert main(["solve", passive, cost]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["nan\n0.5\n", "0.0\ninf\n", "-0.5\n0.5\n"],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_cost_value_exit_2_naming_the_file(self, tmp_path, capsys, text):
+        # the CLI checks its input before the solve: this passive is periodic,
+        # which the solver would report with exit 3
+        passive = write(tmp_path / "p.csv", "0.0,1.0\n1.0,0.0\n")
+        cost = write(tmp_path / "f.csv", text)
+        assert main(["solve", passive, cost]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cost}: cost values must be finite and nonnegative\n"
 
     def test_assumption_error_exit_code(self, tmp_path, capsys):
         passive = write(tmp_path / "p.csv", "0.0,1.0\n1.0,0.0\n")

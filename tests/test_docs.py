@@ -1,7 +1,11 @@
 import importlib
+import math
 import pkgutil
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import klwalk
 from klwalk import ExperimentSpec
@@ -24,6 +28,21 @@ def test_readme_imports_name_live_api():
     assert statements
     for stmt in statements:
         exec(stmt, {})
+
+
+def test_readme_solver_quick_start_states_its_values():
+    # the quick-start block runs as written, and its comments hold
+    block = next(b for b in FENCED_BLOCK.findall(README.read_text()) if "solve_mpe(" in b)
+    for comment in ("# lam = ln(4/3), h = (0, ln 2)", "# rows (2/3, 1/3)", "# equals sol.lam"):
+        assert comment in block
+    names = {}
+    exec(block, names)
+    sol, policy = names["sol"], names["policy"]
+    assert sol.lam == pytest.approx(math.log(4 / 3), abs=1e-12)
+    np.testing.assert_allclose(sol.h, [0.0, math.log(2)], atol=1e-12)
+    np.testing.assert_allclose(policy.kernel.rows, [[2 / 3, 1 / 3]] * 2, atol=1e-12)
+    last = block.strip().splitlines()[-1].split("#")[0]
+    assert eval(last, names) == pytest.approx(sol.lam, abs=1e-12)
 
 
 def test_readme_prose_names_live_module_attributes():

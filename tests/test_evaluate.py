@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from klwalk import (
-    CostFunction,
     DimensionMismatchError,
     ExperimentSpec,
     NotUnichainError,
@@ -33,6 +32,7 @@ from klwalk import (
     sample_policy_pool,
     split_seed,
     steady_state_comparator_cost,
+    steady_state_cost,
     summarize,
 )
 from klwalk import _accel, evaluate
@@ -52,7 +52,7 @@ from conftest import (
 )
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-TWO_STATE_COST = CostFunction([0.0, math.log(2)])
+TWO_STATE_COST = np.array([0.0, math.log(2)])
 
 
 class TestSplitSeed:
@@ -83,9 +83,19 @@ class TestSteadyStateComparatorCost:
 
     def test_two_state_optimal_policy_charges_lambda(self):
         pol = optimal_policy(TWO_STATE, TWO_STATE_COST)
-        costs = np.tile(TWO_STATE_COST.values, (9, 1))
+        costs = np.tile(TWO_STATE_COST, (9, 1))
         out = steady_state_comparator_cost(pol, costs)
         np.testing.assert_allclose(out, math.log(4 / 3) * np.arange(1, 10), atol=1e-8)
+
+    def test_is_the_prefix_sum_of_steady_state_cost(self, rng):
+        # one J_P(f) formula: the comparator is steady_state_cost row by row
+        pol = optimal_policy(random_ergodic_kernel(rng, 4), random_cost(rng, 4))
+        costs = rng.random((50, 4))
+        per_step = steady_state_cost(costs, pol)
+        assert per_step.shape == (50,)
+        assert np.array_equal(steady_state_comparator_cost(pol, costs), np.cumsum(per_step))
+        for f, j in zip(costs, per_step):
+            assert steady_state_cost(f, pol) == pytest.approx(j, rel=1e-14)
 
 
 class TestRealizedExpectedComparatorCost:
@@ -123,7 +133,7 @@ class TestBestInHindsight:
     def test_single_repeated_cost_matches_offline_solve(self, rng):
         p = random_ergodic_kernel(rng, 4)
         f = random_cost(rng, 4)
-        a = best_in_hindsight(p, np.tile(f.values, (6, 1)))
+        a = best_in_hindsight(p, np.tile(f, (6, 1)))
         b = optimal_policy(p, f)
         np.testing.assert_allclose(a.kernel.rows, b.kernel.rows, atol=1e-12)
 
@@ -203,9 +213,9 @@ class TestSamplePolicyPool:
         structural = sample_policy_pool(passive, 20, seed=8)
         draw = evaluate._SupportLayout.draw
 
-        def never_structural(layout, rng, kernels):
-            weights, mask = draw(layout, rng, kernels)
-            return weights, np.zeros_like(mask)
+        def never_structural(layout, rng, count):
+            slots, weights, mask = draw(layout, rng, count)
+            return slots, weights, np.zeros_like(mask)
 
         # every draw now takes the invariant_distribution path
         monkeypatch.setattr(evaluate._SupportLayout, "draw", never_structural)
@@ -257,7 +267,9 @@ class TestSamplePolicyPool:
         pool = sample_policy_pool(POOL_ORACLE_KERNELS["grid-10x10"](), 400, seed=3)
         arrays = [v for part in (pool, pool.layout) for v in vars(part).values()
                   if isinstance(v, np.ndarray)]
-        assert len(arrays) == 7
+        # the pool's weights, control costs and bounds; the layout's row,
+        # col, indptr, slot and columns
+        assert len(arrays) == 8
         assert sum(a.nbytes for a in arrays) < 5e6
 
     def test_policies_built_once_from_read_only_arrays(self, rng):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from klwalk import (
-    CostFunction,
     DimensionMismatchError,
     StochasticMatrix,
     build_passive,
@@ -52,7 +51,7 @@ def reference_episode(passive, costs, epsilon, start, seed):
         if t in phase_starts:
             boundaries.append(t)
             cost_sum, phase_sum = cost_sum + phase_sum, np.zeros(passive.n)
-            f_hat = CostFunction(cost_sum / t if t > 0 else np.zeros(passive.n))
+            f_hat = cost_sum / t if t > 0 else np.zeros(passive.n)
             last_h = policy.solution.h if policy is not None else None
             policy = optimal_policy(passive, f_hat, start=last_h)
         states.append(x)

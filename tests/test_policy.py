@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from klwalk import (
-    CostFunction,
     NotErgodicError,
     bfs_distances,
     build_passive,
@@ -39,7 +38,7 @@ from conftest import (
 )
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-TWO_STATE_COST = CostFunction([0.0, math.log(2)])
+TWO_STATE_COST = np.array([0.0, math.log(2)])
 
 
 class TestTwistedKernel:
@@ -209,11 +208,11 @@ class TestSteadyStateCost:
         from klwalk import invariant_distribution
 
         pi = invariant_distribution(p)
-        assert steady_state_cost(f, passive_policy(p)) == pytest.approx(float(pi @ f.values))
+        assert steady_state_cost(f, passive_policy(p)) == pytest.approx(float(pi @ f))
 
     def test_zero_cost_passive_is_free(self, rng):
         p = random_ergodic_kernel(rng, 3)
-        assert steady_state_cost(CostFunction(np.zeros(3)), passive_policy(p)) == 0.0
+        assert steady_state_cost(np.zeros(3), passive_policy(p)) == 0.0
 
     def test_optimal_policy_attains_lambda(self):
         pol = optimal_policy(TWO_STATE, TWO_STATE_COST)
@@ -224,7 +223,7 @@ class TestSteadyStateCost:
             StochasticMatrix([[0.5, 0.5], [0.5, 0.5]]), rows=np.eye(2)
         )
         with pytest.raises(NotUnichainError):
-            steady_state_cost(CostFunction([0.1, 0.2]), pol)
+            steady_state_cost(np.array([0.1, 0.2]), pol)
 
 
 class TestOptimality:
@@ -273,6 +272,6 @@ class TestBoundConstants:
             consts = bound_constants(p, cost_cap=1.0)
             f = random_cost(rng, n, cap=1.0)
             pol = optimal_policy(p, f)
-            worst = (f.values + pol.control_cost).max()
+            worst = (f + pol.control_cost).max()
             assert worst <= consts.k0 + 1e-12
             assert span_seminorm(solve_mpe(p, f).h) <= consts.k1 + 1e-12

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from klwalk import (
     ConvergenceError,
-    CostFunction,
     DimensionMismatchError,
     NotErgodicError,
     SolverSettings,
@@ -41,13 +40,13 @@ from conftest import (
 )
 
 TWO_STATE = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-TWO_STATE_COST = CostFunction([0.0, math.log(2)])
+TWO_STATE_COST = np.array([0.0, math.log(2)])
 
 
 class TestSolveMpe:
     def test_zero_cost_fixed_point(self, rng):
         p = random_ergodic_kernel(rng, 5)
-        sol = solve_mpe(p, CostFunction(np.zeros(5)))
+        sol = solve_mpe(p, np.zeros(5))
         assert abs(sol.lam) <= 1e-12
         np.testing.assert_allclose(sol.h, 0.0, atol=1e-12)
         np.testing.assert_allclose(sol.v, 1.0, atol=1e-12)
@@ -57,7 +56,7 @@ class TestSolveMpe:
         # h = 0 exactly (no -0.0 either): the iteration's rounding is dropped
         for _ in range(50):
             n = int(rng.integers(2, 9))
-            sol = solve_mpe(random_ergodic_kernel(rng, n), CostFunction(np.full(n, 0.7)))
+            sol = solve_mpe(random_ergodic_kernel(rng, n), np.full(n, 0.7))
             assert sol.lam == pytest.approx(0.7, abs=1e-12)
             assert sol.h.tobytes() == np.zeros(n).tobytes()
 
@@ -76,15 +75,29 @@ class TestSolveMpe:
 
     def test_large_offset_cost_stays_conditioned(self):
         # a big common offset factors out exactly
-        sol = solve_mpe(TWO_STATE, CostFunction([50.0, 50.0 + math.log(2)]))
+        sol = solve_mpe(TWO_STATE, np.array([50.0, 50.0 + math.log(2)]))
         assert sol.lam == pytest.approx(50.0 + math.log(4 / 3), abs=1e-9)
         np.testing.assert_allclose(sol.v, [1.0, 0.5], atol=1e-9)
 
     def test_not_ergodic_rejected(self):
         with pytest.raises(NotErgodicError):
-            solve_mpe(StochasticMatrix([[0, 1], [1, 0]]), CostFunction([0.1, 0.2]))
+            solve_mpe(StochasticMatrix([[0, 1], [1, 0]]), np.array([0.1, 0.2]))
         with pytest.raises(NotErgodicError):
-            solve_mpe(StochasticMatrix(np.eye(2)), CostFunction([0.1, 0.2]))
+            solve_mpe(StochasticMatrix(np.eye(2)), np.array([0.1, 0.2]))
+
+    def test_cost_checked_at_the_solver_boundary(self):
+        # a state cost is a plain float64 array of n finite, nonnegative numbers
+        for bad in ([-0.5, 0.5], [np.inf, 0.0], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                solve_mpe(TWO_STATE, np.array(bad))
+        for shape in [(), (1,), (3,), (2, 2), (0,)]:
+            with pytest.raises(DimensionMismatchError):
+                solve_mpe(TWO_STATE, np.zeros(shape))
+        f = np.array([0.0, math.log(2)])
+        sol = solve_mpe(TWO_STATE, f)
+        assert f.flags.writeable
+        assert np.array_equal(f, [0.0, math.log(2)])
+        assert solve_mpe(TWO_STATE, [0.0, math.log(2)]).lam == sol.lam
 
     def test_assumption_check_never_builds_the_report(self, rng, monkeypatch):
         # the solve reads the graph verdict only: the Dobrushin coefficient
@@ -99,7 +112,7 @@ class TestSolveMpe:
         sol = solve_mpe(p, random_cost(rng, 6))
         assert sol.bracket_width <= 1e-12
         with pytest.raises(NotErgodicError, match="aperiodic=False"):
-            solve_mpe(StochasticMatrix([[0, 1], [1, 0]]), CostFunction([0.1, 0.2]))
+            solve_mpe(StochasticMatrix([[0, 1], [1, 0]]), np.array([0.1, 0.2]))
 
     def test_no_convergence_reports_bracket(self):
         with pytest.raises(ConvergenceError) as exc_info:
@@ -152,8 +165,8 @@ def large_span_problem():
     e^{-f} underflows and e^{-h} overflows float64."""
     graph = grid_graph(10, 10)
     passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
-    f = CostFunction(300.0 * bfs_distances(graph)[0][0])
-    return passive, f, SolverSettings(pin_index=int(np.argmax(f.values)))
+    f = 300.0 * bfs_distances(graph)[0][0]
+    return passive, f, SolverSettings(pin_index=int(np.argmax(f)))
 
 
 class TestDomains:
@@ -162,7 +175,7 @@ class TestDomains:
     def test_linear_and_log_paths_agree(self, n, seed):
         rng = np.random.default_rng(seed)
         p = random_ergodic_kernel(rng, n)
-        f = random_cost(rng, n, cap=3.0).values
+        f = random_cost(rng, n, cap=3.0)
         fs = f - f.min()
         pin = int(rng.integers(n))
         runs = [linear_power_iteration(p.rows, fs, pin, 1e-12, 100_000),
@@ -177,7 +190,7 @@ class TestDomains:
 
     def test_large_span_takes_log_fallback(self):
         passive, f, cfg = large_span_problem()
-        fs = f.values - f.values.min()
+        fs = f - f.min()
         with pytest.raises(FloatingPointError):
             linear_power_iteration(
                 passive.rows, fs, cfg.pin_index, cfg.tolerance, cfg.max_iterations,
@@ -191,11 +204,11 @@ class TestDomains:
         eps = 1e-150
         p = StochasticMatrix([[1 - eps, eps, 0, 0], [eps, 1 - 2 * eps, eps, 0],
                               [0, eps, 1 - 2 * eps, eps], [0, 0, eps, 1 - eps]])
-        f = CostFunction([0.0, 1.0, 1.0, 1.0])
+        f = np.array([0.0, 1.0, 1.0, 1.0])
         cfg = SolverSettings()
         with pytest.raises(FloatingPointError, match="at iteration"):
             linear_power_iteration(
-                p.rows, f.values, 0, cfg.tolerance, cfg.max_iterations
+                p.rows, f, 0, cfg.tolerance, cfg.max_iterations
             )
         sol = solve_mpe(p, f, cfg)
         assert sol.bracket_width <= cfg.tolerance
@@ -220,8 +233,8 @@ class TestSparseLogDomainMatchesDense:
     @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
     def test_log_power_iteration_and_acoe_residual(self, name, span):
         passive = ORACLE_KERNELS[name]()
-        f = CostFunction(np.random.default_rng(6).random(passive.n) * span)
-        fs = f.values - f.values.min()
+        f = np.random.default_rng(6).random(passive.n) * span
+        fs = f - f.min()
         got = _accel.log_power_iteration(passive.rows, support_layout(passive), fs, 0, 1e-12,
                                          100_000)
         want = dense_log_power_iteration(passive.rows, fs, 0, 1e-12, 100_000)
@@ -229,7 +242,7 @@ class TestSparseLogDomainMatchesDense:
         sol = solve_mpe(passive, f)
         log_z = dense_log_matvec(dense_log_rows(passive.rows), -sol.h)
         assert acoe_residual(passive, f, sol) == float(
-            np.abs(sol.h + sol.lam - f.values + log_z).max()
+            np.abs(sol.h + sol.lam - f + log_z).max()
         )
 
 
@@ -239,7 +252,7 @@ def grid_phase_problem():
     graph = grid_graph(10, 10)
     passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
     dist, diameter = bfs_distances(graph)
-    f = CostFunction(dist[:, [3, 17, 44, 58, 71]].mean(axis=1) / diameter)
+    f = dist[:, [3, 17, 44, 58, 71]].mean(axis=1) / diameter
     return passive, f
 
 
@@ -249,7 +262,7 @@ class TestInverseIteration:
     def test_inverse_and_log_paths_agree(self, n, seed):
         rng = np.random.default_rng(seed)
         p = random_ergodic_kernel(rng, n)
-        f = random_cost(rng, n, cap=3.0).values
+        f = random_cost(rng, n, cap=3.0)
         fs = f - f.min()
         pin = int(rng.integers(n))
         tol = 1e-12
@@ -267,7 +280,7 @@ class TestInverseIteration:
     @pytest.mark.parametrize("failure", ["singular factor", "negative entry"])
     def test_failed_solve_takes_power_step(self, monkeypatch, failure):
         passive, f = grid_phase_problem()
-        fs = f.values - f.values.min()
+        fs = f - f.min()
         tol = 1e-12
         layout = support_layout(passive)
         w_ref = _accel.inverse_iteration(passive.rows, layout, fs, 0, tol, 100_000)[0]
@@ -333,7 +346,7 @@ class TestInverseIteration:
         for _ in range(5):
             p = self.zero_diagonal_kernel(rng)
             rows, n, layout = p.rows, p.n, support_layout(p)
-            fs = random_cost(rng, n).values
+            fs = random_cost(rng, n)
             seen.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_accel, "splu", checking_splu)
@@ -365,9 +378,9 @@ class TestInverseIteration:
         costs (one target: many tied costs) and target-stream phase costs,
         and kernels whose diagonal is zero but for one entry."""
         kernels = [make() for make in ORACLE_KERNELS.values()]
-        cases = [(p, random_cost(rng, p.n, cap=3.0).values) for p in kernels]
+        cases = [(p, random_cost(rng, p.n, cap=3.0)) for p in kernels]
         passive, f = grid_phase_problem()
-        cases.append((passive, f.values))
+        cases.append((passive, f))
         graph = grid_graph(10, 10)
         passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
         dist, diameter = bfs_distances(graph)
@@ -376,7 +389,7 @@ class TestInverseIteration:
         cases += [(passive, stream[:k].mean(axis=0)) for k in (1, 4, 13, 60)]
         for _ in range(5):
             p = self.zero_diagonal_kernel(rng)
-            cases.append((p, random_cost(rng, p.n).values))
+            cases.append((p, random_cost(rng, p.n)))
         return cases
 
     def test_preordered_factor_is_colamds_bit_for_bit(self, rng):
@@ -436,13 +449,13 @@ def warm_start_cases():
     for name in sorted(ORACLE_KERNELS):
         p = ORACLE_KERNELS[name]()
         f = random_cost(rng, p.n, cap=3.0)
-        nearby = CostFunction(f.values + 0.05 * rng.random(p.n))
+        nearby = f + 0.05 * rng.random(p.n)
         cases.append(pytest.param(p, f, solve_mpe(p, nearby).h, id=name))
     graph = grid_graph(10, 10)
     passive = build_passive(graph, stay_prob=0.01, delta=0.01, home=0)
     stream = make_tracking_env(graph, seed=7).stream(60)
     for k in (2, 13, 60):
-        f, last = CostFunction(stream[:k].mean(axis=0)), CostFunction(stream[:k - 1].mean(axis=0))
+        f, last = stream[:k].mean(axis=0), stream[:k - 1].mean(axis=0)
         cases.append(pytest.param(passive, f, solve_mpe(passive, last).h, id=f"grid-phase-{k}"))
     passive, f = grid_phase_problem()
     cases.append(pytest.param(passive, f, np.zeros(passive.n), id="grid-phase-cost"))
@@ -465,7 +478,7 @@ class TestWarmStart:
 
     def test_start_is_the_first_iterate(self, monkeypatch):
         passive, f = grid_phase_problem()
-        start = solve_mpe(passive, CostFunction(0.9 * f.values)).h
+        start = solve_mpe(passive, 0.9 * f).h
         firsts = []
         real_loop = _accel._collatz_loop
 
@@ -486,7 +499,7 @@ class TestWarmStart:
     ], ids=["underflow", "overflow", "subnormal", "nan"])
     def test_start_that_is_not_normal_falls_back_to_ones(self, start):
         passive, f = grid_phase_problem()
-        fs = f.values - f.values.min()
+        fs = f - f.min()
         layout = support_layout(passive)
         got = _accel.inverse_iteration(passive.rows, layout, fs, 0, 1e-12, 100_000, start)
         want = _accel.inverse_iteration(passive.rows, layout, fs, 0, 1e-12, 100_000)
@@ -497,7 +510,7 @@ class TestWarmStart:
         eps = 1e-150
         rare = StochasticMatrix([[1 - eps, eps, 0, 0], [eps, 1 - 2 * eps, eps, 0],
                                  [0, eps, 1 - 2 * eps, eps], [0, 0, eps, 1 - eps]])
-        problems = [large_span_problem(), (rare, CostFunction([0.0, 1.0, 1.0, 1.0]),
+        problems = [large_span_problem(), (rare, np.array([0.0, 1.0, 1.0, 1.0]),
                                            SolverSettings())]
         for passive, f, cfg in problems:
             cold = solve_mpe(passive, f, cfg)
@@ -519,7 +532,7 @@ class TestKeptFactor:
         factorizations logged in order; ``fail(kind, count)`` says whether
         the count-th factorization ("factor") or solve ("solve") fails."""
         passive, f = grid_phase_problem()
-        fs = f.values - f.values.min()
+        fs = f - f.min()
         events = []
         real_splu, real_loop = _accel.splu, _accel._collatz_loop
 
@@ -614,7 +627,7 @@ class TestAcoeResidual:
 class TestEigenOracle:
     def test_zero_cost(self, rng):
         p = random_ergodic_kernel(rng, 6)
-        lam, v = eigen_oracle(p, CostFunction(np.zeros(6)))
+        lam, v = eigen_oracle(p, np.zeros(6))
         assert abs(lam) <= 1e-12
         np.testing.assert_allclose(v, 1.0, atol=1e-10)
 
@@ -626,7 +639,7 @@ class TestEigenOracle:
     def test_guard(self, rng):
         p = random_ergodic_kernel(rng, 13)
         with pytest.raises(ValueError):
-            eigen_oracle(p, CostFunction(np.zeros(13)))
+            eigen_oracle(p, np.zeros(13))
 
     def test_agrees_with_solver(self, rng):
         # desk-scale rehearsal of the acceptance sweep
@@ -642,7 +655,7 @@ class TestEigenOracle:
 class TestBracketBehaviour:
     def test_monotone_certified_bracket(self):
         p = StochasticMatrix([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
-        f = CostFunction([0.1, 0.9, 0.4])
+        f = np.array([0.1, 0.9, 0.4])
         lam_true, _ = eigen_oracle(p, f)
         r_true = math.exp(-lam_true)
         lowers, uppers = [], []
@@ -682,7 +695,7 @@ class TestValueFunctionBounds:
         for _ in range(200):
             f = random_cost(rng, 5)
             g = random_cost(rng, 5)
-            gap = float(np.abs(f.values - g.values).max())
+            gap = float(np.abs(f - g).max())
             if gap < 1e-6:
                 continue
             span = span_seminorm(solve_mpe(p, f).h - solve_mpe(p, g).h)
